@@ -69,6 +69,16 @@ def _err(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
+def _write_out(path: str, text: str) -> bool:
+    """Write an --out file; on failure report it on stderr and return False."""
+    try:
+        Path(path).write_text(text)
+    except OSError as err:
+        _err(f"cannot write {path}: {err}")
+        return False
+    return True
+
+
 def _structure_flags(witness: Witness) -> tuple[str, ...]:
     report = witness.structure
     flags = []
@@ -87,7 +97,8 @@ def _deliver(witness: Witness, args: argparse.Namespace) -> int:
     if args.trace:
         _err(witness.trace.render())
     if args.out:
-        Path(args.out).write_text(text)
+        if not _write_out(args.out, text):
+            return EXIT_ERROR
         _err(f"wrote {_describe(witness)} to {args.out}")
     else:
         sys.stdout.write(text)
@@ -269,7 +280,8 @@ def _cmd_exists(args: argparse.Namespace) -> int:
         _err(witness.trace.render())
     if args.out:
         text = emit_matrix_file(witness.matrix, witness.claim, _structure_flags(witness))
-        Path(args.out).write_text(text)
+        if not _write_out(args.out, text):
+            return EXIT_ERROR
         _err(f"wrote witness to {args.out}")
     return EXIT_OK
 

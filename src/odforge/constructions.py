@@ -45,7 +45,6 @@ from .matrices import (
     Var,
     VerificationInternalError,
     WeighingType,
-    back_diagonal,
     decompose_family,
     circulant,
     identity,
@@ -710,6 +709,20 @@ def minimal_pow2_exponent(total: int) -> int:
     return max(1, (total - 1).bit_length())
 
 
+def _unit_transpose_rows(unit: IntMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """For a signed permutation E, the rows and signs with
+    (E.T @ Y)[c] = signs[c] * Y[rows[c]]: E.T @ Y is a signed row gather."""
+    n = unit.rows
+    rows, cols = np.divmod(np.flatnonzero(unit.entries != 0), n)
+    if rows.size != n or not np.array_equal(np.sort(cols), np.arange(n)):
+        raise VerificationInternalError("unit member is not a signed permutation")
+    src = np.empty(n, dtype=np.intp)
+    src[cols] = rows
+    signs = np.empty(n, dtype=np.int64)
+    signs[cols] = unit.entries[rows, cols]
+    return src, signs
+
+
 def _normalized_unit_family(w: Witness) -> list[IntMatrix]:
     """Turn a verified design family of type (1, s2, ..., sl) into a family
     whose unit member is the identity, by multiplying every member on the
@@ -718,8 +731,8 @@ def _normalized_unit_family(w: Witness) -> list[IntMatrix]:
     matrix = w.matrix
     assert isinstance(matrix, SignedVarMatrix)
     family = decompose_family(matrix)
-    unit_t = transpose(family[0])
-    normalized = [mat_mul(unit_t, member) for member in family]
+    src, signs = _unit_transpose_rows(family[0])
+    normalized = [IntMatrix(signs[:, None] * member.entries[src]) for member in family]
     for i, member in enumerate(normalized[1:], start=2):
         arr = member.entries
         if not np.array_equal(arr.T, -arr):
@@ -897,8 +910,8 @@ def symmetric_w_square_odd(k: int, *, search_ms: int = DEFAULT_SEARCH_MS) -> Wit
     for q in fact.factors:
         cw = _cw_block(q, search_ms=search_ms)
         sub_traces.append(cw.trace)
-        reflected = mat_mul(cw.matrix, back_diagonal(cw.order))
-        blocks.append(reflected)
+        # the reflection C @ back_diagonal reverses C's columns
+        blocks.append(IntMatrix(cw.matrix.entries[:, ::-1]))
     product = reduce(kronecker, blocks)
     order = int(np.prod([b.rows for b in blocks]))
     assert order % 2 == 1
@@ -977,9 +990,10 @@ def _odd_block_plan(ks: Sequence[int], *, search_ms: int = DEFAULT_SEARCH_MS) ->
             level = spread.matrix
             # Only the block in the arrays' diagonal slot is reflected to
             # back-circulant (symmetric) form; the off-diagonal slots need
-            # plain circulants for their transpose identities.
+            # plain circulants for their transpose identities.  Multiplying
+            # by the back-diagonal permutation on the right reverses columns.
             if j == 0:
-                level = mat_mul(level, back_diagonal(level.rows))
+                level = IntMatrix(level.entries[:, ::-1])
             levels.append(level)
         blocks.append(reduce(kronecker, levels))
     q = int(np.prod(b_list))
@@ -1258,7 +1272,8 @@ def skew_weighing_from_unit_slot(w: Witness) -> Witness:
     matrix = w.matrix
     assert isinstance(matrix, SignedVarMatrix)
     unit, heavy = decompose_family(matrix)
-    skew = mat_mul(transpose(unit), heavy)
+    src, signs = _unit_transpose_rows(unit)
+    skew = IntMatrix(signs[:, None] * heavy.entries[src])
     k = claim.type_tuple[1]
     out = _weighing_witness(
         skew, claim.order, k, _trace("skew-from-unit-slot", subs=(w.trace,))

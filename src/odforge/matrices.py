@@ -1,4 +1,5 @@
-"""Exact dense matrix algebra over the integers and over formal signed variables.
+"""Exact matrix algebra over the integers and over formal signed variables,
+and the exact verifiers built on it.
 
 Two matrix kinds live here:
 
@@ -13,6 +14,17 @@ Two matrix kinds live here:
   zero and ``+j`` / ``-j`` for ``+x_j`` / ``-x_j``.  A cell mentions at most
   one variable, so the matrix decomposes uniquely as X = sum_j x_j * A_j with
   pairwise disjoint integer coefficient matrices A_j.
+
+Verification.  ``verify_weighing`` and ``verify_od`` (and the re-check inside
+``specialize_variables``) use the family characterization: X is an OD of type
+(s_1..s_l) exactly when each A_j is a W(n, s_j) and A_i A_j^T + A_j A_i^T = 0
+for i != j.  One pass over the codes gives every variable's row and column
+weights.  Once those hold, row r of A_i A_j^T is a sum of s_i * s_j signed
+partner terms, so each Gram matrix and each pair sum can be checked exactly
+from the row and column supports in O(n * s_i * s_j), in row blocks that keep
+the temporaries bounded.  Near-dense members go to the dense BLAS product
+instead (one product per pair); a fixed cost rule on n, s_i and s_j picks the
+kernel per product.  Both kernels report the same first violation.
 
 Indexing convention: storage is 0-based throughout.  Classical 1-based matrix
 descriptions are converted here, in one place, as follows: a circulant has
@@ -436,22 +448,36 @@ def back_diagonal(n: int) -> IntMatrix:
     return IntMatrix(np.fliplr(np.eye(n, dtype=np.int64)))
 
 
+def _equal_by_rows(a: np.ndarray, b: np.ndarray, negate: bool = False) -> bool:
+    """``np.array_equal(a, -b if negate else b)`` for arrays of one shape,
+    compared 64 rows at a time and stopped at the first block that differs."""
+    for r in range(0, a.shape[0], 64):
+        rows = b[r : r + 64]
+        if not np.array_equal(a[r : r + 64], -rows if negate else rows):
+            return False
+    return True
+
+
 def structure_check(m: Matrix) -> StructureReport:
     """Exact shape predicates; works for numeric and symbolic matrices alike."""
     arr = _payload(m)
     if arr.shape[0] != arr.shape[1]:
         raise MatrixError("structure_check needs a square matrix")
-    n = arr.shape[0]
-    symmetric = bool(np.array_equal(arr, arr.T))
-    skew = bool(np.array_equal(arr, -(arr.T)))
+    symmetric = _equal_by_rows(arr, arr.T)
+    skew = _equal_by_rows(arr, arr.T, negate=True)
     if arr.dtype == object:
         zero_diag = all(int(v) == 0 for v in np.diagonal(arr))
     else:
         zero_diag = not bool(np.any(np.diagonal(arr)))
-    shift = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
-    circ = bool(np.array_equal(arr, arr[0][shift]))
-    bshift = (np.arange(n)[None, :] + np.arange(n)[:, None]) % n
-    bcirc = bool(np.array_equal(arr, arr[0][bshift]))
+    # Circulant: each row is the one above shifted right by one, the last
+    # entry wrapping to the front.  Back-circulant: shifted left, the first
+    # entry wrapping to the back.
+    circ = np.array_equal(arr[1:, 0], arr[:-1, -1]) and _equal_by_rows(
+        arr[1:, 1:], arr[:-1, :-1]
+    )
+    bcirc = np.array_equal(arr[1:, -1], arr[:-1, 0]) and _equal_by_rows(
+        arr[1:, :-1], arr[:-1, 1:]
+    )
     return StructureReport(
         symmetric=symmetric,
         skew_symmetric=skew,
@@ -469,12 +495,219 @@ def _first_mismatch(a: np.ndarray, b: np.ndarray) -> tuple[int, int] | None:
     return int(r), int(c)
 
 
+# ---------------------------------------------------------------------------
+# Family check: weights, Gram matrices and anti-amicable pair sums
+# ---------------------------------------------------------------------------
+
+# Cells of the code matrix scanned per block while extracting supports, and
+# partner terms per block in the support kernel.  Both bound the temporaries
+# (a few tens of MB) whatever the order.
+_SCAN_CELLS = 1 << 20
+_BLOCK_TERMS = 1 << 19
+
+# One partner term of the support kernel costs about as much as this many
+# multiply-adds of the dense BLAS product.  Measured on a 2-core x86-64 VM
+# (numpy 2.4, OpenBLAS, two threads) with valid W(n, s) inputs: 20-25 ns per
+# term against 50-75 ps per multiply-add at n >= 1024 (ratio 300-400) and
+# about 150 ps at n = 512 (ratio about 150).  A Gram check then goes to the
+# support kernel while s / n < 1/16.
+_TERM_COST = 256
+
+
+# Prefix of a design member's conditions, formatted with its 1-based index.
+_VARIABLE_LABEL = "variable {}: "
+
+
+def _support_is_cheaper(n: int, terms_per_row: int) -> bool:
+    """Cost rule: the support kernel does n * terms_per_row partner terms,
+    the dense path n**3 multiply-adds."""
+    return terms_per_row * _TERM_COST < n * n
+
+
+class _Member(NamedTuple):
+    """Row and column supports of one {0,+1,-1} member with s nonzeros in
+    every row and every column: row r has ``signs[r, a]`` at column
+    ``cols[r, a]``; column t has ``col_signs[t, b]`` at row ``rows[t, b]``."""
+
+    cols: np.ndarray
+    signs: np.ndarray
+    rows: np.ndarray
+    col_signs: np.ndarray
+
+
+def _scan_codes(codes: np.ndarray, l: int, keep: bool):
+    """One pass over the codes, in row blocks.
+
+    Returns per-variable row and column weights, each an (l, n) array, and,
+    when ``keep``, the row-major list of nonzero (column, code) pairs, from
+    which the weights are two bincounts.  Without ``keep`` (every product
+    dense) the weights are counted per variable in place, which costs less
+    than listing the nonzeros of a dense matrix.
+    """
+    n = codes.shape[0]
+    row_w = np.zeros((l, n), dtype=np.int64)
+    col_w = np.zeros((l, n), dtype=np.int64)
+    cols_out, codes_out = [], []
+    step = max(1, _SCAN_CELLS // n)
+    for r0 in range(0, n, step):
+        block = codes[r0 : r0 + step]
+        if not keep:
+            mag = np.abs(block)
+            for j in range(l):
+                hit = mag == j + 1
+                row_w[j, r0 : r0 + step] = np.count_nonzero(hit, axis=1)
+                col_w[j] += np.count_nonzero(hit, axis=0)
+            continue
+        # flatnonzero of a 1-D mask is far faster than nonzero of a 2-D array
+        r, c = np.divmod(np.flatnonzero(block != 0), n)
+        v = block[r, c].astype(np.int64)
+        slot = (np.abs(v) - 1) * n
+        row_w += np.bincount(slot + r + r0, minlength=l * n).reshape(l, n)
+        col_w += np.bincount(slot + c, minlength=l * n).reshape(l, n)
+        cols_out.append(c)
+        codes_out.append(v)
+    pairs = (np.concatenate(cols_out), np.concatenate(codes_out)) if keep else None
+    return row_w, col_w, pairs
+
+
+def _member_supports(pairs, j: int, s: int, n: int) -> _Member:
+    """Supports of member j (code magnitude j + 1), whose row and column
+    weights are all s."""
+    cols, vals = pairs
+    mask = np.abs(vals) == j + 1
+    mcols = cols[mask].reshape(n, s)
+    signs = np.sign(vals[mask]).reshape(n, s)
+    by_col = np.argsort(mcols.ravel(), kind="stable")
+    rows = (by_col // max(s, 1)).reshape(n, s)
+    col_signs = signs.ravel()[by_col].reshape(n, s)
+    return _Member(mcols, signs, rows, col_signs)
+
+
+def _support_mismatch(
+    products: Sequence[tuple[_Member, _Member]], n: int, diag: int
+) -> tuple[int, int] | None:
+    """First cell, in row-major order, where sum_(a,b) A_a A_b^T differs from
+    diag * I.
+
+    Row r of A_a A_b^T is the sum, over the s_a columns t of row r's
+    support, of A_a[r, t] times column t of A_b, which has s_b nonzeros: so a
+    row costs s_a * s_b partner terms, not n.  Terms are encoded as
+    2 * (local row * n + column) + (sign > 0), sorted, and counted per cell.
+    """
+    per_row = sum(a.cols.shape[1] * b.rows.shape[1] for a, b in products)
+    if per_row == 0:
+        return None
+    step = max(1, _BLOCK_TERMS // per_row)
+    for r0 in range(0, n, step):
+        r1 = min(n, r0 + step)
+        base = np.arange(r1 - r0, dtype=np.int64)[:, None, None] * n
+        parts = []
+        for a, b in products:
+            t = a.cols[r0:r1]
+            positive = a.signs[r0:r1, :, None] * b.col_signs[t] > 0
+            parts.append((2 * (base + b.rows[t]) + positive).ravel())
+        enc = np.concatenate(parts)
+        enc.sort()
+        key = enc >> 1
+        starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+        positives = np.add.reduceat(enc & 1, starts)
+        sizes = np.diff(np.append(starts, enc.size))
+        sums = 2 * positives - sizes
+        cells = key[starts]
+        if diag:
+            # every row has diag nonzeros, so every diagonal cell has terms
+            local, col = np.divmod(cells, n)
+            sums[col == local + r0] -= diag
+        bad = np.flatnonzero(sums)
+        if bad.size:
+            local, col = divmod(int(cells[bad[0]]), n)
+            return r0 + local, col
+    return None
+
+
+def _family_report(
+    codes: np.ndarray,
+    weights: Sequence[int],
+    label: str,
+    use_support=_support_is_cheaper,
+) -> CheckReport:
+    """Exact check that the members A_j of ``codes`` (code magnitude j) form
+    an orthogonal-design family of the given weights.
+
+    Conditions, in order of first violation: for each j in turn, row weights,
+    column weights and A_j A_j^T = s_j I; then, for each pair i < j in turn,
+    A_i A_j^T + A_j A_i^T = 0.  ``label.format(j)`` prefixes member j's
+    conditions.
+
+    Each product is computed by whichever kernel ``use_support(n,
+    terms_per_row)`` picks: the support kernel, O(n * s_i * s_j), or the dense
+    BLAS product through ``_exact_matmul``, O(n**3).  Both are exact and
+    report the same first violation.
+    """
+    n = codes.shape[0]
+    l = len(weights)
+    plan = {
+        (i, j): use_support(n, (1 if i == j else 2) * weights[i] * weights[j])
+        for i in range(l)
+        for j in range(i, l)
+    }
+    row_w, col_w, pairs = _scan_codes(codes, l, keep=any(plan.values()))
+    members: dict[int, _Member] = {}
+    dense: dict[int, np.ndarray] = {}
+
+    def member(j: int) -> _Member:
+        if j not in members:
+            members[j] = _member_supports(pairs, j, weights[j], n)
+        return members[j]
+
+    def dense_member(j: int) -> np.ndarray:
+        if l == 1:
+            return codes
+        if j not in dense:
+            hit = np.abs(codes) == j + 1
+            dense[j] = np.where(hit, np.sign(codes), 0).astype(np.int8)
+        return dense[j]
+
+    for j, s in enumerate(weights):
+        prefix = label.format(j + 1)
+        for name, counts in (("row", row_w[j]), ("column", col_w[j])):
+            off = np.flatnonzero(counts != s)
+            if off.size:
+                return CheckReport(False, f"{prefix}{name} weight != {s}", (int(off[0]),))
+        if plan[j, j]:
+            spot = _support_mismatch([(member(j), member(j))], n, s)
+        else:
+            a = dense_member(j)
+            spot = _first_mismatch(_exact_matmul(a, a.T), s * np.eye(n, dtype=np.int64))
+        if spot is not None:
+            return CheckReport(False, f"{prefix}rows not orthogonal with weight k", spot)
+    for i in range(l):
+        for j in range(i + 1, l):
+            if plan[i, j]:
+                a, b = member(i), member(j)
+                spot = _support_mismatch([(a, b), (b, a)], n, 0)
+            else:
+                # A_j A_i^T = (A_i A_j^T)^T: one product per pair
+                left = _exact_matmul(dense_member(i), dense_member(j).T)
+                spot = _first_mismatch(left, -left.T)
+            if spot is not None:
+                return CheckReport(
+                    False, f"variables {i + 1},{j + 1} not anti-amicable", spot
+                )
+    return CheckReport(True)
+
+
 def verify_weighing(w: IntMatrix, k: int) -> CheckReport:
     """Check that ``w`` is a weighing matrix of weight ``k``.
 
     Conditions, reported in order of first violation: square shape, entries in
     {0,+1,-1}, exactly k nonzeros in every row and every column, and
     W * W^T = k * I computed exactly.
+
+    The product is checked by the support kernel, from the k nonzeros of each
+    row and column in O(n * k**2), when that costs less than the dense BLAS
+    product's n**3 by the fixed rule ``_support_is_cheaper``; otherwise by the
+    dense product through ``_exact_matmul``.
     """
     if not isinstance(w, IntMatrix):
         raise MatrixError("verify_weighing needs an integer matrix")
@@ -483,32 +716,17 @@ def verify_weighing(w: IntMatrix, k: int) -> CheckReport:
     if not w.is_square:
         return CheckReport(False, "not square", (w.rows, w.cols))
     arr = w.entries
-    n = w.rows
     if arr.dtype == object:
         for (i, j), v in np.ndenumerate(arr):
             if not -1 <= int(v) <= 1:
                 return CheckReport(False, "entry outside {0,+1,-1}", (int(i), int(j)))
         arr = arr.astype(np.int64)
     else:
-        bad = np.argwhere(np.abs(arr) > 1)
-        if bad.size:
-            r, c = bad[0]
+        outside = np.abs(arr) > 1
+        if outside.any():
+            r, c = np.argwhere(outside)[0]
             return CheckReport(False, "entry outside {0,+1,-1}", (int(r), int(c)))
-    support = np.abs(arr)
-    row_counts = support.sum(axis=1)
-    off = np.argwhere(row_counts != k)
-    if off.size:
-        return CheckReport(False, f"row weight != {k}", (int(off[0][0]),))
-    col_counts = support.sum(axis=0)
-    off = np.argwhere(col_counts != k)
-    if off.size:
-        return CheckReport(False, f"column weight != {k}", (int(off[0][0]),))
-    prod = _exact_matmul(arr, arr.T)
-    expect = k * np.eye(n, dtype=np.int64)
-    spot = _first_mismatch(prod, expect)
-    if spot is not None:
-        return CheckReport(False, "rows not orthogonal with weight k", spot)
-    return CheckReport(True)
+    return _family_report(arr, (k,), "")
 
 
 def decompose_family(x: SignedVarMatrix) -> list[IntMatrix]:
@@ -524,39 +742,23 @@ def decompose_family(x: SignedVarMatrix) -> list[IntMatrix]:
     return out
 
 
-def _verify_family(
-    fam: Sequence[IntMatrix], weights: Sequence[int], n: int
-) -> CheckReport:
-    """Shared orthogonal-design family check.
-
-    Condition (i): each A_j is a weighing matrix of weight s_j.  Condition
-    (ii): every pair is anti-amicable, A_i A_j^T = -(A_j A_i^T).  Disjointness
-    is structural for matrices produced by ``decompose_family``.
-    """
-    for j, (a, s) in enumerate(zip(fam, weights), start=1):
-        rep = verify_weighing(a, s)
-        if not rep.ok:
-            return CheckReport(
-                False, f"variable {j}: {rep.condition}", rep.where
-            )
-    for i in range(len(fam)):
-        for j in range(i + 1, len(fam)):
-            left = _exact_matmul(fam[i].entries, fam[j].entries.T)
-            right = _exact_matmul(fam[j].entries, fam[i].entries.T)
-            spot = _first_mismatch(left, -right)
-            if spot is not None:
-                return CheckReport(
-                    False, f"variables {i + 1},{j + 1} not anti-amicable", spot
-                )
-    return CheckReport(True)
-
-
 def verify_od(x: SignedVarMatrix, t: ODType) -> CheckReport:
     """Check that ``x`` is an orthogonal design of the claimed order and type.
 
     Uses the family characterization: X = sum_j x_j A_j is an orthogonal
     design of type (s_1..s_l) iff the A_j are pairwise disjoint weighing
     matrices of weights s_j satisfying A_i A_j^T = -(A_j A_i^T) for i != j.
+    Disjointness holds by the encoding.
+
+    Conditions, in order of first violation: order, variable count, then for
+    each variable j in turn its row weights, column weights and
+    A_j A_j^T = s_j I, then each pair i < j in turn.  Each Gram matrix and
+    each pair sum A_i A_j^T + A_j A_i^T is computed by one of two exact
+    kernels: the support kernel, from the s_i nonzeros of each row of A_i and
+    the s_j of each column of A_j in O(n * s_i * s_j), or the dense BLAS
+    product through ``_exact_matmul`` in O(n**3), one product per pair.  The
+    fixed rule ``_support_is_cheaper`` picks, per product, whichever costs
+    less for n, s_i and s_j.
     """
     if not isinstance(x, SignedVarMatrix):
         raise MatrixError("verify_od needs a symbolic matrix")
@@ -566,7 +768,7 @@ def verify_od(x: SignedVarMatrix, t: ODType) -> CheckReport:
         return CheckReport(
             False, f"{x.num_vars} variables != claimed {t.num_vars}", None
         )
-    return _verify_family(decompose_family(x), t.type_tuple, t.order)
+    return _family_report(x.codes, t.type_tuple, _VARIABLE_LABEL)
 
 
 def _substitution_table(x: SignedVarMatrix, values: Sequence[int]) -> np.ndarray:
@@ -636,12 +838,9 @@ def specialize_variables(
             table[l + i] = img
             table[l - i] = -img
         out = SignedVarMatrix(table[x.codes + x.num_vars], len(kept))
-        fam = decompose_family(out)
-        weights = []
-        for a in fam:
-            support = np.abs(a.entries.astype(np.int64))
-            weights.append(int(support[0].sum()))
-        rep = _verify_family(fam, weights, out.order)
+        first_row = np.abs(out.codes[0])
+        weights = [int(np.count_nonzero(first_row == j)) for j in range(1, len(kept) + 1)]
+        rep = _family_report(out.codes, weights, _VARIABLE_LABEL)
         if not rep.ok:
             raise VerificationInternalError(
                 f"specialized matrix failed re-verification: {rep.message()}"

@@ -53,6 +53,57 @@ def is_weighing_oracle(rows, k):
     return True
 
 
+def dense_weighing_report(a, k, prefix=""):
+    """Reference weighing check by dense int64 products, independent of the
+    library's kernels: the first violated condition as (ok, condition,
+    where), with the library's wording and order of conditions."""
+    a = np.asarray(a, dtype=np.int64)
+    n = a.shape[0]
+    bad = np.argwhere(np.abs(a) > 1)
+    if bad.size:
+        return False, f"{prefix}entry outside {{0,+1,-1}}", tuple(int(v) for v in bad[0])
+    support = np.abs(a)
+    for axis, name in ((1, "row"), (0, "column")):
+        off = np.flatnonzero(support.sum(axis=axis) != k)
+        if off.size:
+            return False, f"{prefix}{name} weight != {k}", (int(off[0]),)
+    diff = np.argwhere(a @ a.T != k * np.eye(n, dtype=np.int64))
+    if diff.size:
+        return (
+            False,
+            f"{prefix}rows not orthogonal with weight k",
+            tuple(int(v) for v in diff[0]),
+        )
+    return True, None, None
+
+
+def dense_od_report(codes, weights):
+    """Reference design check: each member A_j a weighing matrix of weight
+    s_j, then every pair i < j with A_i A_j^T = -(A_j A_i^T), both products
+    computed densely.  Returns (ok, condition, where) as the library does."""
+    codes = np.asarray(codes, dtype=np.int64)
+    members = [
+        np.where(np.abs(codes) == j, np.sign(codes), 0)
+        for j in range(1, len(weights) + 1)
+    ]
+    for j, (a, s) in enumerate(zip(members, weights), start=1):
+        report = dense_weighing_report(a, s, f"variable {j}: ")
+        if not report[0]:
+            return report
+    for i in range(len(members)):
+        for j in range(i + 1, len(members)):
+            left = members[i] @ members[j].T
+            right = members[j] @ members[i].T
+            diff = np.argwhere(left != -right)
+            if diff.size:
+                return (
+                    False,
+                    f"variables {i + 1},{j + 1} not anti-amicable",
+                    tuple(int(v) for v in diff[0]),
+                )
+    return True, None, None
+
+
 def three_squares_oracle(k):
     """Brute-force: is k a sum of three integer squares?"""
     import math

@@ -27,8 +27,10 @@ from odforge.constructions import (
     symmetric_od_pow2,
     two_square_od,
 )
+from odforge.cli import EXIT_OK, main
 from odforge.existence import Query, bound_N, exists_query, nonexistence_check
-from odforge.matrices import IntMatrix, ODType, mat_mul, transpose, verify_od
+from odforge.matfile import emit_matrix_file
+from odforge.matrices import IntMatrix, ODType, WeighingType, mat_mul, transpose, verify_od
 from conftest import frobenius_oracle, is_weighing_oracle
 
 
@@ -191,3 +193,21 @@ class TestSkewDesigns:
         extended = add_identity_variable(w)
         assert extended.claim == ODType(32, (1, 1, 1, 1, 1))
         assert verify_od(extended.matrix, extended.claim).ok
+
+
+class TestDenseVerification:
+    def test_12_sylvester_512_verifies_within_one_and_a_half_seconds(self, tmp_path, capsys):
+        # Every row of a Sylvester matrix is full, so the row-support kernel
+        # would do n**3 partner terms (about 3 s here); the dense product
+        # takes a fraction of a second.  The cost rule must pick the latter.
+        h = np.array([[1]], dtype=np.int64)
+        while h.shape[0] < 512:
+            h = np.block([[h, h], [h, -h]])
+        path = tmp_path / "sylvester512.txt"
+        path.write_text(emit_matrix_file(IntMatrix(h), WeighingType(512, 512), ()))
+        start = time.monotonic()
+        code = main(["verify", "--file", str(path)])
+        elapsed = time.monotonic() - start
+        assert code == EXIT_OK
+        assert capsys.readouterr().out == "PASS W(512,512)\n"
+        assert elapsed < 1.5, f"verify took {elapsed:.2f}s"

@@ -107,6 +107,27 @@ class TestVerify:
         assert code == EXIT_NEGATIVE
         assert out.startswith("FAIL W(7,4)")
 
+    def test_corrupted_design_reports_first_violation(self, capsys, tmp_path):
+        # One sign flipped in a skew OD(32; 1,1,1,1).  The FAIL line is the
+        # one the dense-product verifier printed for this file, so the support
+        # kernel must find the same first violation.
+        good = tmp_path / "good.txt"
+        code, _, _ = run(
+            capsys, "construct", "od", "--method", "skew4", "--ks", "1,1,1,1",
+            "--out", str(good),
+        )
+        assert code == EXIT_OK
+        text = good.read_text().splitlines()
+        row = text[1 + 5].split(" ")
+        assert row[13] == "+3"
+        row[13] = "-3"
+        text[1 + 5] = " ".join(row)
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(text) + "\n")
+        code, out, err = run(capsys, "verify", "--file", str(bad))
+        assert code == EXIT_NEGATIVE
+        assert out == "FAIL OD(32;1,1,1,1): variables 1,3 not anti-amicable at (5, 14)\n"
+
     def test_flag_mismatch_fails(self, capsys, tmp_path):
         f = tmp_path / "flagged.txt"
         f.write_text("W 2 1 circ sym skew\n+ 0\n0 +\n")
@@ -286,6 +307,26 @@ class TestOutputDiscipline:
         assert code == EXIT_OK
         parse_matrix_file(out)  # stdout alone must stay parseable
         assert "circulant-weighing" in err
+
+    def test_unwritable_out_is_a_clean_error(self, capsys, tmp_path):
+        target = tmp_path / "missing-dir" / "w.txt"
+        code, out, err = run(
+            capsys, "construct", "cw", "--q", "2", "--out", str(target)
+        )
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err.startswith(f"cannot write {target}: ")
+        assert "Traceback" not in err
+
+    def test_unwritable_exists_out_is_a_clean_error(self, capsys, tmp_path):
+        target = tmp_path / "missing-dir" / "w.txt"
+        code, out, err = run(
+            capsys, "exists", "--n", "8", "--k", "4", "--structure", "skew",
+            "--out", str(target),
+        )
+        assert code == EXIT_ERROR
+        assert out.startswith("Exists:")
+        assert err.startswith(f"cannot write {target}: ")
 
     def test_out_file_keeps_stdout_empty(self, capsys, tmp_path):
         target = tmp_path / "w.txt"

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from odforge.constructions import (
     ConstructionError,
     UnsupportedParameterError,
+    Witness,
     _cw_block,
+    _normalized_unit_family,
     _word_compatibility,
     _word_digits,
     _word_matrix,
@@ -44,6 +46,7 @@ from odforge.matrices import (
     SignedVarMatrix,
     decompose_family,
     mat_mul,
+    structure_check,
     transpose,
     verify_od,
     verify_weighing,
@@ -322,6 +325,24 @@ class TestSkewBuilders:
         skew = skew_weighing_from_unit_slot(w)
         assert skew.claim.order == 4 and skew.claim.weight == 3
         assert skew.structure.skew_symmetric
+
+    def test_unit_slot_gathers_match_dense_products(self):
+        # E.T @ A for the unit member E is computed as a signed row gather;
+        # the dense product is the reference.  Signed row permutations of a
+        # design keep its type and make E a nontrivial signed permutation.
+        rng = np.random.default_rng(7)
+        base = small_od_provider(ODType(8, (1, 2, 5)))
+        for _ in range(5):
+            signs = rng.choice([-1, 1], 8)[:, None]
+            x = SignedVarMatrix(signs * base.matrix.codes[rng.permutation(8)], 3)
+            w = Witness(x, base.claim, structure_check(x), base.trace)
+            family = decompose_family(x)
+            expected = [mat_mul(transpose(family[0]), member) for member in family]
+            assert _normalized_unit_family(w) == expected
+            pair = merge_od_variables(w, [[1], [2, 3]])
+            unit, heavy = decompose_family(pair.matrix)
+            skew = skew_weighing_from_unit_slot(pair)
+            assert skew.matrix == mat_mul(transpose(unit), heavy)
 
     def test_unit_slot_needs_unit_leading_type(self):
         with pytest.raises(ConstructionError):

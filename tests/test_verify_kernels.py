@@ -1,0 +1,118 @@
+"""Both verification kernels against the dense reference in conftest.
+
+``odforge.matrices`` checks each Gram matrix and each anti-amicable pair sum
+with either the support kernel, O(n * s_i * s_j), or the dense BLAS product,
+picked per product by a cost rule.  Here each kernel is forced for every
+product and run on designs from every constructor and on corruptions of
+them: sign flips, changed codes, row swaps and column swaps.  Each must
+report the (ok, condition, where) triple of the reference, so the same
+first violation, and so must the public verifiers.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from odforge import matrices
+from odforge.constructions import (
+    circulant_cw,
+    eight_block_od,
+    goethals_seidel_od,
+    load_catalog,
+    skew_od_pow2_four,
+    spread_circulant,
+    symmetric_od_pow2,
+    two_square_od,
+)
+from odforge.matrices import IntMatrix, ODType, SignedVarMatrix
+from conftest import dense_od_report, dense_weighing_report
+
+KERNELS = {
+    "support": lambda n, terms_per_row: True,
+    "dense": lambda n, terms_per_row: False,
+}
+
+
+def _designs():
+    built = [
+        two_square_od(1, 2),
+        goethals_seidel_od(1, 1, 1, 2),
+        eight_block_od(1, 1, 1, 1),
+        symmetric_od_pow2(4),
+        skew_od_pow2_four(1, 2, 1, 3),
+    ]
+    return [(w.matrix.codes, w.claim.type_tuple) for w in built] + [
+        (e.witness.matrix.codes, e.witness.claim.type_tuple) for e in load_catalog()
+    ]
+
+
+DESIGNS = _designs()
+WEIGHINGS = [
+    (w.matrix.entries, w.claim.weight)
+    for w in (circulant_cw(3), spread_circulant(circulant_cw(2), 10))
+]
+
+
+def _triple(report):
+    return report.ok, report.condition, report.where
+
+
+@st.composite
+def _corrupted(draw, pool):
+    codes, weights = pool[draw(st.integers(0, len(pool) - 1))]
+    codes = np.array(codes, dtype=np.int64)
+    n = codes.shape[0]
+    top = int(np.max(np.abs(codes)))
+    cell = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(("sign", "code", "rows", "cols")))
+        i, j = draw(cell)
+        if kind == "sign":
+            codes[i, j] = -codes[i, j]
+        elif kind == "code":
+            codes[i, j] = draw(st.integers(-top, top))
+        elif kind == "rows":
+            codes[[i, j]] = codes[[j, i]]
+        else:
+            codes[:, [i, j]] = codes[:, [j, i]]
+    weights = list(weights)
+    if draw(st.integers(0, 9)) == 0:  # a wrong claim now and then
+        weights[draw(st.integers(0, len(weights) - 1))] += 1
+    return codes, tuple(weights)
+
+
+@settings(max_examples=300)
+@given(_corrupted(DESIGNS))
+def test_design_kernels_match_dense_reference(case):
+    codes, weights = case
+    expected = dense_od_report(codes, weights)
+    for name, use_support in KERNELS.items():
+        got = matrices._family_report(codes, weights, matrices._VARIABLE_LABEL, use_support)
+        assert _triple(got) == expected, name
+    n = codes.shape[0]
+    if sum(weights) <= n:
+        x = SignedVarMatrix(codes, len(weights))
+        assert _triple(matrices.verify_od(x, ODType(n, weights))) == expected
+
+
+@settings(max_examples=200)
+@given(_corrupted(DESIGNS + [(a, (k,)) for a, k in WEIGHINGS]))
+def test_weighing_kernels_match_dense_reference(case):
+    codes, weights = case
+    flat = np.sign(codes) if len(weights) > 1 else codes
+    k = sum(weights)
+    expected = dense_weighing_report(flat, k)
+    for name, use_support in KERNELS.items():
+        got = matrices._family_report(flat, (k,), "", use_support)
+        assert _triple(got) == expected, name
+    assert _triple(matrices.verify_weighing(IntMatrix(flat), k)) == expected
+
+
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_every_constructor_output_passes_both_kernels(name):
+    for codes, weights in DESIGNS:
+        report = matrices._family_report(
+            codes, weights, matrices._VARIABLE_LABEL, KERNELS[name]
+        )
+        assert report.ok, (codes.shape, weights, report.message())
