@@ -222,7 +222,7 @@ def _cmd_construct_sym_w(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     try:
         text = Path(args.file).read_text()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         _err(f"cannot read {args.file}: {err}")
         return EXIT_ERROR
     matrix, claim, flags = parse_matrix_file(text)

@@ -6,12 +6,21 @@ Grammar::
     flag    = "sym" | "skew" | "circ"
     body    = order rows of exactly order tokens, single-space separated
     token   = "0" | "+" | "-"            (weighing; "1" and "-1" read as aliases)
-            | "0" | "+j" | "-j"          (design; j is a 1-based variable index)
+            | "0" | "+j" | "-j"          (design; j is a 1-based variable index
+                                          in ASCII decimal)
 
 Parsing returns an unverified candidate (matrix, claim, flags); verification
 is a separate step.  Emission is canonical: flags in the order sym, skew,
 circ; weighing signs as ``+``/``-``; one trailing newline.  Re-emitting a
 parsed file reproduces it byte for byte.
+
+Both directions are table-driven, a constant number of C-level calls per
+row.  Emission indexes one token table (codes -l..l, or -1..1 for weighing)
+with the whole code array and joins rows.  Parsing maps each row's tokens
+through one dict of the canonical tokens (plus the weighing aliases); a row
+the dict does not cover, such as one spelling an index ``+02``, is read
+token by token, which accepts the same spellings as the table and reports
+the first bad token by line and position.
 """
 
 from __future__ import annotations
@@ -94,14 +103,40 @@ def _parse_od_token(token: str, num_vars: int, line: int, column: int) -> int:
     if token == "0":
         return 0
     sign = {"+": 1, "-": -1}.get(token[:1])
-    if sign is None or not token[1:].isdigit():
+    digits = token[1:]
+    if sign is None or not (digits.isascii() and digits.isdigit()):
         raise _fail(line, column, f"bad design token {token!r} (expected 0, +j, -j)")
-    index = int(token[1:])
+    index = int(digits)
     if not 1 <= index <= num_vars:
         raise _fail(
             line, column, f"variable index {index} outside 1..{num_vars}"
         )
     return sign * index
+
+
+def _od_tokens(num_vars: int) -> list[str]:
+    """Canonical design tokens of the codes -num_vars..num_vars, in order."""
+    return [f"-{-c}" for c in range(-num_vars, 0)] + ["0"] + [
+        f"+{c}" for c in range(1, num_vars + 1)
+    ]
+
+
+def _parse_row(tokens: list[str], n: int, claim: Claim, line: int) -> list[int]:
+    """One body row token by token, with every diagnostic: the path for
+    rows the lookup table does not cover."""
+    if "" in tokens:
+        raise _fail(line, None, "tokens must be separated by single spaces")
+    if len(tokens) != n:
+        raise _fail(line, None, f"row has {len(tokens)} tokens, expected {n}")
+    if isinstance(claim, WeighingType):
+        return [
+            _parse_weighing_token(tok, line, col)
+            for col, tok in enumerate(tokens, start=1)
+        ]
+    return [
+        _parse_od_token(tok, claim.num_vars, line, col)
+        for col, tok in enumerate(tokens, start=1)
+    ]
 
 
 def parse_matrix_file(text: str) -> tuple[Matrix, Claim, tuple[str, ...]]:
@@ -117,48 +152,31 @@ def parse_matrix_file(text: str) -> tuple[Matrix, Claim, tuple[str, ...]]:
         raise MatrixFileError(
             f"body has {len(lines) - 1} rows, header promises {n}"
         )
-    grid = []
-    for row_index, line in enumerate(lines[1:], start=2):
+    if len(text) < n * (2 * n - 1):
+        # A row of n tokens needs 2n - 1 characters, so some row is bad: find
+        # it without allocating an n x n grid the text cannot fill.  Past this
+        # check the grid is at most four times the size of the text.
+        for row, line in enumerate(lines[1:]):
+            _parse_row(line.split(" "), n, claim, row + 2)
+    if isinstance(claim, WeighingType):
+        table = _WEIGHING_TOKENS
+    else:
+        l = claim.num_vars
+        table = dict(zip(_od_tokens(l), range(-l, l + 1)))
+    lookup = table.__getitem__
+    grid = np.empty((n, n), dtype=np.int64)
+    for row, line in enumerate(lines[1:]):
         tokens = line.split(" ")
-        if "" in tokens:
-            raise _fail(row_index, None, "tokens must be separated by single spaces")
-        if len(tokens) != n:
-            raise _fail(
-                row_index, None, f"row has {len(tokens)} tokens, expected {n}"
-            )
-        if isinstance(claim, WeighingType):
-            grid.append(
-                [
-                    _parse_weighing_token(tok, row_index, col)
-                    for col, tok in enumerate(tokens, start=1)
-                ]
-            )
-        else:
-            grid.append(
-                [
-                    _parse_od_token(tok, claim.num_vars, row_index, col)
-                    for col, tok in enumerate(tokens, start=1)
-                ]
-            )
+        if len(tokens) == n:
+            try:
+                grid[row] = np.fromiter(map(lookup, tokens), np.int64, n)
+                continue
+            except KeyError:
+                pass
+        grid[row] = _parse_row(tokens, n, claim, row + 2)
     if isinstance(claim, WeighingType):
         return IntMatrix(grid), claim, flags
-    return SignedVarMatrix(np.array(grid, dtype=np.int64), claim.num_vars), claim, flags
-
-
-def _emit_weighing_token(value: int) -> str:
-    if value == 0:
-        return "0"
-    if value == 1:
-        return "+"
-    if value == -1:
-        return "-"
-    raise MatrixFileError(f"weighing entries must lie in {{0, +1, -1}}, got {value}")
-
-
-def _emit_od_token(code: int) -> str:
-    if code == 0:
-        return "0"
-    return f"+{code}" if code > 0 else f"-{-code}"
+    return SignedVarMatrix(grid, claim.num_vars), claim, flags
 
 
 def emit_matrix_file(
@@ -176,7 +194,6 @@ def emit_matrix_file(
         if not isinstance(matrix, IntMatrix):
             raise MatrixFileError("weighing claim needs an integer matrix")
         header = f"W {claim.order} {claim.weight}{suffix}"
-        token_of = _emit_weighing_token
         payload = matrix.entries
     else:
         if not isinstance(matrix, SignedVarMatrix):
@@ -187,13 +204,23 @@ def emit_matrix_file(
             )
         type_csv = ",".join(str(s) for s in claim.type_tuple)
         header = f"OD {claim.order} {type_csv}{suffix}"
-        token_of = _emit_od_token
         payload = matrix.codes
     if payload.shape != (claim.order, claim.order):
         raise MatrixFileError(
             f"matrix shape {payload.shape} does not match claimed order {claim.order}"
         )
+    if isinstance(claim, WeighingType):
+        outside = (payload < -1) | (payload > 1)
+        if outside.any():
+            value = int(payload.flat[int(np.argmax(outside))])
+            raise MatrixFileError(
+                f"weighing entries must lie in {{0, +1, -1}}, got {value}"
+            )
+        l, tokens = 1, ["-", "0", "+"]
+    else:
+        # SignedVarMatrix keeps every code magnitude within num_vars.
+        l, tokens = claim.num_vars, _od_tokens(claim.num_vars)
+    table = np.array(tokens, dtype=object)
     lines = [header]
-    for row in payload:
-        lines.append(" ".join(token_of(int(v)) for v in row))
+    lines += map(" ".join, table[payload.astype(np.intp) + l].tolist())
     return "\n".join(lines) + "\n"

@@ -104,6 +104,133 @@ def dense_od_report(codes, weights):
     return True, None, None
 
 
+def _ref_token_error(line, column, message):
+    from odforge.matfile import MatrixFileError
+
+    return MatrixFileError(f"line {line}, token {column}: {message}")
+
+
+def _ref_parse_weighing_token(token, line, column):
+    table = {"0": 0, "+": 1, "-": -1, "1": 1, "-1": -1}
+    if token not in table:
+        raise _ref_token_error(
+            line, column, f"bad weighing token {token!r} (expected 0, +, -)"
+        )
+    return table[token]
+
+
+def _ref_parse_od_token(token, num_vars, line, column):
+    if token == "0":
+        return 0
+    sign = {"+": 1, "-": -1}.get(token[:1])
+    digits = token[1:]
+    if sign is None or not (digits.isascii() and digits.isdigit()):
+        raise _ref_token_error(
+            line, column, f"bad design token {token!r} (expected 0, +j, -j)"
+        )
+    index = int(digits)
+    if not 1 <= index <= num_vars:
+        raise _ref_token_error(
+            line, column, f"variable index {index} outside 1..{num_vars}"
+        )
+    return sign * index
+
+
+def reference_parse_matrix_file(text):
+    """Reference parser: the body read token by token into a list of lists,
+    as the library did before its lookup tables; the header goes through
+    the library's own header parser.  Returns (codes as a list of lists,
+    claim, flags)."""
+    from odforge.matfile import MatrixFileError, _parse_header
+    from odforge.matrices import WeighingType
+
+    lines = text.split("\n")
+    while lines and lines[-1] == "":
+        lines.pop()
+    if not lines:
+        raise MatrixFileError("empty file")
+    claim, flags = _parse_header(lines[0])
+    n = claim.order
+    if len(lines) - 1 != n:
+        raise MatrixFileError(f"body has {len(lines) - 1} rows, header promises {n}")
+    grid = []
+    for row_index, line in enumerate(lines[1:], start=2):
+        tokens = line.split(" ")
+        if "" in tokens:
+            raise MatrixFileError(
+                f"line {row_index}: tokens must be separated by single spaces"
+            )
+        if len(tokens) != n:
+            raise MatrixFileError(
+                f"line {row_index}: row has {len(tokens)} tokens, expected {n}"
+            )
+        if isinstance(claim, WeighingType):
+            grid.append(
+                [
+                    _ref_parse_weighing_token(tok, row_index, col)
+                    for col, tok in enumerate(tokens, start=1)
+                ]
+            )
+        else:
+            grid.append(
+                [
+                    _ref_parse_od_token(tok, claim.num_vars, row_index, col)
+                    for col, tok in enumerate(tokens, start=1)
+                ]
+            )
+    return grid, claim, flags
+
+
+def reference_emit_matrix_file(matrix, claim, flags=()):
+    """Reference emitter: one Python string per entry, as the library did
+    before its lookup tables."""
+    from odforge.matfile import FLAG_ORDER, MatrixFileError
+    from odforge.matrices import IntMatrix, SignedVarMatrix, WeighingType
+
+    for flag in flags:
+        if flag not in FLAG_ORDER:
+            raise MatrixFileError(f"unknown flag {flag!r}")
+    if len(set(flags)) != len(tuple(flags)):
+        raise MatrixFileError("duplicate flags")
+    ordered_flags = sorted(flags, key=FLAG_ORDER.index)
+    suffix = "" if not ordered_flags else " " + " ".join(ordered_flags)
+    if isinstance(claim, WeighingType):
+        if not isinstance(matrix, IntMatrix):
+            raise MatrixFileError("weighing claim needs an integer matrix")
+        header = f"W {claim.order} {claim.weight}{suffix}"
+        payload = matrix.entries
+    else:
+        if not isinstance(matrix, SignedVarMatrix):
+            raise MatrixFileError("design claim needs a symbolic matrix")
+        if matrix.num_vars != claim.num_vars:
+            raise MatrixFileError(
+                f"matrix has {matrix.num_vars} variables, claim has {claim.num_vars}"
+            )
+        type_csv = ",".join(str(s) for s in claim.type_tuple)
+        header = f"OD {claim.order} {type_csv}{suffix}"
+        payload = matrix.codes
+    if payload.shape != (claim.order, claim.order):
+        raise MatrixFileError(
+            f"matrix shape {payload.shape} does not match claimed order {claim.order}"
+        )
+
+    def token_of(value):
+        if isinstance(claim, WeighingType):
+            if value not in (-1, 0, 1):
+                raise MatrixFileError(
+                    f"weighing entries must lie in {{0, +1, -1}}, got {value}"
+                )
+            return {0: "0", 1: "+", -1: "-"}[value]
+        if value == 0:
+            return "0"
+        return f"+{value}" if value > 0 else f"-{-value}"
+
+    lines = [header]
+    for row in payload:
+        lines.append(" ".join(token_of(int(v)) for v in row))
+    return "\n".join(lines) + "\n"
+
+
 def three_squares_oracle(k):
     """Brute-force: is k a sum of three integer squares?"""
     import math

@@ -29,7 +29,7 @@ from odforge.constructions import (
 )
 from odforge.cli import EXIT_OK, main
 from odforge.existence import Query, bound_N, exists_query, nonexistence_check
-from odforge.matfile import emit_matrix_file
+from odforge.matfile import emit_matrix_file, parse_matrix_file
 from odforge.matrices import IntMatrix, ODType, WeighingType, mat_mul, transpose, verify_od
 from conftest import frobenius_oracle, is_weighing_oracle
 
@@ -211,3 +211,18 @@ class TestDenseVerification:
         assert code == EXIT_OK
         assert capsys.readouterr().out == "PASS W(512,512)\n"
         assert elapsed < 1.5, f"verify took {elapsed:.2f}s"
+
+
+class TestMatrixFileIO:
+    def test_13_order_1898_design_emits_and_parses_within_one_and_a_half_seconds(self):
+        # OD(1898; 9, 64) has 3.6 million cells (7.3 MB of text).  On a
+        # 2-core machine, token-by-token emit and parse take about 2.5 s for
+        # it, the lookup tables about half a second.
+        w = two_square_od(3, 8)
+        start = time.monotonic()
+        text = emit_matrix_file(w.matrix, w.claim)
+        matrix, claim, flags = parse_matrix_file(text)
+        elapsed = time.monotonic() - start
+        assert claim == ODType(1898, (9, 64)) and flags == ()
+        assert np.array_equal(matrix.codes, w.matrix.codes)
+        assert elapsed < 1.5, f"emit and parse took {elapsed:.2f}s"

@@ -4,6 +4,7 @@ Every command runs in-process through main(argv); stdout must stay clean
 enough to parse (matrices only), diagnostics go to stderr.
 """
 
+import hashlib
 import random
 
 import numpy as np
@@ -146,6 +147,51 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--file", str(f))
         assert code == EXIT_ERROR
         assert "error:" in err
+
+    def test_non_ascii_digit_is_a_clean_error(self, capsys, tmp_path):
+        f = tmp_path / "superscript.txt"
+        f.write_text("OD 2 1,1\n+\u00b2 +2\n+2 -1\n", encoding="utf-8")
+        code, out, err = run(capsys, "verify", "--file", str(f))
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err == (
+            "error: line 2, token 1: bad design token '+\u00b2' (expected 0, +j, -j)\n"
+        )
+
+    def test_undecodable_file_is_a_clean_error(self, capsys, tmp_path):
+        f = tmp_path / "binary.txt"
+        f.write_bytes(b"\xff\xfe")
+        code, out, err = run(capsys, "verify", "--file", str(f))
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err.startswith(f"cannot read {f}: ")
+        assert "Traceback" not in err
+
+
+class TestGoldenCorpus:
+    """sha256 of the files `construct od` writes, recorded before emission
+    became table-driven: emitted text must stay byte-identical."""
+
+    @pytest.mark.parametrize(
+        "method, ks, digest",
+        [
+            ("eight", "1,1,1,3", "15d93bd5b98deb5c36cdf2551338ad968208f61a6b991b24116e61d2b78db165"),
+            ("gs", "2,2,2,3", "2730f625ad71edc41a0028f763a112ea94d5487fc8b85b8197a28b3effaf2a4f"),
+            ("two", "8,1", "9435bc50f1fafcaebb0f57f32617a157c9bbfbd556d524279b70ff0d360c698a"),
+            ("two", "3,4", "2ae4bef1dd0500e7049069eefc96e2c56bf922cde8f19ff6c8f9520e9179febf"),
+            ("eight", "2,2,2,3", "f543706608c0d308f0f96d37893cd3c353921be38d243b95fea4521f1d69735b"),
+            ("two", "3,5", "a7f5a56561bb6096429be72ff3c71fde740240be3fcfd447489e9898ee7f9c1a"),
+            ("two", "2,8", "30fbf5ab5cf9c6f1e99d17008e1582e43ffd1f545ca62cc8de72c0834a52975c"),
+            ("gs", "1,1,2,3", "6d7e99a1b39481b258d87cc5be2f9a8bf9b52c3f95c0ed4ed4f6fe6b9ec5c03a"),
+        ],
+    )
+    def test_written_file_digest(self, capsys, tmp_path, method, ks, digest):
+        target = tmp_path / "od.txt"
+        code, out, err = run(
+            capsys, "construct", "od", "--method", method, "--ks", ks, "--out", str(target)
+        )
+        assert code == EXIT_OK, err
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
 
 
 class TestExists:

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from odforge.matfile import MatrixFileError, emit_matrix_file, parse_matrix_file
+from odforge.matfile import FLAG_ORDER, MatrixFileError, emit_matrix_file, parse_matrix_file
 from odforge.matrices import IntMatrix, ODType, SignedVarMatrix, WeighingType
+from conftest import reference_emit_matrix_file, reference_parse_matrix_file
 
 
 class TestParseBasics:
@@ -59,6 +60,14 @@ class TestParseErrors:
             parse_matrix_file(text)
         assert fragment in str(err.value)
 
+    def test_huge_order_with_short_rows_is_a_format_error(self):
+        # An n x n grid for n = 10**6 would need 8 TB; rows too short to
+        # fill it are reported before anything of that size is allocated.
+        text = "W 1000000 1\n" + "+\n" * 10**6
+        with pytest.raises(MatrixFileError) as err:
+            parse_matrix_file(text)
+        assert str(err.value) == "line 2: row has 1 tokens, expected 1000000"
+
     def test_bad_token_reports_line_and_column(self):
         with pytest.raises(MatrixFileError) as err:
             parse_matrix_file("W 2 1\n+ 0\n0 x\n")
@@ -71,6 +80,20 @@ class TestParseErrors:
         message = str(err.value)
         assert "line 3" in message and "token 1" in message
         assert "outside 1..2" in message
+
+    @pytest.mark.parametrize("digit", ["\u00b2", "\u0663", "\uff11"])
+    def test_design_rejects_non_ascii_digits(self, digit):
+        # str.isdigit() accepts these, int() does not (or reads them as a
+        # different number): they are bad tokens, reported in place.
+        with pytest.raises(MatrixFileError) as err:
+            parse_matrix_file(f"OD 2 1,1\n+1 +2\n+2 -{digit}\n")
+        assert str(err.value) == (
+            f"line 3, token 2: bad design token '-{digit}' (expected 0, +j, -j)"
+        )
+
+    def test_non_canonical_design_index_still_parses(self):
+        matrix, _, _ = parse_matrix_file("OD 2 1,1\n+01 +2\n+2 -001\n")
+        assert matrix.codes.tolist() == [[1, 2], [2, -1]]
 
     def test_design_rejects_bare_numbers(self):
         with pytest.raises(MatrixFileError):
@@ -112,6 +135,21 @@ class TestEmit:
         with pytest.raises(MatrixFileError) as err:
             emit_matrix_file(matrix, claim, flags=flags)
         assert fragment in str(err.value)
+
+    def test_first_out_of_range_weighing_entry_is_named(self):
+        # Row-major order decides which entry is reported; a huge (object
+        # dtype) entry is reported as is.
+        grid = [[1, 0, 10**30], [0, -7, 1], [1, 1, 0]]
+        with pytest.raises(MatrixFileError) as err:
+            emit_matrix_file(IntMatrix(grid), WeighingType(3, 2))
+        assert str(err.value) == (
+            f"weighing entries must lie in {{0, +1, -1}}, got {10**30}"
+        )
+
+    def test_design_codes_of_any_signed_dtype(self):
+        codes = np.array([[1, -2], [2, 1]], dtype=np.int8)
+        text = emit_matrix_file(SignedVarMatrix(codes, 2), ODType(2, (1, 1)))
+        assert text == "OD 2 1,1\n+1 -2\n+2 +1\n"
 
     def test_emit_rejects_weighing_claim_on_design(self):
         codes = np.array([[1, 2], [2, -1]], dtype=np.int64)
@@ -185,3 +223,164 @@ class TestRoundTrip:
         matrix, claim, flags = parse_matrix_file(original)
         assert matrix.codes.tolist() == codes.tolist()
         assert emit_matrix_file(matrix, claim, flags) == original
+
+
+# ---------------------------------------------------------------------------
+# Differential tests: the table-driven emit and parse against the per-token
+# reference in conftest.
+# ---------------------------------------------------------------------------
+
+
+def _parse_outcome(parse, text):
+    """(codes as lists, claim, flags), or the error message."""
+    try:
+        matrix, claim, flags = parse(text)
+    except MatrixFileError as err:
+        return "error", str(err)
+    if isinstance(matrix, IntMatrix):
+        assert matrix.entries.dtype == np.int64
+        matrix = matrix.entries.tolist()
+    elif isinstance(matrix, SignedVarMatrix):
+        assert matrix.codes.dtype == np.int64
+        matrix = matrix.codes.tolist()
+    return "ok", matrix, claim, flags
+
+
+def _emit_outcome(emit, matrix, claim, flags):
+    try:
+        return "ok", emit(matrix, claim, flags)
+    except MatrixFileError as err:
+        return "error", str(err)
+
+
+def assert_parsers_agree(text):
+    ours = _parse_outcome(parse_matrix_file, text)
+    assert ours == _parse_outcome(reference_parse_matrix_file, text)
+    return ours
+
+
+_flag_sets = st.lists(st.sampled_from(FLAG_ORDER), unique=True, max_size=3)
+
+
+@st.composite
+def weighing_cases(draw, values=st.integers(min_value=-1, max_value=1)):
+    n = draw(st.integers(min_value=1, max_value=12))
+    grid = draw(st.lists(st.lists(values, min_size=n, max_size=n), min_size=n, max_size=n))
+    claim = WeighingType(n, draw(st.integers(min_value=1, max_value=n)))
+    return IntMatrix(grid), claim, tuple(draw(_flag_sets))
+
+
+@st.composite
+def design_cases(draw):
+    n = draw(st.integers(min_value=1, max_value=12))
+    l = draw(st.integers(min_value=1, max_value=n))
+    codes = draw(
+        st.lists(
+            st.lists(st.integers(min_value=-l, max_value=l), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    dtype = draw(st.sampled_from([np.int8, np.int16, np.int64]))
+    claim = ODType(n, (1,) * l)
+    matrix = SignedVarMatrix(np.array(codes, dtype=dtype), l)
+    return matrix, claim, tuple(draw(_flag_sets))
+
+
+_cases = st.one_of(weighing_cases(), design_cases())
+
+
+def _bad_tokens(claim):
+    if isinstance(claim, WeighingType):
+        return ["x", "1", "-1", "+1", "2", "--", "+-", "00", "+\r", "0\r", "\t0", ""]
+    l = claim.num_vars
+    return [
+        "x", "+02", "-01", "+0", "-0", "00", f"+{l + 1}", f"-{l + 1}", "1", "-1",
+        "+", "-", "++1", "+-1", "+\u00b2", "-\u0663", "+1\r", "0\r", "\t0", "",
+        "+1.0", "+1_0", "+ 1",
+    ]
+
+
+@st.composite
+def corrupted_texts(draw):
+    matrix, claim, flags = draw(_cases)
+    lines = emit_matrix_file(matrix, claim, flags).split("\n")
+    n = claim.order
+    row = draw(st.integers(min_value=1, max_value=n))
+    tokens = lines[row].split(" ")
+    col = draw(st.integers(min_value=0, max_value=n - 1))
+    kind = draw(
+        st.sampled_from(
+            ["token", "double-space", "short-row", "long-row", "cr", "missing-row", "extra-row"]
+        )
+    )
+    if kind == "token":
+        tokens[col] = draw(st.sampled_from(_bad_tokens(claim)))
+    elif kind == "double-space":
+        tokens[col] = tokens[col] + " " if col < n - 1 else " " + tokens[col]
+    elif kind == "short-row":
+        del tokens[col]
+    elif kind == "long-row":
+        tokens.insert(col, tokens[col])
+    elif kind == "cr":
+        tokens[-1] += "\r"
+    lines[row] = " ".join(tokens)
+    if kind == "missing-row":
+        del lines[row]
+    elif kind == "extra-row":
+        lines.insert(row, lines[row])
+    return "\n".join(lines)
+
+
+_FIXED_CASES = (
+    (IntMatrix([[1, 0, -1], [0, 1, 1], [-1, 1, 0]]), WeighingType(3, 2), ("sym",)),
+    (SignedVarMatrix(np.array([[1, -2, 0], [2, 1, -3], [0, 3, 1]]), 3), ODType(3, (1, 1, 1)), ()),
+)
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize(
+        "case, token",
+        [(case, token) for case in _FIXED_CASES for token in _bad_tokens(case[1])],
+    )
+    @pytest.mark.parametrize("row, col", [(1, 0), (2, 1), (3, 2)])
+    def test_each_bad_token_matches_reference(self, case, token, row, col):
+        lines = emit_matrix_file(*case).split("\n")
+        tokens = lines[row].split(" ")
+        tokens[col] = token
+        lines[row] = " ".join(tokens)
+        assert_parsers_agree("\n".join(lines))
+
+    @given(_cases)
+    def test_round_trip_matches_reference(self, case):
+        matrix, claim, flags = case
+        ours = _emit_outcome(emit_matrix_file, matrix, claim, flags)
+        assert ours == _emit_outcome(reference_emit_matrix_file, matrix, claim, flags)
+        outcome = assert_parsers_agree(ours[1])
+        assert outcome[0] == "ok"
+        assert emit_matrix_file(*parse_matrix_file(ours[1])) == ours[1]
+
+    @given(corrupted_texts())
+    def test_corrupted_texts_match_reference(self, text):
+        assert_parsers_agree(text)
+
+    @given(
+        weighing_cases(
+            st.one_of(st.integers(min_value=-3, max_value=3), st.just(10**30))
+        )
+    )
+    def test_weighing_emit_errors_match_reference(self, case):
+        matrix, claim, flags = case
+        assert _emit_outcome(emit_matrix_file, matrix, claim, flags) == _emit_outcome(
+            reference_emit_matrix_file, matrix, claim, flags
+        )
+
+    @given(st.integers(min_value=1, max_value=12), st.data())
+    def test_weighing_aliases_match_reference(self, n, data):
+        alias = st.sampled_from(["0", "+", "-", "1", "-1"])
+        rows = [
+            " ".join(data.draw(st.lists(alias, min_size=n, max_size=n)))
+            for _ in range(n)
+        ]
+        outcome = assert_parsers_agree("\n".join([f"W {n} 1"] + rows) + "\n")
+        assert outcome[0] == "ok"
