@@ -148,6 +148,9 @@ def _cmd_construct_cw(args: argparse.Namespace) -> int:
     if is_prime_power(args.q) is None:
         _err(f"q must be a prime power, got {args.q}")
         return EXIT_ERROR
+    if args.spread is not None and args.spread < 1:
+        _err(f"error: --spread must be at least 1, got {args.spread}")
+        return EXIT_ERROR
     base_order = args.q * args.q + args.q + 1
     c = args.spread or 1
     order = base_order * c
@@ -440,6 +443,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_ERROR
     except VerificationInternalError as err:
         _err(f"internal verification failure: {err}")
+        return EXIT_ERROR
+    except MemoryError as err:
+        command = " ".join(filter(None, (args.command, getattr(args, "what", None))))
+        _err(f"error: out of memory: {command}" + (f": {err}" if str(err) else ""))
         return EXIT_ERROR
 
 

@@ -401,10 +401,9 @@ def resolve_catalog_dir(explicit: str | os.PathLike | None = None):
 
 
 @lru_cache(maxsize=8)
-def _load_catalog_cached(key: str) -> tuple[CatalogEntry, ...]:
+def _load_catalog_cached(root) -> tuple[CatalogEntry, ...]:
     from .matfile import parse_matrix_file
 
-    root = resolve_catalog_dir(None if key == "" else key)
     notes: dict[str, str] = {}
     try:
         manifest = (root / "MANIFEST.txt").read_text()
@@ -444,8 +443,13 @@ def load_catalog(dir_path: str | os.PathLike | None = None) -> tuple[CatalogEntr
     """Load and verify every design file in the catalog directory.
 
     Entries are ordered by file name; each one must pass verification or the
-    load fails loudly.  Results are cached per directory."""
-    return _load_catalog_cached("" if dir_path is None else str(dir_path))
+    load fails loudly.  The directory is resolved on every call, so a later
+    change of ODFORGE_CATALOG_DIR or of the working directory takes effect;
+    results are cached per absolute directory."""
+    root = resolve_catalog_dir(dir_path)
+    if isinstance(root, Path):
+        root = root.absolute()
+    return _load_catalog_cached(root)
 
 
 # ---------------------------------------------------------------------------
@@ -591,6 +595,26 @@ def _double_with_unit_slot(sub: Witness, t: ODType, unit_slot: int) -> Witness:
     return _od_witness(permuted, t, trace)
 
 
+def _skew_weighing_pow2(order: int, k: int) -> np.ndarray:
+    """Skew W(order, k) for a power-of-two order and 1 <= k < order.
+
+    Doubling lemmas (Geramita & Seberry, Orthogonal Designs, 1979): from
+    W(2, 1) = [[0, 1], [-1, 0]] and a skew W(n, j) S, the order-2n matrices
+    [[S, 0], [0, S]], [[S, S], [S, -S]] and [[S, S + I], [S - I, -S]] are skew
+    of weights j, 2j and 2j + 1; S + I stays in {0, +-1} because S has a zero
+    diagonal.  The caller verifies the result."""
+    if order == 2:
+        return -_K
+    half = order // 2
+    if k < half:
+        s = _skew_weighing_pow2(half, k)
+        zero = np.zeros_like(s)
+        return np.block([[s, zero], [zero, s]])
+    s = _skew_weighing_pow2(half, k // 2)
+    eye = (k % 2) * np.eye(half, dtype=np.int64)
+    return np.block([[s, s + eye], [s - eye, -s]])
+
+
 def small_od_provider(
     t: ODType,
     *,
@@ -602,9 +626,12 @@ def small_od_provider(
     The order must be a power of two.  Strategy chain, all verified:
     catalog lookup; merging variables of a wider all-ones design of the same
     order (catalog entry or the symmetric all-ones construction); doubling a
-    symmetric design of half the order when the type has a unit slot; and a
-    bounded backtracking search over Kronecker words.  When all of them fail
-    the request is reported unsupported along with the strategy list.
+    symmetric design of half the order when the type has a unit slot;
+    x*I + y*S for a type (1, k) or (k, 1) with k below the order, S a skew
+    weighing matrix from the doubling lemmas (no search, so independent of
+    ``search_ms``); and a bounded backtracking search over Kronecker words.
+    When all of them fail the request is reported unsupported along with the
+    strategy list.
     """
     if not isinstance(t, ODType):
         raise ConstructionError("small_od_provider expects an ODType")
@@ -677,6 +704,23 @@ def small_od_provider(
             strategies.append("doubling: no room for the remaining type")
     else:
         strategies.append("doubling: no unit slot in the type, or order below 4")
+
+    if t.num_vars == 2 and 1 in t.type_tuple:
+        unit_slot = t.type_tuple.index(1) + 1
+        k = t.type_tuple[2 - unit_slot]
+        if k < order:
+            codes = (3 - unit_slot) * _skew_weighing_pow2(order, k)
+            codes += unit_slot * np.eye(order, dtype=np.int64)
+            trace = _trace(
+                "small-od-provider",
+                notes=("x*I + y*S with S a skew weighing matrix from the doubling lemmas",),
+                order=order,
+                type=t.type_tuple,
+            )
+            return _od_witness(SignedVarMatrix(codes, 2), t, trace)
+    strategies.append(
+        "skew doubling: needs a type (1, k) or (k, 1) with k below the order"
+    )
 
     deadline = time.monotonic() + search_ms / 1000.0
     found = _search_monomial_design(t, deadline)

@@ -722,10 +722,16 @@ def _skew_route(query: Query, search_ms: int, budget: int) -> Verdict:
                 n // h,
             )
             return _skew_verdict_from_unit_type(combined)
-        attempts.append(
-            f"{family}: order must be {bound.odd_order}, {bound.pow2_order}, "
-            f"or a multiple of {h} at least {h * bound.N}"
-        )
+        if n == bound.pow2_order:
+            attempts.append(
+                f"{family}: the power-of-two seed of order {n} was not built "
+                f"({'; '.join(bound.notes)})"
+            )
+        else:
+            attempts.append(
+                f"{family}: order must be {bound.odd_order}, {bound.pow2_order}, "
+                f"or a multiple of {h} at least {h * bound.N}"
+            )
     return Verdict.unknown("; ".join(attempts), last_bound)
 
 

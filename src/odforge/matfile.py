@@ -175,8 +175,8 @@ def parse_matrix_file(text: str) -> tuple[Matrix, Claim, tuple[str, ...]]:
                 pass
         grid[row] = _parse_row(tokens, n, claim, row + 2)
     if isinstance(claim, WeighingType):
-        return IntMatrix(grid), claim, flags
-    return SignedVarMatrix(grid, claim.num_vars), claim, flags
+        return IntMatrix._adopt(grid), claim, flags
+    return SignedVarMatrix._adopt(grid, claim.num_vars), claim, flags
 
 
 def emit_matrix_file(

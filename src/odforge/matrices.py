@@ -166,6 +166,15 @@ class IntMatrix:
         arr.setflags(write=False)
         self.entries = arr
 
+    @classmethod
+    def _adopt(cls, grid: np.ndarray) -> "IntMatrix":
+        """Wrap a 2-D int64 array the caller allocated and hands over, without
+        the copy ``__init__`` makes; the array becomes read-only."""
+        out = cls.__new__(cls)
+        grid.setflags(write=False)
+        out.entries = grid
+        return out
+
     @property
     def rows(self) -> int:
         return self.entries.shape[0]
@@ -206,12 +215,22 @@ class SignedVarMatrix:
     __slots__ = ("codes", "num_vars")
 
     def __init__(self, codes, num_vars: int | None = None):
-        arr = _as_exact_array(codes)
+        self._own(_as_exact_array(codes), num_vars)
+
+    @classmethod
+    def _adopt(cls, grid: np.ndarray, num_vars: int) -> "SignedVarMatrix":
+        """Wrap a square int64 code array the caller allocated and hands over,
+        without the copy ``__init__`` makes; the array becomes read-only."""
+        out = cls.__new__(cls)
+        out._own(grid, num_vars)
+        return out
+
+    def _own(self, arr: np.ndarray, num_vars: int | None) -> None:
         if arr.dtype == object:
             raise MatrixError("variable codes must fit machine integers")
         if arr.shape[0] != arr.shape[1]:
             raise MatrixError("symbolic matrices must be square")
-        top = int(np.max(np.abs(arr))) if arr.size else 0
+        top = max(int(arr.max()), -int(arr.min())) if arr.size else 0
         if num_vars is None:
             num_vars = top
         if not _is_int(num_vars) or num_vars < 0:

@@ -35,6 +35,13 @@ class TestExitCodes:
         assert "prime power" in err
         assert out == ""
 
+    @pytest.mark.parametrize("spread", ["0", "-1"])
+    def test_spread_below_one_is_one(self, capsys, spread):
+        code, out, err = run(capsys, "construct", "cw", "--q", "2", "--spread", spread)
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err == f"error: --spread must be at least 1, got {spread}\n"
+
     def test_not_exists_is_two(self, capsys):
         code, out, err = run(capsys, "exists", "--n", "9", "--k", "4", "--structure", "skew")
         assert code == EXIT_NEGATIVE
@@ -207,6 +214,11 @@ class TestExists:
         code, out, err = run(capsys, "verify", "--file", str(target))
         assert code == EXIT_OK
 
+    def test_skew_unit_seed_order(self, capsys):
+        code, out, err = run(capsys, "exists", "--n", "16", "--k", "9", "--structure", "skew")
+        assert code == EXIT_OK
+        assert out == "Exists: weighing matrix W(16,9)\n"
+
     def test_zero_diag_not_exists(self, capsys):
         code, out, err = run(
             capsys,
@@ -260,6 +272,13 @@ class TestBound:
         )
         assert code == EXIT_ERROR
         assert "no --ks override" in err
+
+    @pytest.mark.parametrize("k, family", [("9", "skew-2n"), ("10", "two-square-2n")])
+    def test_unit_seed_families_answer_at_once(self, capsys, k, family):
+        code, out, err = run(capsys, "bound", "--k", k, "--family", family, "--trace")
+        assert code == EXIT_OK
+        assert out.startswith("N = 312\n")
+        assert "power-of-two seed materialized at order 16" in out
 
     def test_invalid_weight_is_one(self, capsys):
         code, out, err = run(capsys, "bound", "--k", "5", "--family", "sym-square")
@@ -373,6 +392,24 @@ class TestOutputDiscipline:
         assert code == EXIT_ERROR
         assert out.startswith("Exists:")
         assert err.startswith(f"cannot write {target}: ")
+
+    @pytest.mark.parametrize(
+        "message, tail",
+        [("", ""), ("Unable to allocate 2.00 GiB", ": Unable to allocate 2.00 GiB")],
+    )
+    def test_out_of_memory_is_a_clean_error(self, capsys, monkeypatch, message, tail):
+        import odforge.cli
+
+        def exhausted(args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(odforge.cli, "_cmd_construct_od", exhausted)
+        code, out, err = run(
+            capsys, "construct", "od", "--method", "skew4", "--ks", "60,60,1,1"
+        )
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err == f"error: out of memory: construct od{tail}\n"
 
     def test_out_file_keeps_stdout_empty(self, capsys, tmp_path):
         target = tmp_path / "w.txt"

@@ -12,6 +12,7 @@ from odforge.constructions import (
     Witness,
     _cw_block,
     _normalized_unit_family,
+    _skew_weighing_pow2,
     _word_compatibility,
     _word_digits,
     _word_matrix,
@@ -51,7 +52,7 @@ from odforge.matrices import (
     verify_od,
     verify_weighing,
 )
-from conftest import is_weighing_oracle
+from conftest import dense_od_report, dense_weighing_report, is_weighing_oracle
 
 
 def _entries(witness):
@@ -144,6 +145,25 @@ class TestCatalog:
         assert w.claim == ODType(16, (1,) * 9)
         assert w.trace.op == "od-catalog"
 
+    def test_cache_follows_directory_changes(self, tmp_path, monkeypatch):
+        import shutil
+        from importlib.resources import files
+
+        packaged = files("odforge") / "data" / "catalog"
+        for name, source in (("a", "od0002_ones2.od"), ("b", "od0004_ones4.od")):
+            (tmp_path / name / "catalog").mkdir(parents=True)
+            shutil.copy(packaged / source, tmp_path / name / "catalog" / source)
+        monkeypatch.setenv("ODFORGE_CATALOG_DIR", str(tmp_path / "a" / "catalog"))
+        assert [e.name for e in load_catalog()] == ["od0002_ones2.od"]
+        monkeypatch.setenv("ODFORGE_CATALOG_DIR", str(tmp_path / "b" / "catalog"))
+        assert [e.name for e in load_catalog()] == ["od0004_ones4.od"]
+        # ./catalog is resolved against the working directory of each call.
+        monkeypatch.delenv("ODFORGE_CATALOG_DIR")
+        monkeypatch.chdir(tmp_path / "a")
+        assert [e.name for e in load_catalog()] == ["od0002_ones2.od"]
+        monkeypatch.chdir(tmp_path / "b")
+        assert [e.name for e in load_catalog()] == ["od0004_ones4.od"]
+
     def test_directory_resolution_precedence(self, tmp_path, monkeypatch):
         from pathlib import Path
 
@@ -204,6 +224,46 @@ class TestProvider:
         assert len(err.value.strategies) >= 3
         assert any("catalog" in s for s in err.value.strategies)
         assert any("search" in s for s in err.value.strategies)
+
+
+# sha256 over the codes (little-endian int64) and the rendered trace of every
+# two-variable type (a, b) the provider builds without the skew doubling step:
+# a + b <= 4 at order 4, a + b <= 8 at order 8 and a + b <= 9 at order 16, in
+# that order.  Recorded before the step was added to the strategy chain.
+_PROVIDER_TWO_VARIABLE_DIGEST = (
+    "1320ab9e28d235b4dbd1510995529ef4e54dda771152b77c6e844ddf40e34f1b"
+)
+
+
+class TestSkewDoublingSeeds:
+    @pytest.mark.parametrize("t", range(1, 7))
+    def test_every_weight_below_the_order(self, t):
+        n = 1 << t
+        for k in range(1, n):
+            s = _skew_weighing_pow2(n, k)
+            assert np.array_equal(s.T, -s), k
+            assert dense_weighing_report(s, k) == (True, None, None), k
+
+    @pytest.mark.parametrize("k", range(9, 16))
+    @pytest.mark.parametrize("unit_first", [True, False])
+    def test_provider_unit_types_at_order_16(self, k, unit_first):
+        type_tuple = (1, k) if unit_first else (k, 1)
+        w = small_od_provider(ODType(16, type_tuple), search_ms=1)
+        assert w.claim == ODType(16, type_tuple)
+        assert dense_od_report(w.matrix.codes, type_tuple) == (True, None, None)
+        assert replay(w.trace).matrix == w.matrix
+
+    def test_types_built_before_keep_their_witness(self):
+        import hashlib
+
+        digest = hashlib.sha256()
+        for order, cap in ((4, 4), (8, 8), (16, 9)):
+            for a in range(1, cap):
+                for b in range(1, cap + 1 - a):
+                    w = small_od_provider(ODType(order, (a, b)), search_ms=1)
+                    digest.update(w.matrix.codes.astype("<i8").tobytes())
+                    digest.update(w.trace.render().encode())
+        assert digest.hexdigest() == _PROVIDER_TWO_VARIABLE_DIGEST
 
 
 class TestBlockArrays:

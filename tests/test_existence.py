@@ -1,5 +1,7 @@
 """Existence engine: obstruction rules, threshold derivations, dispatch."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -149,6 +151,83 @@ class TestBoundDerivations:
     def test_rejections(self, k, family, ks):
         with pytest.raises(ExistenceError):
             bound_N(k, family, ks)
+
+
+# N of every family at k = 1..40 (None: the family rejects k), recorded at
+# search_ms=50 before the skew doubling seeds were added to the provider.
+_BOUND_N_TABLE = {
+    "sym-square": (
+        6, None, None, 112, None, None, None, None, 6656, None, None, None, None,
+        None, None, 1376256, None, None, None, None, None, None, None, None,
+        1040187392, None, None, None, None, None, None, None, None, None, None,
+        6253472382976, None, None, None, None,
+    ),
+    "two-square-2n": (
+        None, 3, None, None, 84, None, None, 28, None, 312, None, None, 728, None,
+        None, None, 336, 208, None, 336, None, None, None, None, 4368, 1488, None,
+        None, 3472, None, None, 672, None, 12896, None, None, 26208, None, None,
+        8736,
+    ),
+    "four-square-4n": (
+        24, 24, 24, 112, 336, 336, 336, 224, 416, 672, 1248, 448, 1344, 8736, 8736,
+        1344, 1344, 832, 1344, 1344, 11648, 1344, 34944, 2688, 1984, 23296, 3328,
+        5376, 13888, 34944, 41664, 2688, 69888, 2688, 69888, 11648, 5376, 69888,
+        104832, 10752,
+    ),
+    "skew-2n": (
+        3, None, None, 84, None, None, None, None, 312, None, None, None, None,
+        None, None, 336, None, None, None, None, None, None, None, None, 1488, None,
+        None, None, None, None, None, None, None, None, None, 26208, None, None,
+        None, None,
+    ),
+    "skew-4n": (
+        24, 24, 24, 336, 336, 336, None, 672, 1248, 1248, 1248, 1344, 8736, 8736,
+        None, 1344, 1344, 2496, 2496, 1344, 1344, 34944, None, 2688, 5952, 5952,
+        5952, None, 41664, 41664, None, 2688, 2688, 154752, 154752, 104832, 104832,
+        104832, None, 104832,
+    ),
+    "skew-8n": (
+        12, 12, 12, 168, 168, 168, 168, 336, 624, 336, 624, 672, 672, 4368, 4368,
+        672, 672, 1248, 672, 672, 17472, 672, 17472, 1344, 2976, 34944, 4992, 2688,
+        20832, 17472, 20832, 1344, 34944, 1344, 34944, 52416, 2688, 34944, 52416,
+        5376,
+    ),
+}
+
+
+class TestBudgetIndependentBounds:
+    def test_thresholds_unchanged(self):
+        for family, row in _BOUND_N_TABLE.items():
+            for k, want in enumerate(row, start=1):
+                try:
+                    got = bound_N(k, family, search_ms=50).N
+                except ExistenceError:
+                    got = None
+                assert got == want, (family, k)
+
+    @pytest.mark.parametrize("k, family", [(9, "skew-2n"), (10, "two-square-2n")])
+    def test_unit_seed_needs_no_search_budget(self, k, family):
+        start = time.perf_counter()
+        tight = bound_N(k, family, search_ms=1)
+        elapsed = time.perf_counter() - start
+        assert tight == bound_N(k, family, search_ms=5000)
+        assert tight.N == 312 and tight.materializable
+        assert elapsed < 0.5
+
+    def test_skew_seed_order_answers_exists(self):
+        verdict = exists_query(Query(16, 9, "skew"), search_ms=1)
+        assert verdict.kind == "exists", verdict.note
+        assert verdict.witness.structure.skew_symmetric
+        assert is_weighing_oracle(verdict.witness.matrix.entries.tolist(), 9)
+
+    def test_unbuilt_seed_order_is_named_honestly(self):
+        verdict = exists_query(Query(32, 16, "skew"), search_ms=50)
+        assert verdict.kind == "unknown"
+        assert verdict.note.startswith(
+            "skew-2n: the power-of-two seed of order 32 was not built "
+            "(power-of-two seed not materialized; exponent 5 from the "
+            "weight-capacity rule (total 17 <= 2**t - 2)); skew-4n: order must be"
+        )
 
 
 def _flags(witness):

@@ -360,6 +360,23 @@ class TestAgainstReference:
         assert outcome[0] == "ok"
         assert emit_matrix_file(*parse_matrix_file(ours[1])) == ours[1]
 
+    @given(_cases)
+    def test_parsed_matrix_is_read_only_and_matches_reference(self, case):
+        text = emit_matrix_file(*case)
+        matrix, claim, flags = parse_matrix_file(text)
+        array = matrix.entries if isinstance(matrix, IntMatrix) else matrix.codes
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0, 0] = 0
+        assert (array.tolist(), claim, flags) == reference_parse_matrix_file(text)
+
+    def test_public_constructors_still_copy(self):
+        grid = np.array([[1, 0], [0, -1]], dtype=np.int64)
+        weighing, design = IntMatrix(grid), SignedVarMatrix(grid, 1)
+        grid[0, 0] = 0
+        assert grid.flags.writeable
+        assert weighing.entries[0, 0] == 1 and design.codes[0, 0] == 1
+
     @given(corrupted_texts())
     def test_corrupted_texts_match_reference(self, text):
         assert_parsers_agree(text)
