@@ -201,6 +201,67 @@ class TestGoldenCorpus:
         assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
 
 
+class TestCliCorpus:
+    """sha256 of (exit code, stdout, stderr) for `bound` and `exists` runs:
+    every family's derivation, the --ks overrides and their rejections, and
+    exists at seed orders, power-of-two orders and past the threshold.  The
+    text of each answer must stay byte-identical."""
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            ("bound --k 4 --family sym-square --trace", "d45ea8c4985c78afff3af98f16c770dc998e41d53f553dabac9a02170039d2cd"),
+            ("bound --k 9 --family sym-square --trace", "df6a260058ca739248639959348ee131e3bbc80fe09eaab12e2ec6504c1316e3"),
+            ("bound --k 10 --family two-square-2n --trace", "b47133be22b082dfee6c9bcd84bad67cf2bf52a5699b5c3fbe022b474d37c18a"),
+            ("bound --k 8 --family two-square-2n --trace", "54ed10b11cb4ea0adbdb6586a5d956b85714b47d23b5474039053562c85638d0"),
+            ("bound --k 92 --family four-square-4n --trace", "4dde3eb9d315d76dab921977b89a4248e96a5bdf63eb911c06f4c0aaab1d9cb9"),
+            ("bound --k 7 --family four-square-4n --trace", "4a67a80dfa5b83eede2c5c25a70ccf1571c5b944b03ad49c55a410eb04f94f23"),
+            ("bound --k 9 --family skew-2n --trace", "e674946383b6ef91117699f97e8998f091ec172e06849767ef3cacae46f55e27"),
+            ("bound --k 4 --family skew-2n --trace", "24a984699d66e3ab1301fbc74507aec11db4062eef0b970b89f439d33a92b9dd"),
+            ("bound --k 6 --family skew-4n --trace", "b3c3c9863a452e706d7bcb1acf4cf85c349d768de200fbacbce66248c991a58a"),
+            ("bound --k 9 --family skew-4n --trace", "986e493a86e7b48f16d952dd7b8aa2c8890c92e0fecfa1b11be512a88805c691"),
+            ("bound --k 9 --family skew-8n --trace", "fafaba2c8b09c420c8786fad09ab5f3e829fb7310b160b87d083f9ae54316dfa"),
+            ("bound --k 36 --family skew-8n --trace", "b095ddb5633733a135ccc470394634064c78a364d9b06e15a0bd359d07ea81a9"),
+            ("bound --k 5 --family skew-8n --trace", "51cf9aa127e2925cdb4b259d1dfd6b9d74c3c7755b02122974e96afab34c9fb3"),
+            ("bound --k 92 --family four-square-4n --ks 4,6,6,2 --trace", "435deb7d23ce7a99d9376fbc264a2e1493d66e8c64ae22f53ccb299e9bbd1c57"),
+            ("bound --k 9 --family skew-8n --ks 1,2,2,0 --trace", "9181bfff7a7f47f56ceacc5e10f3bbd1f60318d71915ba15b4d21004c7d0d7ae"),
+            ("bound --k 6 --family skew-4n --ks 2,1,1 --trace", "f26d08b97e26056de261534d4f1a9f6b70ec01be4d226db76ce36f3fa7e2bbc2"),
+            ("bound --k 10 --family two-square-2n --ks 3,1 --trace", "efac2301893551411c04948bd58b5c0b6d3f3ee26bdeb5dccf073fcff781640b"),
+            ("bound --k 9 --family two-square-2n --ks 0,3", "22aa51f6846cedc3e7bb5c662d85d3ee88f82027782be3a44dc29386b2a1ae82"),
+            ("bound --k 7 --family skew-4n --ks 1,1,2", "7d2d71a617a7040d81da131e8ccf889e97280047797e66f8cf56176e4b6911e7"),
+            ("bound --k 10 --family two-square-2n --ks 1,2", "4cfa83754d4b6c77f36442cc84d93baace72e64f8b15d871ba0aaa009bf6f2e2"),
+            ("bound --k 9 --family skew-8n --ks 1,2,2", "415f85a4b8b445eb6a8b1fb97b0c71a51d0919b6c176dc78b18505f47e5433b0"),
+            ("bound --k 9 --family skew-2n --ks 1,3", "87d4d2456f64cde17efdf0952882d69bd929e54758bb2262186ec65ebb14bcd8"),
+            ("bound --k 4 --family four-square-4n --ks 2,x,0,0", "24958a4adbb2c05ae33469c69a132fc0a7acb8ad249d3f9a7ca5dd0813258359"),
+            ("bound --k 7 --family skew-4n", "7d2d71a617a7040d81da131e8ccf889e97280047797e66f8cf56176e4b6911e7"),
+            ("bound --k 5 --family sym-square", "ef09500cba73a02ea81c5c70f220bf17eb8dea37d1dee75941e0b88da60ceda0"),
+            ("exists --n 16 --k 9 --structure skew --trace", "2d28755c83428cea3889f6134b76d8f5445ce05226ee9d5471835ef32845f81e"),
+            ("exists --n 78 --k 9 --structure skew --trace", "d1cef89fa307d2290951560900651558bc76c61d9ffd954ac96ee1541c778442"),
+            ("exists --n 12 --k 2 --structure skew --trace", "afd48111d093b6066c9ac2f64c64e91a219897bb9d78d8f4e599cad400e3a6db"),
+            ("exists --n 8 --k 4 --structure skew --trace", "73cb208d8d3ab572c609426a0584ef7200752b29032786947587f24a49a02b0c"),
+            ("exists --n 96 --k 2 --structure skew --trace", "d309576c5f097f6f915fd382c2bc3819a1a82f643897f15fa60db253785586db"),
+            ("exists --n 168 --k 4 --structure skew", "41121ee0b94f7824877bc2c708ca4a47000773fea76fadba207aa6bf083d7485"),
+            ("exists --n 32 --k 9 --structure skew --trace", "4aa985670294f3daea2b8b4cb6c42eed19c2d7a6318fdc5c6fdb61aaf1ceffe0"),
+            ("exists --n 12 --k 7 --structure skew", "1e9539e8461e09f1ba1ae4fbf38abc32ca5b5dbee1ecbc7c7342bb4e7b44dbc0"),
+            ("exists --n 104 --k 9 --structure skew --trace", "4aa985670294f3daea2b8b4cb6c42eed19c2d7a6318fdc5c6fdb61aaf1ceffe0"),
+            ("exists --n 312 --k 9 --structure skew --trace", "f700b2ff4fece6cb32e21de85f49a014a66c869b959e417e2eca4bdddeee444e"),
+            ("exists --n 168 --k 8 --structure skew --trace", "f700b2ff4fece6cb32e21de85f49a014a66c869b959e417e2eca4bdddeee444e"),
+            ("exists --n 7 --k 4 --structure symmetric --trace", "256246b2110163d1cb75ec97a85a0509deeaa423779f784b26f9d4b0321e29ea"),
+            ("exists --n 16 --k 4 --structure symmetric --trace", "3bc745a56efb15585ff7fd60df10f0c802bee2ff1194aa7d8ecaadf95932d2ca"),
+            ("exists --n 112 --k 4 --structure symmetric", "533889249bd9eb323174ef55d2b74840c3fe58bf08ca8dc80ecf3926400c2e1e"),
+            ("exists --n 111 --k 4 --structure symmetric --trace", "8429bcdaae102018222ca7b0f684bbc082d238c8de197ee089aa79b1fcbde27b"),
+            ("exists --n 78 --k 10 --trace", "2e81925fe42bd6b9a98135da74c5e115f9bfeb4fa17a04885bd4b13771f374ac"),
+            ("exists --n 12 --k 4 --trace", "65d59f5e7556445a64aab743bb0d7c3ab03d6aae8d5a8462de383b57c52ee10e"),
+            ("exists --n 24 --k 4 --trace", "b14b86d7e089a803eb673bfe2f7b6cc55e1d2a51d6c890386c3b177f1b0993f8"),
+            ("exists --n 115 --k 4 --trace", "f6da21521f861ccae04a75050d718fd44c8e237381bbe3c731c4a696faa84648"),
+            ("exists --n 8 --k 4 --trace", "af8493aa8c005e52bf45db1ea7ad175e67a2d1b9108a1735e2bb986faa854cc6"),
+        ],
+    )
+    def test_answer_digest(self, capsys, argv, digest):
+        answer = run(capsys, *argv.split())
+        assert hashlib.sha256(repr(answer).encode()).hexdigest() == digest, answer
+
+
 class TestExists:
     def test_witness_written_and_verifiable(self, capsys, tmp_path):
         target = tmp_path / "witness.txt"
