@@ -27,20 +27,19 @@ from .constructions import (
     ConstructionError,
     UnsupportedParameterError,
     Witness,
+    block_array_od,
     circulant_cw,
-    eight_block_od,
-    goethals_seidel_od,
     minimal_pow2_exponent,
     odd_block_orders,
     skew_od_pow2_four,
     spread_circulant,
     symmetric_od_pow2,
-    two_square_od,
 )
 from .existence import (
     BOUND_FAMILIES,
     DEFAULT_CELL_BUDGET,
     ExistenceError,
+    FAMILIES,
     Query,
     STRUCTURES,
     Verdict,
@@ -173,26 +172,22 @@ def _cmd_construct_sym_od(args: argparse.Namespace) -> int:
     return _deliver(symmetric_od_pow2(args.k), args)
 
 
+# --method of the block arrays: (--ks entries, blocks h, plan label)
+_BLOCK_METHODS = {
+    "two": (2, 2, "two blocks"),
+    "gs": (4, 4, "four blocks"),
+    "eight": (4, 8, "doubled four blocks"),
+}
+
+
 def _cmd_construct_od(args: argparse.Namespace) -> int:
-    method = args.method
-    if method == "two":
-        ks = _parse_ks(args.ks, 2)
+    if args.method in _BLOCK_METHODS:
+        count, h, label = _BLOCK_METHODS[args.method]
+        ks = _parse_ks(args.ks, count)
         b_list, q = odd_block_orders(ks)
-        order = 2 * q
-        plan = [f"two blocks: b = {list(b_list)}, q = {q}, order 2q = {order}"]
-        builder = lambda: two_square_od(*ks, search_ms=args.search_ms)
-    elif method == "gs":
-        ks = _parse_ks(args.ks, 4)
-        b_list, q = odd_block_orders(ks)
-        order = 4 * q
-        plan = [f"four blocks: b = {list(b_list)}, q = {q}, order 4q = {order}"]
-        builder = lambda: goethals_seidel_od(*ks, search_ms=args.search_ms)
-    elif method == "eight":
-        ks = _parse_ks(args.ks, 4)
-        b_list, q = odd_block_orders(ks)
-        order = 8 * q
-        plan = [f"doubled four blocks: b = {list(b_list)}, q = {q}, order 8q = {order}"]
-        builder = lambda: eight_block_od(*ks, search_ms=args.search_ms)
+        order = h * q
+        plan = [f"{label}: b = {list(b_list)}, q = {q}, order {h}q = {order}"]
+        builder = lambda: block_array_od(h, ks, search_ms=args.search_ms)
     else:  # skew4
         ks = _parse_ks(args.ks, 4)
         t1 = minimal_pow2_exponent(1 + ks[0] + ks[1])
@@ -292,11 +287,11 @@ def _cmd_exists(args: argparse.Namespace) -> int:
 def _cmd_bound(args: argparse.Namespace) -> int:
     ks: Optional[tuple[int, ...]] = None
     if args.ks:
-        counts = {"two-square-2n": 2, "skew-4n": 3, "four-square-4n": 4, "skew-8n": 4}
-        if args.family not in counts:
+        count = FAMILIES[args.family].ks_count
+        if not count:
             _err(f"family {args.family} takes no --ks override")
             return EXIT_ERROR
-        ks = _parse_ks(args.ks, counts[args.family])
+        ks = _parse_ks(args.ks, count)
     derivation = bound_N(args.k, args.family, ks, search_ms=args.search_ms)
     print(f"N = {derivation.N}")
     if args.trace:

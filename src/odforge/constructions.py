@@ -78,6 +78,7 @@ __all__ = [
     "two_square_od",
     "goethals_seidel_od",
     "eight_block_od",
+    "block_array_od",
     "rational_family_seed",
     "od_from_weighing",
     "collapse_od_to_weighing",
@@ -1206,6 +1207,21 @@ def eight_block_od(
     return _od_witness(x, ODType(8 * q, (1,) + squared), trace)
 
 
+def block_array_od(
+    h: int, roots: Sequence[int], *, search_ms: int = DEFAULT_SEARCH_MS
+) -> Witness:
+    """The h-block array on roots with odd part q: ``two_square_od`` at 2q,
+    ``goethals_seidel_od`` at 4q, or ``eight_block_od`` at 8q, which adds a
+    unit variable of its own."""
+    if h == 2:
+        return two_square_od(*roots, search_ms=search_ms)
+    if h == 4:
+        return goethals_seidel_od(*roots, search_ms=search_ms)
+    if h == 8:
+        return eight_block_od(*roots, search_ms=search_ms)
+    raise ConstructionError(f"block arrays have 2, 4 or 8 blocks, got {h}")
+
+
 # ---------------------------------------------------------------------------
 # Rational seed and witness adapters
 # ---------------------------------------------------------------------------
@@ -1352,61 +1368,53 @@ def skew_pairs_weighing(n: int) -> Witness:
 # ---------------------------------------------------------------------------
 
 
+def _replay_sub(trace: Trace, i: int = 0) -> Witness:
+    return replay(trace.subs[i])
+
+
+def _replay_provider(trace: Trace) -> Witness:
+    return small_od_provider(ODType(trace.param("order"), tuple(trace.param("type"))))
+
+
+def _replay_doubled(trace: Trace) -> Witness:
+    """A provider doubling step: twice the sub-design's order, with a unit
+    weight inserted at the recorded slot."""
+    claim = _replay_sub(trace).claim
+    assert isinstance(claim, ODType)
+    type_tuple = list(claim.type_tuple)
+    type_tuple.insert(trace.param("unit_slot") - 1, 1)
+    return small_od_provider(ODType(2 * claim.order, tuple(type_tuple)))
+
+
+# Trace operation -> builder that re-runs it.  Builders are looked up by name
+# when a recipe replays, not bound here.
+_REPLAY = {
+    "circulant-weighing": lambda t: circulant_cw(t.param("q")),
+    "circulant-weighing-trivial": lambda t: _cw_block(1),
+    "spread": lambda t: spread_circulant(_replay_sub(t), t.param("c")),
+    "symmetric-od-all-ones": lambda t: symmetric_od_pow2(t.param("k")),
+    "od-catalog": _replay_provider,
+    "small-od-provider": _replay_provider,
+    "double-symmetric-design": _replay_doubled,
+    "skew-od-pow2-four": lambda t: skew_od_pow2_four(*(t.param(k) for k in ("k1", "k2", "k3", "k4"))),
+    "add-identity-variable": lambda t: add_identity_variable(_replay_sub(t)),
+    "combine-coprime": lambda t: combine_coprime(_replay_sub(t), _replay_sub(t, 1), t.param("t")),
+    "symmetric-weighing-square": lambda t: symmetric_w_square_odd(t.param("k")),
+    "two-square-od": lambda t: two_square_od(t.param("k1"), t.param("k2")),
+    "goethals-seidel-od": lambda t: goethals_seidel_od(*t.param("ks")),
+    "eight-block-od": lambda t: eight_block_od(*t.param("ks")),
+    "od-from-weighing": lambda t: od_from_weighing(_replay_sub(t)),
+    "collapse-to-weighing": lambda t: collapse_od_to_weighing(_replay_sub(t)),
+    "merge-variables": lambda t: merge_od_variables(_replay_sub(t), t.param("groups"), t.param("zeros")),
+    "skew-from-unit-slot": lambda t: skew_weighing_from_unit_slot(_replay_sub(t)),
+    "weighing-identity": lambda t: identity_weighing(t.param("n")),
+    "skew-weighing-pairs": lambda t: skew_pairs_weighing(t.param("n")),
+}
+
+
 def replay(trace: Trace) -> Witness:
     """Re-run a construction recipe; the result must equal the original."""
-    op = trace.op
-    if op == "circulant-weighing":
-        return circulant_cw(trace.param("q"))
-    if op == "circulant-weighing-trivial":
-        return _cw_block(1)
-    if op == "spread":
-        return spread_circulant(replay(trace.subs[0]), trace.param("c"))
-    if op == "symmetric-od-all-ones":
-        return symmetric_od_pow2(trace.param("k"))
-    if op in ("od-catalog", "small-od-provider", "double-symmetric-design"):
-        if op == "od-catalog":
-            order, type_tuple = trace.param("order"), trace.param("type")
-        elif op == "small-od-provider":
-            order, type_tuple = trace.param("order"), trace.param("type")
-        else:
-            sub = replay(trace.subs[0])
-            claim = sub.claim
-            assert isinstance(claim, ODType)
-            slot = trace.param("unit_slot")
-            tt = list(claim.type_tuple)
-            tt.insert(slot - 1, 1)
-            order, type_tuple = 2 * claim.order, tuple(tt)
-        return small_od_provider(ODType(order, tuple(type_tuple)))
-    if op == "skew-od-pow2-four":
-        return skew_od_pow2_four(
-            trace.param("k1"), trace.param("k2"), trace.param("k3"), trace.param("k4")
-        )
-    if op == "add-identity-variable":
-        return add_identity_variable(replay(trace.subs[0]))
-    if op == "combine-coprime":
-        return combine_coprime(
-            replay(trace.subs[0]), replay(trace.subs[1]), trace.param("t")
-        )
-    if op == "symmetric-weighing-square":
-        return symmetric_w_square_odd(trace.param("k"))
-    if op == "two-square-od":
-        return two_square_od(trace.param("k1"), trace.param("k2"))
-    if op == "goethals-seidel-od":
-        return goethals_seidel_od(*trace.param("ks"))
-    if op == "eight-block-od":
-        return eight_block_od(*trace.param("ks"))
-    if op == "od-from-weighing":
-        return od_from_weighing(replay(trace.subs[0]))
-    if op == "collapse-to-weighing":
-        return collapse_od_to_weighing(replay(trace.subs[0]))
-    if op == "merge-variables":
-        return merge_od_variables(
-            replay(trace.subs[0]), trace.param("groups"), trace.param("zeros")
-        )
-    if op == "skew-from-unit-slot":
-        return skew_weighing_from_unit_slot(replay(trace.subs[0]))
-    if op == "weighing-identity":
-        return identity_weighing(trace.param("n"))
-    if op == "skew-weighing-pairs":
-        return skew_pairs_weighing(trace.param("n"))
-    raise ConstructionError(f"unknown trace operation {op!r}")
+    builder = _REPLAY.get(trace.op)
+    if builder is None:
+        raise ConstructionError(f"unknown trace operation {trace.op!r}")
+    return builder(trace)

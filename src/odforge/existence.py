@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import Callable, Optional
 
 from .arith import (
     decompose_four_nonzero_squares,
@@ -33,11 +33,10 @@ from .constructions import (
     UnsupportedParameterError,
     Witness,
     add_identity_variable,
+    block_array_od,
     circulant_cw,
     collapse_od_to_weighing,
     combine_coprime,
-    eight_block_od,
-    goethals_seidel_od,
     identity_weighing,
     merge_od_variables,
     minimal_pow2_exponent,
@@ -50,7 +49,6 @@ from .constructions import (
     spread_circulant,
     symmetric_od_pow2,
     symmetric_w_square_odd,
-    two_square_od,
 )
 from .matrices import ODType
 
@@ -64,22 +62,12 @@ __all__ = [
     "bound_N",
     "exists_query",
     "BOUND_FAMILIES",
-    "SUPPORTED_CIRCULANT_Q",
+    "FAMILIES",
+    "FamilySpec",
     "DEFAULT_CELL_BUDGET",
 ]
 
 STRUCTURES = ("plain", "symmetric", "skew", "circulant")
-BOUND_FAMILIES = (
-    "sym-square",
-    "two-square-2n",
-    "four-square-4n",
-    "skew-2n",
-    "skew-4n",
-    "skew-8n",
-)
-# Prime powers whose circulant construction is known to finish quickly; the
-# constructor itself remains open-ended.
-SUPPORTED_CIRCULANT_Q = (2, 3, 4, 5, 7, 8, 9)
 DEFAULT_CELL_BUDGET = 10**8
 
 
@@ -240,7 +228,7 @@ def nonexistence_check(query: Query) -> Optional[NotExistsCertificate]:
 
 
 # ---------------------------------------------------------------------------
-# Default weight decompositions
+# Weight decompositions
 # ---------------------------------------------------------------------------
 
 
@@ -251,10 +239,12 @@ def _default_two_square(k: int) -> tuple[int, int]:
     return pair
 
 
-def _default_three_square(k: int) -> tuple[int, int, int]:
+def _skew_three_square(k: int) -> tuple[int, int, int]:
     triple = decompose_three_squares(k)
     if triple is None:
-        raise ExistenceError(f"{k} is not a sum of three squares")
+        raise ExistenceError(
+            f"skew-4n needs a weight that is a sum of three squares, got {k}"
+        )
     return triple
 
 
@@ -271,6 +261,13 @@ def _default_four_square(k: int) -> tuple[int, int, int, int]:
     if quad is None:
         quad = decompose_four_squares(core)
     return tuple(s * v for v in quad)  # type: ignore[return-value]
+
+
+def _square_root(k: int, family: str) -> int:
+    root = math.isqrt(k)
+    if root * root != k:
+        raise ExistenceError(f"{family} needs a perfect square weight, got {k}")
+    return root
 
 
 def _two_square_candidates(k: int) -> list[tuple[int, int]]:
@@ -326,6 +323,67 @@ def _validate_ks(k: int, ks: tuple[int, ...], count: int, family: str) -> tuple[
 
 
 # ---------------------------------------------------------------------------
+# Combination families
+# ---------------------------------------------------------------------------
+
+
+def _nonzero_pair(pair: tuple[int, ...]) -> tuple[int, ...]:
+    if 0 in pair:
+        raise ExistenceError("two-square components must be nonzero")
+    return pair
+
+
+def _squares(ks: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(v * v for v in ks)
+
+
+def _with_unit(ks: tuple[int, ...]) -> tuple[int, ...]:
+    return (1,) + tuple(ks)
+
+
+@dataclass(frozen=True)
+class FamilySpec:
+    """One combination family: an odd-order block array and a power-of-two
+    design sharing the factor h, both built over the parts ks of the weight.
+
+    The odd seed is the h-block array (``block_array_od``) on
+    ``odd_roots(ks)``; N counts the level orders of ``odd_plan(ks)``, which
+    may be a larger plan.
+    ``pow2_weights(ks)`` is the power-of-two seed's type before zero parts
+    are padded to weight 1.  The table holds no builders: seeds call them by
+    their module-level names, so tracers that rebind those names see them.
+    """
+
+    h: int
+    ks_count: int  # entries a --ks override takes; 0 = no override
+    split: Callable[[int], tuple[int, ...]]  # default ks; raises ExistenceError
+    odd_plan: Callable[[tuple[int, ...]], tuple[int, ...]]
+    odd_roots: Callable[[tuple[int, ...]], tuple[int, ...]]
+    pow2_weights: Callable[[tuple[int, ...]], tuple[int, ...]]
+    # The split also vets k before an override is checked, so a weight the
+    # family cannot take is reported as such whatever the override.
+    vet_override: bool = False
+
+
+# The paper plans the skew-8n odd side from (1,) + quad; eight_block_od(*quad)
+# adds the unit variable itself, so its order is 8 * q(quad), which divides
+# the planned order: N stays a valid, conservative threshold.
+FAMILIES = {
+    # family: FamilySpec(h, ks_count, split, odd_plan, odd_roots, pow2_weights)
+    "sym-square": FamilySpec(1, 0, lambda k: (_square_root(k, "sym-square"),), tuple, tuple, _squares),
+    "two-square-2n": FamilySpec(2, 2, _default_two_square, _nonzero_pair, tuple, _squares),
+    "four-square-4n": FamilySpec(4, 4, _default_four_square, tuple, tuple, _squares),
+    "skew-2n": FamilySpec(2, 0, lambda k: (1, _square_root(k, "skew-2n")), tuple, tuple, _squares),
+    "skew-4n": FamilySpec(
+        4, 3, _skew_three_square, _with_unit, _with_unit, lambda ks: _with_unit(_squares(ks)),
+        vet_override=True,
+    ),
+    "skew-8n": FamilySpec(8, 4, _default_four_square, _with_unit, tuple, _squares),
+}
+BOUND_FAMILIES = tuple(FAMILIES)
+
+
+# ---------------------------------------------------------------------------
 # Threshold computation
 # ---------------------------------------------------------------------------
 
@@ -343,9 +401,7 @@ def _provider_minimal_exponent(
         except UnsupportedParameterError:
             continue
         return t, True, f"power-of-two seed materialized at order {1 << t}"
-    t = 3
-    while (1 << t) - 2 < total:
-        t += 1
+    t = max(3, minimal_pow2_exponent(total + 2))
     return t, False, (
         f"power-of-two seed not materialized; exponent {t} from the "
         f"weight-capacity rule (total {total} <= 2**t - 2)"
@@ -364,173 +420,65 @@ def bound_N(
     ``ks`` overrides the default weight decomposition (its squares must sum
     to k).  The derivation records the odd-side plan (factor lists collapse
     to the level orders b_i and their product q), the power-of-two side
-    exponents, the shared factor h, and N = x*y.
+    exponents, the shared factor h, and N = x*y.  The power-of-two exponent
+    is k for h = 1 (the order-2**k symmetric design), the smallest order the
+    provider builds for h = 2, and d = t1 + t2 + 1 for the skew four-part
+    design of h = 4 and 8.
     """
     if not isinstance(k, int) or k < 1:
         raise ExistenceError(f"weight must be a positive integer, got {k}")
-    if family not in BOUND_FAMILIES:
+    if family not in FAMILIES:
         raise ExistenceError(f"family must be one of {BOUND_FAMILIES}, got {family!r}")
+    spec = FAMILIES[family]
+    if ks is None:
+        ks = spec.split(k)
+    elif not spec.ks_count:
+        raise ExistenceError(f"{family} takes no decomposition override")
+    else:
+        if spec.vet_override:
+            spec.split(k)
+        ks = _validate_ks(k, ks, spec.ks_count, family)
+    b_list, q = odd_block_orders(spec.odd_plan(ks))
+    weights = spec.pow2_weights(ks)
     notes: list[str] = []
-
-    if family == "sym-square":
-        if ks is not None:
-            raise ExistenceError("sym-square takes no decomposition override")
-        root = math.isqrt(k)
-        if root * root != k:
-            raise ExistenceError(f"sym-square needs a perfect square weight, got {k}")
-        b_list, q = odd_block_orders((root,))
-        odd_order = q
-        pow2_order = 1 << k
-        h = 1
-        x, y = odd_order, pow2_order
-        materializable = pow2_order * pow2_order <= DEFAULT_CELL_BUDGET
-        if not materializable:
-            notes.append(
-                "power-of-two seed order 2**k is beyond desk scale; threshold is still exact"
-            )
-        return BoundDerivation(
-            family=family,
-            k=k,
-            ks=(root,),
-            b_list=b_list,
-            q=q,
-            odd_order=odd_order,
-            pow2_order=pow2_order,
-            h=h,
-            x=x,
-            y=y,
-            N=x * y,
-            exponents=(("pow2_exponent", k),),
-            materializable=materializable,
-            notes=tuple(notes),
-        )
-
-    if family in ("two-square-2n", "skew-2n"):
-        if family == "two-square-2n":
-            pair = _validate_ks(k, ks, 2, family) if ks is not None else _default_two_square(k)
-            if 0 in pair:
-                raise ExistenceError("two-square components must be nonzero")
-            type_tuple = (pair[0] ** 2, pair[1] ** 2)
-            odd_ks = pair
-        else:
-            if ks is not None:
-                raise ExistenceError("skew-2n takes no decomposition override")
-            root = math.isqrt(k)
-            if root * root != k:
-                raise ExistenceError(f"skew-2n needs a perfect square weight, got {k}")
-            type_tuple = (1, k)
-            odd_ks = (1, root)
-            pair = (1, root)
-        b_list, q = odd_block_orders(odd_ks)
-        t, materializable, note = _provider_minimal_exponent(type_tuple, search_ms)
+    if spec.h == 2:
+        t, materializable, note = _provider_minimal_exponent(weights, search_ms)
         notes.append(note)
-        odd_order = 2 * q
-        pow2_order = 1 << t
-        h = 2
-        x, y = q, pow2_order // 2
-        return BoundDerivation(
-            family=family,
-            k=k,
-            ks=pair,
-            b_list=b_list,
-            q=q,
-            odd_order=odd_order,
-            pow2_order=pow2_order,
-            h=h,
-            x=x,
-            y=y,
-            N=x * y,
-            exponents=(("t", t),),
-            materializable=materializable,
-            notes=tuple(notes),
-        )
-
-    if family in ("four-square-4n", "skew-4n"):
-        if family == "four-square-4n":
-            quad = _validate_ks(k, ks, 4, family) if ks is not None else _default_four_square(k)
-            odd_ks = quad
-            squares = tuple(v * v for v in quad)
-            padded = tuple(max(s, 1) for s in squares)
+        exponents: tuple[tuple[str, int], ...] = (("t", t),)
+    else:
+        if spec.h == 1:
+            # symmetric_od_pow2(k): k unit weights, collapsed to weight k
+            exponents = (("pow2_exponent", sum(weights)),)
+        else:
+            padded = tuple(max(w, 1) for w in weights)
+            if padded != weights:
+                notes.append(
+                    "zero components padded to weight 1 on the power-of-two side, then zeroed"
+                )
             t1 = minimal_pow2_exponent(1 + padded[0] + padded[1])
             t2 = minimal_pow2_exponent(1 + padded[2] + padded[3])
-        else:
-            if not is_sum_of_three_squares(k):
-                raise ExistenceError(
-                    f"skew-4n needs a weight that is a sum of three squares, got {k}"
-                )
-            triple = _validate_ks(k, ks, 3, family) if ks is not None else _default_three_square(k)
-            odd_ks = (1,) + triple
-            squares = tuple(v * v for v in triple)
-            padded = tuple(max(s, 1) for s in squares)
-            t1 = minimal_pow2_exponent(1 + 1 + padded[0])
-            t2 = minimal_pow2_exponent(1 + padded[1] + padded[2])
-            quad = triple
-        if any(s != p for s, p in zip(squares, padded)):
-            notes.append(
-                "zero components padded to weight 1 on the power-of-two side, then zeroed"
-            )
-        b_list, q = odd_block_orders(odd_ks)
-        d = t1 + t2 + 1
-        odd_order = 4 * q
-        pow2_order = 1 << d
-        h = 4
-        x, y = q, pow2_order // 4
-        materializable = pow2_order * pow2_order <= DEFAULT_CELL_BUDGET
+            exponents = (("t1", t1), ("t2", t2), ("d", t1 + t2 + 1))
+        materializable = (1 << exponents[-1][1]) ** 2 <= DEFAULT_CELL_BUDGET
         if not materializable:
+            shown = "k" if spec.h == 1 else exponents[-1][1]
             notes.append(
-                f"power-of-two seed order 2**{d} is beyond desk scale; threshold is still exact"
+                f"power-of-two seed order 2**{shown} is beyond desk scale; threshold is still exact"
             )
-        return BoundDerivation(
-            family=family,
-            k=k,
-            ks=quad,
-            b_list=b_list,
-            q=q,
-            odd_order=odd_order,
-            pow2_order=pow2_order,
-            h=h,
-            x=x,
-            y=y,
-            N=x * y,
-            exponents=(("t1", t1), ("t2", t2), ("d", d)),
-            materializable=materializable,
-            notes=tuple(notes),
-        )
-
-    # skew-8n
-    quad = _validate_ks(k, ks, 4, family) if ks is not None else _default_four_square(k)
-    squares = tuple(v * v for v in quad)
-    padded = tuple(max(s, 1) for s in squares)
-    if any(s != p for s, p in zip(squares, padded)):
-        notes.append(
-            "zero components padded to weight 1 on the power-of-two side, then zeroed"
-        )
-    t1 = minimal_pow2_exponent(1 + padded[0] + padded[1])
-    t2 = minimal_pow2_exponent(1 + padded[2] + padded[3])
-    d = t1 + t2 + 1
-    b_list, q = odd_block_orders((1,) + quad)
-    odd_order = 8 * q
-    pow2_order = 1 << d
-    h = 8
-    x, y = q, pow2_order // 8
-    materializable = pow2_order * pow2_order <= DEFAULT_CELL_BUDGET
-    if not materializable:
-        notes.append(
-            f"power-of-two seed order 2**{d} is beyond desk scale; threshold is still exact"
-        )
+    pow2_order = 1 << exponents[-1][1]
+    x, y = q, pow2_order // spec.h
     return BoundDerivation(
         family=family,
         k=k,
-        ks=quad,
+        ks=ks,
         b_list=b_list,
         q=q,
-        odd_order=odd_order,
+        odd_order=spec.h * q,
         pow2_order=pow2_order,
-        h=h,
+        h=spec.h,
         x=x,
         y=y,
         N=x * y,
-        exponents=(("t1", t1), ("t2", t2), ("d", d)),
+        exponents=exponents,
         materializable=materializable,
         notes=tuple(notes),
     )
@@ -548,49 +496,39 @@ def _sym_square_seeds(k: int, search_ms: int) -> tuple[Witness, Witness]:
     return odd, pow2
 
 
-def _drop_padded_zeros(
-    witness: Witness, squares: tuple[int, ...], first_slot: int
-) -> Witness:
-    """Keep the unit variable (slot 1), keep each nonzero-square slot as its
-    own variable, and zero the slots that were padded up from 0; the result
-    has type (1, nonzero squares...)."""
-    groups = [(1,)]
-    zeros = []
-    for i, s in enumerate(squares):
-        slot = i + first_slot
-        if s == 0:
-            zeros.append(slot)
-        else:
-            groups.append((slot,))
-    return merge_od_variables(witness, groups, tuple(zeros))
+def _seed_order(bound: BoundDerivation) -> int:
+    """Order of the odd seed the family's builder makes for this derivation."""
+    spec = FAMILIES[bound.family]
+    roots = spec.odd_roots(bound.ks)
+    if roots == spec.odd_plan(bound.ks):
+        return bound.odd_order
+    return bound.h * odd_block_orders(roots)[1]
 
 
-@lru_cache(maxsize=128)
-def _skew_odd_seed(family: str, k: int, search_ms: int) -> Witness:
-    """Odd-order design of type (1, ...) summing to 1 + k for the family."""
-    if family == "skew-2n":
-        return two_square_od(1, math.isqrt(k), search_ms=search_ms)
-    if family == "skew-4n":
-        triple = _default_three_square(k)
-        return goethals_seidel_od(1, *triple, search_ms=search_ms)
-    return eight_block_od(*_default_four_square(k), search_ms=search_ms)
+def _drop_padded_zeros(witness: Witness, weights: tuple[int, ...]) -> Witness:
+    """Keep each slot whose weight before padding is nonzero as its own
+    variable and zero the slots that were padded up from 0."""
+    slots = list(enumerate(weights, start=1))
+    groups = [(slot,) for slot, w in slots if w]
+    return merge_od_variables(witness, groups, tuple(slot for slot, w in slots if not w))
 
 
-@lru_cache(maxsize=128)
-def _skew_pow2_seed(family: str, k: int, t: int, search_ms: int) -> Witness:
-    """Power-of-two-order design matching the odd seed's type (t is the
-    exponent for the half-order family, ignored otherwise)."""
-    if family == "skew-2n":
-        return small_od_provider(ODType(1 << t, (1, k)), search_ms=search_ms)
-    if family == "skew-4n":
-        squares = tuple(v * v for v in _default_three_square(k))
-        padded = tuple(max(s, 1) for s in squares)
-        base = skew_od_pow2_four(1, *padded, search_ms=search_ms)
-        return _drop_padded_zeros(base, squares, first_slot=2)
-    squares = tuple(v * v for v in _default_four_square(k))
-    padded = tuple(max(s, 1) for s in squares)
-    base = add_identity_variable(skew_od_pow2_four(*padded, search_ms=search_ms))
-    return _drop_padded_zeros(base, squares, first_slot=2)
+@lru_cache(maxsize=256)
+def _skew_seed(bound: BoundDerivation, pow2: bool, search_ms: int) -> Witness:
+    """The odd-order seed of a skew family's derivation, or with ``pow2`` its
+    power-of-two seed; both have type (1, ...) summing to 1 + k."""
+    spec = FAMILIES[bound.family]
+    if not pow2:
+        return block_array_od(bound.h, spec.odd_roots(bound.ks), search_ms=search_ms)
+    weights = spec.pow2_weights(bound.ks)
+    if bound.h == 2:
+        return small_od_provider(ODType(bound.pow2_order, weights), search_ms=search_ms)
+    padded = tuple(max(w, 1) for w in weights)
+    base = skew_od_pow2_four(*padded, search_ms=search_ms)
+    if bound.h == 8:
+        base = add_identity_variable(base)
+        weights = (1,) + weights
+    return _drop_padded_zeros(base, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -598,13 +536,7 @@ def _skew_pow2_seed(family: str, k: int, t: int, search_ms: int) -> Witness:
 # ---------------------------------------------------------------------------
 
 
-def _cells_ok(n: int, budget: int) -> bool:
-    return n * n <= budget
-
-
-def _circulant_route(
-    query: Query, search_ms: int, budget: int
-) -> Verdict:
+def _circulant_route(query: Query, search_ms: int) -> Verdict:
     n, k = query.n, query.k
     if k == 1:
         return Verdict.exists(identity_weighing(n))
@@ -612,10 +544,6 @@ def _circulant_route(
     if root * root == k and is_prime_power(root) is not None:
         base_order = root * root + root + 1
         if n % base_order == 0:
-            if not _cells_ok(n, budget):
-                return Verdict.unknown(
-                    f"a circulant witness of order {n} exceeds the cell budget"
-                )
             try:
                 base = circulant_cw(root, search_ms=search_ms)
             except UnsupportedParameterError as err:
@@ -630,7 +558,7 @@ def _circulant_route(
     )
 
 
-def _symmetric_route(query: Query, search_ms: int, budget: int) -> Verdict:
+def _symmetric_route(query: Query, search_ms: int) -> Verdict:
     n, k = query.n, query.k
     if query.zero_diagonal:
         return Verdict.unknown(
@@ -650,10 +578,6 @@ def _symmetric_route(query: Query, search_ms: int, budget: int) -> Verdict:
         _, pow2 = _sym_square_seeds(k, search_ms)
         return Verdict.exists(collapse_od_to_weighing(pow2))
     if n >= bound.N:
-        if not _cells_ok(n, budget):
-            return Verdict.unknown(
-                f"a witness of order {n} exceeds the cell budget", bound
-            )
         if not bound.materializable:
             return Verdict.unknown(
                 "the power-of-two seed is beyond desk scale", bound
@@ -678,47 +602,33 @@ def _skew_verdict_from_unit_type(witness: Witness) -> Verdict:
     return Verdict.exists(skew_weighing_from_unit_slot(witness))
 
 
-def _skew_route(query: Query, search_ms: int, budget: int) -> Verdict:
+def _skew_route(query: Query, search_ms: int) -> Verdict:
     n, k = query.n, query.k
     if k == 1:
         return Verdict.exists(skew_pairs_weighing(n))
-    root = math.isqrt(k)
-    families = []
-    if root * root == k:
-        families.append("skew-2n")
-    if is_sum_of_three_squares(k):
-        families.append("skew-4n")
-    families.append("skew-8n")
-
     attempts: list[str] = []
-    last_bound: Optional[BoundDerivation] = None
-    for family in families:
-        bound = bound_N(k, family, search_ms=search_ms)
-        last_bound = bound
+    bound: Optional[BoundDerivation] = None
+    for family in BOUND_FAMILIES:
+        if not family.startswith("skew-"):
+            continue
+        try:
+            bound = bound_N(k, family, search_ms=search_ms)
+        except ExistenceError:
+            continue  # the family does not take this weight
         h = bound.h
-        t = bound.exponents[0][1]
-        if n == bound.odd_order:
-            if not _cells_ok(n, budget):
-                return Verdict.unknown(
-                    f"a witness of order {n} exceeds the cell budget", bound
-                )
-            return _skew_verdict_from_unit_type(_skew_odd_seed(family, k, search_ms))
+        seed_order = _seed_order(bound)
+        if n == seed_order:
+            return _skew_verdict_from_unit_type(_skew_seed(bound, False, search_ms))
         if n == bound.pow2_order and bound.materializable:
-            return _skew_verdict_from_unit_type(
-                _skew_pow2_seed(family, k, t, search_ms)
-            )
+            return _skew_verdict_from_unit_type(_skew_seed(bound, True, search_ms))
         if n % h == 0 and n // h >= bound.N:
-            if not _cells_ok(n, budget):
-                return Verdict.unknown(
-                    f"a witness of order {n} exceeds the cell budget", bound
-                )
             if not bound.materializable:
                 return Verdict.unknown(
                     "the power-of-two seed is beyond desk scale", bound
                 )
             combined = combine_coprime(
-                _skew_odd_seed(family, k, search_ms),
-                _skew_pow2_seed(family, k, t, search_ms),
+                _skew_seed(bound, False, search_ms),
+                _skew_seed(bound, True, search_ms),
                 n // h,
             )
             return _skew_verdict_from_unit_type(combined)
@@ -729,41 +639,32 @@ def _skew_route(query: Query, search_ms: int, budget: int) -> Verdict:
             )
         else:
             attempts.append(
-                f"{family}: order must be {bound.odd_order}, {bound.pow2_order}, "
+                f"{family}: order must be {seed_order}, {bound.pow2_order}, "
                 f"or a multiple of {h} at least {h * bound.N}"
             )
-    return Verdict.unknown("; ".join(attempts), last_bound)
+    return Verdict.unknown("; ".join(attempts), bound)
 
 
-def _plain_route(query: Query, search_ms: int, budget: int) -> Verdict:
+def _plain_route(query: Query, search_ms: int) -> Verdict:
     n, k = query.n, query.k
     if k == 1:
         return Verdict.exists(identity_weighing(n))
 
-    if _cells_ok(n, budget):
-        # Exact block-array orders, over every matching small decomposition:
-        # two blocks at 2q, four blocks at 4q, doubled four blocks at 8q
-        # (their unit row means quads of weight k - 1 land on weight k).
-        for pair in _two_square_candidates(k):
-            _, q = odd_block_orders(pair)
-            if n == 2 * q:
-                od = two_square_od(*pair, search_ms=search_ms)
-                return Verdict.exists(collapse_od_to_weighing(od))
-        for quad in _four_square_candidates(k):
-            _, q = odd_block_orders(quad)
-            if n == 4 * q:
-                od = goethals_seidel_od(*quad, search_ms=search_ms)
-                return Verdict.exists(collapse_od_to_weighing(od))
-        for quad in _four_square_candidates(k - 1) if k >= 2 else []:
-            _, q = odd_block_orders(quad)
-            if n == 8 * q:
-                od = eight_block_od(*quad, search_ms=search_ms)
+    # Exact block-array orders, over every matching small decomposition:
+    # two blocks at 2q, four blocks at 4q, doubled four blocks at 8q
+    # (their unit row means quads of weight k - 1 land on weight k).
+    for h, candidates, weight in (
+        (2, _two_square_candidates, k),
+        (4, _four_square_candidates, k),
+        (8, _four_square_candidates, k - 1),
+    ):
+        for roots in candidates(weight):
+            if n == h * odd_block_orders(roots)[1]:
+                od = block_array_od(h, roots, search_ms=search_ms)
                 return Verdict.exists(collapse_od_to_weighing(od))
 
     # Any symmetric witness answers a plain query.
-    sym = _symmetric_route(
-        Query(n, k, "symmetric", query.zero_diagonal), search_ms, budget
-    )
+    sym = _symmetric_route(Query(n, k, "symmetric", query.zero_diagonal), search_ms)
     if sym.kind == "exists":
         return sym
     return Verdict.unknown(
@@ -771,6 +672,14 @@ def _plain_route(query: Query, search_ms: int, budget: int) -> Verdict:
         + sym.note,
         sym.bound,
     )
+
+
+_ROUTES = {
+    "plain": _plain_route,
+    "symmetric": _symmetric_route,
+    "skew": _skew_route,
+    "circulant": _circulant_route,
+}
 
 
 def exists_query(
@@ -784,24 +693,23 @@ def exists_query(
     Pipeline: arithmetic nonexistence rules first, then the construction
     dispatch for the requested structure.  ``Exists`` always carries a
     verified witness whose structure report matches the request; ``Unknown``
-    may carry the relevant threshold derivation.
+    may carry the relevant threshold derivation, and is also the answer when
+    a design the route needs cannot be built.
     """
     cert = nonexistence_check(query)
     if cert is not None:
         return Verdict.not_exists(cert)
-    if not _cells_ok(query.n, cell_budget):
+    # Every route may build a witness of order n; none checks the budget again.
+    if query.n * query.n > cell_budget:
         return Verdict.unknown(
             f"any witness would hold {query.n}**2 cells, past the budget "
             f"of {cell_budget}; raise the budget to force construction"
         )
-    if query.structure == "circulant":
-        verdict = _circulant_route(query, search_ms, cell_budget)
-    elif query.structure == "symmetric":
-        verdict = _symmetric_route(query, search_ms, cell_budget)
-    elif query.structure == "skew":
-        verdict = _skew_route(query, search_ms, cell_budget)
-    else:
-        verdict = _plain_route(query, search_ms, cell_budget)
+    route = _ROUTES[query.structure]
+    try:
+        verdict = route(query, search_ms)
+    except UnsupportedParameterError as err:
+        return Verdict.unknown(f"a design the route needs could not be built: {err}")
     if verdict.kind == "exists":
         witness = verdict.witness
         assert witness is not None

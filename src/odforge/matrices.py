@@ -53,12 +53,10 @@ __all__ = [
     "CheckReport",
     "Var",
     "identity",
-    "zero_matrix",
     "kronecker",
     "direct_sum",
     "mat_mul",
     "transpose",
-    "negate",
     "circulant",
     "back_circulant",
     "back_diagonal",
@@ -68,8 +66,6 @@ __all__ = [
     "verify_od",
     "specialize_variables",
     "substitute_integers",
-    "variable_matrix",
-    "collapse_all_to_one",
     "to_weighing_matrix",
 ]
 
@@ -362,13 +358,6 @@ def identity(n: int) -> IntMatrix:
     return IntMatrix(np.eye(n, dtype=np.int64))
 
 
-def zero_matrix(rows: int, cols: int | None = None) -> IntMatrix:
-    cols = rows if cols is None else cols
-    if rows < 1 or cols < 1:
-        raise MatrixError("zero matrix needs positive dimensions")
-    return IntMatrix(np.zeros((rows, cols), dtype=np.int64))
-
-
 def _payload(m: Matrix) -> np.ndarray:
     return m.entries if isinstance(m, IntMatrix) else m.codes
 
@@ -436,12 +425,6 @@ def transpose(m: Matrix) -> Matrix:
     if isinstance(m, SignedVarMatrix):
         return SignedVarMatrix(m.codes.T, m.num_vars)
     return IntMatrix(m.entries.T)
-
-
-def negate(m: Matrix) -> Matrix:
-    if isinstance(m, SignedVarMatrix):
-        return SignedVarMatrix(-m.codes, m.num_vars)
-    return IntMatrix(-m.entries)
 
 
 def circulant(first_row: Sequence[int]) -> IntMatrix:
@@ -875,24 +858,6 @@ def specialize_variables(
             f"specialized matrix failed re-verification: {rep.message()}"
         )
     return out_int
-
-
-def variable_matrix(index: int, coefficients: IntMatrix) -> SignedVarMatrix:
-    """x_index times a {0,+1,-1} coefficient matrix, as a symbolic matrix."""
-    if not _is_int(index) or index < 1:
-        raise MatrixError("variable index must be >= 1")
-    if not isinstance(coefficients, IntMatrix) or not coefficients.is_square:
-        raise MatrixError("variable_matrix needs a square integer matrix")
-    if not _entries_are_signs(coefficients.entries):
-        raise MatrixError("coefficients must lie in {0,+1,-1}")
-    return SignedVarMatrix(coefficients.entries.astype(np.int64) * index, index)
-
-
-def collapse_all_to_one(x: SignedVarMatrix) -> SignedVarMatrix:
-    """Merge every variable into x_1 (summing the type weights)."""
-    out = specialize_variables(x, {i: Var(1) for i in range(1, x.num_vars + 1)})
-    assert isinstance(out, SignedVarMatrix)
-    return out
 
 
 def to_weighing_matrix(x: SignedVarMatrix) -> IntMatrix:

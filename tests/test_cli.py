@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 from odforge.cli import EXIT_ERROR, EXIT_NEGATIVE, EXIT_OK, main
+from odforge.constructions import odd_block_orders
+from odforge.existence import FAMILIES, ExistenceError, bound_N
 from odforge.matfile import parse_matrix_file
 from odforge.matrices import ODType, WeighingType
 
@@ -241,11 +243,11 @@ class TestCliCorpus:
             ("exists --n 8 --k 4 --structure skew --trace", "73cb208d8d3ab572c609426a0584ef7200752b29032786947587f24a49a02b0c"),
             ("exists --n 96 --k 2 --structure skew --trace", "d309576c5f097f6f915fd382c2bc3819a1a82f643897f15fa60db253785586db"),
             ("exists --n 168 --k 4 --structure skew", "41121ee0b94f7824877bc2c708ca4a47000773fea76fadba207aa6bf083d7485"),
-            ("exists --n 32 --k 9 --structure skew --trace", "4aa985670294f3daea2b8b4cb6c42eed19c2d7a6318fdc5c6fdb61aaf1ceffe0"),
+            ("exists --n 32 --k 9 --structure skew --trace", "a9ce08ef96a04a59681e212aff0897f40f6cdca8c32a64cb1b57a031a0d2b21c"),
             ("exists --n 12 --k 7 --structure skew", "1e9539e8461e09f1ba1ae4fbf38abc32ca5b5dbee1ecbc7c7342bb4e7b44dbc0"),
-            ("exists --n 104 --k 9 --structure skew --trace", "4aa985670294f3daea2b8b4cb6c42eed19c2d7a6318fdc5c6fdb61aaf1ceffe0"),
-            ("exists --n 312 --k 9 --structure skew --trace", "f700b2ff4fece6cb32e21de85f49a014a66c869b959e417e2eca4bdddeee444e"),
-            ("exists --n 168 --k 8 --structure skew --trace", "f700b2ff4fece6cb32e21de85f49a014a66c869b959e417e2eca4bdddeee444e"),
+            ("exists --n 104 --k 9 --structure skew --trace", "f3dcce7db1e1bba161b252bd2a8471c37372f694335e85286dcdaf0d1dfdb448"),
+            ("exists --n 312 --k 9 --structure skew --trace", "a9ce08ef96a04a59681e212aff0897f40f6cdca8c32a64cb1b57a031a0d2b21c"),
+            ("exists --n 168 --k 8 --structure skew --trace", "007ce236b531bca7d2d3f8748706bb213511b8ddf50350e7c245f399b235cac6"),
             ("exists --n 7 --k 4 --structure symmetric --trace", "256246b2110163d1cb75ec97a85a0509deeaa423779f784b26f9d4b0321e29ea"),
             ("exists --n 16 --k 4 --structure symmetric --trace", "3bc745a56efb15585ff7fd60df10f0c802bee2ff1194aa7d8ecaadf95932d2ca"),
             ("exists --n 112 --k 4 --structure symmetric", "533889249bd9eb323174ef55d2b74840c3fe58bf08ca8dc80ecf3926400c2e1e"),
@@ -304,6 +306,47 @@ class TestExists:
         assert out.startswith("Undecided:")
         assert "family sym-square" in err
         assert "N = 112" in err
+
+
+
+# Skew queries (n <= 512, k <= 32) whose route raised before seed failures
+# became Undecided: an unbuildable power-of-two seed, or (n = 168, 312) a
+# skew-8n odd seed whose order differed from the one N plans.
+_SKEW_ROUTE_FAILURES = [
+    (128, 9), (128, 10), (128, 11), (128, 13), (128, 14), (128, 15), (168, 8), (168, 12),
+    (256, 16), (256, 17), (256, 18), (256, 19), (256, 20), (256, 21), (256, 22), (256, 25),
+    (256, 26), (256, 27), (256, 29), (256, 30), (256, 31), (312, 9), (312, 18), (312, 27),
+    (512, 21), (512, 22), (512, 23), (512, 24), (512, 30), (512, 32),
+]
+
+
+def _skew_seed_orders(limit=512):
+    """(n, k) for every skew family and k <= 32 at its built odd seed order,
+    its planned odd order and its power-of-two order, up to limit."""
+    out = set()
+    for family, spec in FAMILIES.items():
+        if not family.startswith("skew-"):
+            continue
+        for k in range(2, 33):
+            try:
+                b = bound_N(k, family, search_ms=1)
+            except ExistenceError:
+                continue
+            built = b.h * odd_block_orders(spec.odd_roots(b.ks))[1]
+            out.update((n, k) for n in (built, b.odd_order, b.pow2_order) if n <= limit)
+    return out
+
+
+class TestSkewQueriesAnswer:
+    @pytest.mark.parametrize("n, k", sorted(set(_SKEW_ROUTE_FAILURES) | _skew_seed_orders()))
+    def test_clean_answer(self, capsys, n, k):
+        code, out, err = run(
+            capsys, "exists", "--n", str(n), "--k", str(k), "--structure", "skew",
+            "--search-ms", "1",
+        )
+        assert code in (EXIT_OK, EXIT_ERROR, EXIT_NEGATIVE)
+        assert "Traceback" not in err
+        assert out.startswith(("Exists:", "Undecided:", "NotExists ["))
 
 
 class TestBound:

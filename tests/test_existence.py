@@ -18,7 +18,7 @@ from odforge.existence import (
     nonexistence_check,
 )
 from odforge.matrices import IntMatrix, ODType, WeighingType, verify_weighing
-from conftest import is_weighing_oracle, three_squares_oracle
+from conftest import dense_weighing_report, is_weighing_oracle, three_squares_oracle
 
 
 class TestQueryValidation:
@@ -229,6 +229,40 @@ class TestBudgetIndependentBounds:
             "weight-capacity rule (total 17 <= 2**t - 2)); skew-4n: order must be"
         )
 
+
+
+class TestSkewSeedOrders:
+    """The skew route compares n with the order of the odd seed it builds.
+    For skew-8n that is 8*q(quad), a third of the order N's plan counts at
+    these weights; the planned order itself has no witness."""
+
+    @pytest.mark.parametrize(
+        "n, k",
+        [(56, 4), (56, 8), (56, 12), (104, 9), (104, 18), (104, 27), (248, 25)],
+    )
+    def test_built_seed_order_exists(self, n, k):
+        verdict = exists_query(Query(n, k, "skew"), search_ms=1)
+        assert verdict.kind == "exists", verdict.note
+        entries = verdict.witness.matrix.entries
+        assert verdict.witness.claim == WeighingType(n, k)
+        assert dense_weighing_report(entries, k) == (True, None, None)
+        assert np.array_equal(entries.T, -entries)
+
+    @pytest.mark.parametrize(
+        "n, k, built", [(312, 9, 104), (168, 8, 56), (168, 12, 56), (312, 18, 104), (312, 27, 104)]
+    )
+    def test_planned_order_is_undecided(self, n, k, built):
+        verdict = exists_query(Query(n, k, "skew"), search_ms=1)
+        assert verdict.kind == "unknown"
+        assert f"skew-8n: order must be {built}, " in verdict.note
+
+    def test_unbuildable_seed_is_undecided(self):
+        verdict = exists_query(Query(128, 9, "skew"), search_ms=1)
+        assert verdict.kind == "unknown"
+        assert verdict.note == (
+            "a design the route needs could not be built: "
+            "no strategy produced OD(order=16, type=(1, 1, 9))"
+        )
 
 def _flags(witness):
     s = witness.structure

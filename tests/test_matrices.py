@@ -17,22 +17,18 @@ from odforge.matrices import (
     back_circulant,
     back_diagonal,
     circulant,
-    collapse_all_to_one,
     decompose_family,
     direct_sum,
     identity,
     kronecker,
     mat_mul,
-    negate,
     specialize_variables,
     structure_check,
     substitute_integers,
     to_weighing_matrix,
     transpose,
-    variable_matrix,
     verify_od,
     verify_weighing,
-    zero_matrix,
 )
 from conftest import is_weighing_oracle, naive_matmul, paf_oracle
 
@@ -69,7 +65,6 @@ class TestConstructors:
 
     def test_identity_and_zero(self):
         assert np.array_equal(identity(3).entries, np.eye(3, dtype=np.int64))
-        assert zero_matrix(2, 3).entries.shape == (2, 3)
 
     def test_reflection_of_circulant_is_back_circulant(self):
         row = [1, 0, -1, 1]
@@ -116,7 +111,7 @@ class TestExactProducts:
                 assert k[i][j] == rows[i // 2][j // 2] * b.entries[i % 2][j % 2]
 
     def test_direct_sum(self):
-        s = direct_sum(identity(2), negate(identity(3))).entries
+        s = direct_sum(identity(2), IntMatrix(-np.eye(3, dtype=np.int64))).entries
         assert s.shape == (5, 5)
         assert s[0][0] == 1 and s[4][4] == -1 and s[0][4] == 0
 
@@ -152,7 +147,7 @@ class TestVerifyWeighing:
         assert not report.ok and "entry" in report.condition
 
     def test_rejects_non_square(self):
-        assert not verify_weighing(zero_matrix(2, 3), 1).ok
+        assert not verify_weighing(IntMatrix(np.zeros((2, 3), dtype=np.int64)), 1).ok
 
     @given(st.lists(st.integers(min_value=-1, max_value=1), min_size=3, max_size=9))
     def test_circulant_weighing_iff_flat_autocorrelation(self, row):
@@ -251,13 +246,6 @@ class TestSpecialize:
     def test_to_weighing_and_collapse(self):
         x = self._quaternion()
         assert verify_weighing(to_weighing_matrix(x), 4).ok
-        one = collapse_all_to_one(x)
-        assert one.num_vars == 1
-        assert verify_od(one, ODType(4, (4,))).ok
-
-    def test_variable_matrix(self):
-        x = variable_matrix(1, identity(3))
-        assert verify_od(x, ODType(3, (1,))).ok
 
 
 class TestStructureAndTypes:
