@@ -608,13 +608,14 @@ def _skew_route(query: Query, search_ms: int) -> Verdict:
         return Verdict.exists(skew_pairs_weighing(n))
     attempts: list[str] = []
     bound: Optional[BoundDerivation] = None
-    for family in BOUND_FAMILIES:
+    for family, spec in FAMILIES.items():
         if not family.startswith("skew-"):
             continue
         try:
-            bound = bound_N(k, family, search_ms=search_ms)
+            spec.split(k)
         except ExistenceError:
             continue  # the family does not take this weight
+        bound = bound_N(k, family, search_ms=search_ms)
         h = bound.h
         seed_order = _seed_order(bound)
         if n == seed_order:
