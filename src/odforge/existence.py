@@ -348,10 +348,10 @@ class FamilySpec:
 
     The odd seed is the h-block array (``block_array_od``) on
     ``odd_roots(ks)``; N counts the level orders of ``odd_plan(ks)``, which
-    may be a larger plan.
-    ``pow2_weights(ks)`` is the power-of-two seed's type before zero parts
-    are padded to weight 1.  The table holds no builders: seeds call them by
-    their module-level names, so tracers that rebind those names see them.
+    may be a larger plan.  ``pow2_weights(ks)`` is the power-of-two seed's
+    type before zero parts are padded to weight 1.  The table holds no
+    builders: seeds call them by their module-level names, so tracers that
+    rebind those names see them.
     """
 
     h: int
@@ -497,7 +497,8 @@ def _sym_square_seeds(k: int, search_ms: int) -> tuple[Witness, Witness]:
 
 
 def _seed_order(bound: BoundDerivation) -> int:
-    """Order of the odd seed the family's builder makes for this derivation."""
+    """Order of the odd seed the family's builder makes for this derivation:
+    the planned odd order, unless the builder takes other roots (skew-8n)."""
     spec = FAMILIES[bound.family]
     roots = spec.odd_roots(bound.ks)
     if roots == spec.odd_plan(bound.ks):
@@ -527,7 +528,7 @@ def _skew_seed(bound: BoundDerivation, pow2: bool, search_ms: int) -> Witness:
     base = skew_od_pow2_four(*padded, search_ms=search_ms)
     if bound.h == 8:
         base = add_identity_variable(base)
-        weights = (1,) + weights
+        weights = _with_unit(weights)
     return _drop_padded_zeros(base, weights)
 
 

@@ -309,9 +309,9 @@ class TestExists:
 
 
 
-# Skew queries (n <= 512, k <= 32) whose route raised before seed failures
-# became Undecided: an unbuildable power-of-two seed, or (n = 168, 312) a
-# skew-8n odd seed whose order differed from the one N plans.
+# Skew queries (n <= 512, k <= 32) whose route meets a power-of-two seed the
+# provider cannot build, or (n = 168, 312) the skew-8n odd order N plans,
+# which differs from the order of the seed eight_block_od builds.
 _SKEW_ROUTE_FAILURES = [
     (128, 9), (128, 10), (128, 11), (128, 13), (128, 14), (128, 15), (168, 8), (168, 12),
     (256, 16), (256, 17), (256, 18), (256, 19), (256, 20), (256, 21), (256, 22), (256, 25),
