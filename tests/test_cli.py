@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 from odforge.cli import EXIT_ERROR, EXIT_NEGATIVE, EXIT_OK, main
-from odforge.constructions import odd_block_orders
-from odforge.existence import FAMILIES, ExistenceError, bound_N
+from odforge.constructions import odd_block_orders, replay
+from odforge.existence import FAMILIES, ExistenceError, Query, bound_N, exists_query
 from odforge.matfile import parse_matrix_file
 from odforge.matrices import ODType, WeighingType
+from conftest import dense_weighing_report
 
 
 def run(capsys, *argv):
@@ -262,6 +263,87 @@ class TestCliCorpus:
     def test_answer_digest(self, capsys, argv, digest):
         answer = run(capsys, *argv.split())
         assert hashlib.sha256(repr(answer).encode()).hexdigest() == digest, answer
+
+
+# (argv, sha256 of (exit code, stdout, stderr, sha256 of the --out file)) for
+# exists past h*N: symmetric and plain queries combine the sym-square seeds,
+# skew queries the seeds of the first skew family that takes k.  The --out
+# path in stderr reads <out>.  W(6700, 9) is written to no file: its text is
+# 90 MB, and emitting it peaks past 1 GB.
+_THRESHOLD_CORPUS = [
+    ("exists --n 112 --k 4 --structure symmetric", "b4a7a05b7a7d29a3621bf7948571c39651f66200f03ca1a74eb5430c394d321b"),
+    ("exists --n 113 --k 4 --structure symmetric", "e0c3446de27c8ea01d4d59247d6cf8225cbec3b8a91312954e54080c7d2ae344"),
+    ("exists --n 1000 --k 4 --structure symmetric", "e54ceea62cd4d886f76daa78dfa7d0b0cdaeae47d4f89eb9812d90ad4fdef180"),
+    ("exists --n 1600 --k 4 --structure symmetric", "a6ab95449d8ec4207d115deed5e971fca8aceb146f304d79178cdb4453b1a365"),
+    ("exists --n 6700 --k 9 --structure symmetric", "94187fc903c999e981f041fca68a861b946a911c29128fae4b6ab160a2559d3c"),
+    ("exists --n 130 --k 4", "61368781d524969d2f684598ed1d13d0e37dba542ecf55a4231d6608525b4537"),
+    ("exists --n 900 --k 4", "1f4b36e16121f6297a98d19282568be78a51ebd99f61fb560b3c8637ea6b171e"),
+    ("exists --n 96 --k 1 --structure skew", "9ef0b9bce395af02b522db98897d2f3f65f9e5485d84602286345cc8a89b5919"),
+    ("exists --n 1600 --k 1 --structure skew", "d97c08daa3d57569035619c4b69e269c59516fd7330abe6578412f7d61cc1a27"),
+    ("exists --n 96 --k 2 --structure skew", "448066c226244741a3a99f0ebbd47420de5be21e8f3aeafbcd4f1bc578359327"),
+    ("exists --n 960 --k 2 --structure skew", "829eb03aad7ff5aa24f52174868d4851c89922e2d40e5baaaf56d41a886e58df"),
+    ("exists --n 100 --k 3 --structure skew", "2d5b4beb6e9aaf77f4aa81029f96f1cf78d2ff66e46d08acaa8fc44102fe73e9"),
+    ("exists --n 960 --k 3 --structure skew", "4e43ea89f5a871fb190a01f12eb950e6855ec10d255821e5e00cba6ec546649c"),
+    ("exists --n 168 --k 4 --structure skew", "6b48ee76cce0aec2330a6ee0a7d6b8cf60a11521579d69370805b0032a00cce6"),
+    ("exists --n 1600 --k 4 --structure skew", "14b9816807ee5b2b43b25547fc1f35a14e280dcd76e030bbfdc4cb2c67050b4b"),
+    ("exists --n 1344 --k 5 --structure skew", "86b695f2f588af5e9af32c505ce130e567a0035f52713ef9b695e85ebe8168dd"),
+    ("exists --n 2400 --k 5 --structure skew", "1c33f2be73b6799e488612eb823fd9a6fa11480e337552c71aaca5134d07f105"),
+    ("exists --n 1344 --k 6 --structure skew", "c37dc224c0581e9790fc21935106fb26d4ce1c65fd6d2187f788d8b9a4a7ed37"),
+    ("exists --n 2000 --k 6 --structure skew", "8197077247ee3643b5e5e796491e665aedfaf5ea5281eff425799f351153c331"),
+    ("exists --n 1344 --k 7 --structure skew", "c90f164a29ce16ffd4c5259694fa955b04eff8b244a0ef73374b15e7dcba5d4d"),
+    ("exists --n 2400 --k 7 --structure skew", "856c66c73041884da3f6c63c9bc4ada11adbf682fece92239c4f6fb57c59bb05"),
+    ("exists --n 2688 --k 8 --structure skew", "d96ef5ab27c6b53c64897ac0d2239691df6ce5e3e78cad14068b538e67e11450"),
+    ("exists --n 624 --k 9 --structure skew", "aa3d79bb4e58edf3dad3992466ce260996fb4c84024f1defc88e8b39be74e055"),
+    ("exists --n 700 --k 9 --structure skew", "093827a489b32efe228b3434cdeaefd6fc1e07ab11a910a9b511ec76f9e91e00"),
+]
+
+
+def _query_of(argv: str) -> Query:
+    args = argv.split()
+    structure = args[args.index("--structure") + 1] if "--structure" in args else "plain"
+    return Query(int(args[2]), int(args[4]), structure)
+
+
+class TestThresholdCorpus:
+    """Witnesses past the combination threshold: the CLI answer, its --trace
+    and its --out bytes stay byte-identical, and every witness of order at
+    most 700 passes the dense oracle, has the requested structure and
+    replays to the same matrix."""
+
+    @pytest.mark.parametrize("argv, digest", _THRESHOLD_CORPUS)
+    def test_answer_digest(self, capsys, tmp_path, argv, digest):
+        args = argv.split() + ["--trace"]
+        target = tmp_path / "witness.txt"
+        written = int(args[2]) <= 3000
+        if written:
+            args += ["--out", str(target)]
+        code, out, err = run(capsys, *args)
+        body = None
+        if written:
+            body = hashlib.sha256(target.read_bytes()).hexdigest()
+            err = err.replace(str(target), "<out>")
+        answer = (code, out, err, body)
+        assert out.startswith("Exists: weighing matrix"), answer
+        assert hashlib.sha256(repr(answer).encode()).hexdigest() == digest, answer
+
+    @pytest.mark.parametrize(
+        "argv", [argv for argv, _ in _THRESHOLD_CORPUS if _query_of(argv).n <= 700]
+    )
+    def test_witness_against_oracle_and_replay(self, argv):
+        query = _query_of(argv)
+        witness = exists_query(query).witness
+        entries = witness.matrix.entries
+        assert dense_weighing_report(entries, query.k)[0]
+        shape = witness.structure
+        if query.structure == "symmetric":
+            assert np.array_equal(entries, entries.T)
+        if query.structure == "skew":
+            assert np.array_equal(entries, -entries.T)
+        assert (shape.symmetric, shape.skew_symmetric) == (
+            bool(np.array_equal(entries, entries.T)),
+            bool(np.array_equal(entries, -entries.T)),
+        )
+        assert replay(witness.trace).matrix == witness.matrix
 
 
 class TestExists:
