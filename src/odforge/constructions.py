@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
 from pathlib import Path
 from typing import Iterable, Sequence, Union
@@ -45,14 +45,13 @@ from .matrices import (
     Var,
     VerificationInternalError,
     WeighingType,
+    _substitute_variables,
     decompose_family,
     circulant,
     identity,
     kronecker,
     mat_mul,
-    specialize_variables,
     structure_check,
-    to_weighing_matrix,
     transpose,
     verify_od,
     verify_weighing,
@@ -74,6 +73,7 @@ __all__ = [
     "skew_od_pow2_four",
     "add_identity_variable",
     "combine_coprime",
+    "combine_finished_seeds",
     "symmetric_w_square_odd",
     "two_square_od",
     "goethals_seidel_od",
@@ -479,15 +479,28 @@ def _word_digits(count: int, exponent: int) -> np.ndarray:
     return digits
 
 
-def _word_compatibility(exponent: int) -> np.ndarray:
+# Word pairs per row block of the adjacency table; bounds its (rows, 4**e, e)
+# temporaries and the time between two deadline checks.
+_WORD_BLOCK_PAIRS = 1 << 16
+
+
+def _word_compatibility(exponent: int, deadline: float = math.inf) -> np.ndarray | None:
     """Adjacency matrix over all 4**exponent words: True when the two words
-    have disjoint support and are anti-amicable."""
+    have disjoint support and are anti-amicable.  Built in row blocks; None
+    when the deadline passes before the last block."""
     count = 4**exponent
     digits = _word_digits(count, exponent)
     diag = _DIAGONAL[digits]  # (count, exponent)
-    disjoint = (diag[:, None, :] != diag[None, :, :]).any(axis=2)
-    rotations = _ROTATION_PAIR[digits[:, None, :], digits[None, :, :]].sum(axis=2)
-    return disjoint & (rotations % 2 == 1)
+    adjacency = np.empty((count, count), dtype=bool)
+    step = max(1, _WORD_BLOCK_PAIRS // count)
+    for r0 in range(0, count, step):
+        if time.monotonic() > deadline:
+            return None
+        rows = slice(r0, r0 + step)
+        disjoint = (diag[rows, None, :] != diag[None, :, :]).any(axis=2)
+        rotations = _ROTATION_PAIR[digits[rows, None, :], digits[None, :, :]].sum(axis=2)
+        adjacency[rows] = disjoint & (rotations % 2 == 1)
+    return adjacency
 
 
 def _word_matrix(digit_row: np.ndarray) -> np.ndarray:
@@ -528,7 +541,9 @@ def _search_monomial_design(t: ODType, deadline: float) -> SignedVarMatrix | Non
     exponent = t.order.bit_length() - 1
     if 1 << exponent != t.order:
         return None
-    adjacency = _word_compatibility(exponent)
+    adjacency = _word_compatibility(exponent, deadline)
+    if adjacency is None:
+        return None
     chosen = _clique_search(adjacency, t.total_weight, deadline)
     if chosen is None:
         return None
@@ -565,7 +580,7 @@ def _provider_merge_all_ones(
     base: SignedVarMatrix, base_vars: int, t: ODType, trace: Trace
 ) -> Witness:
     mapping = _merge_plan(base_vars, t)
-    merged = specialize_variables(base, mapping)
+    merged = _substitute_variables(base, mapping)
     assert isinstance(merged, SignedVarMatrix)
     return _od_witness(merged, t, trace)
 
@@ -579,7 +594,7 @@ def _double_with_unit_slot(sub: Witness, t: ODType, unit_slot: int) -> Witness:
     ell = sub_matrix.num_vars
     codes = np.kron(sub_matrix.codes, _P)
     codes += (ell + 1) * np.kron(np.eye(sub.order, dtype=np.int64), _Q)
-    doubled = SignedVarMatrix(codes, ell + 1)
+    doubled = SignedVarMatrix._adopt(codes, ell + 1)
     if unit_slot == ell + 1:
         permuted = doubled
     else:
@@ -587,7 +602,7 @@ def _double_with_unit_slot(sub: Witness, t: ODType, unit_slot: int) -> Witness:
         for old in range(1, ell + 1):
             mapping[old] = Var(old if old < unit_slot else old + 1)
         mapping[ell + 1] = Var(unit_slot)
-        out = specialize_variables(doubled, mapping)
+        out = _substitute_variables(doubled, mapping)
         assert isinstance(out, SignedVarMatrix)
         permuted = out
     trace = _trace(
@@ -868,13 +883,23 @@ def add_identity_variable(w: Witness) -> Witness:
 # ---------------------------------------------------------------------------
 
 
-def combine_coprime(w1: Witness, w2: Witness, t: int) -> Witness:
-    """Combine two designs of the same type into one of order h*t.
+def _block_diagonal(blocks: Sequence[tuple[int, np.ndarray]]) -> np.ndarray:
+    """I_a x A (+) I_b x B (+) ... for (a, A), (b, B), ..., written block by
+    block into one preallocated int64 grid."""
+    order = sum(count * block.shape[0] for count, block in blocks)
+    grid = np.zeros((order, order), dtype=np.int64)
+    offset = 0
+    for count, block in blocks:
+        size = block.shape[0]
+        for _ in range(count):
+            grid[offset : offset + size, offset : offset + size] = block
+            offset += size
+    return grid
 
-    With h = gcd(n1, n2), x = n1/h, y = n2/h, any t >= x*y splits as
-    t = a*x + b*y; each output member is (I_a x A_i) direct-sum (I_b x B_i).
-    Symmetry of both inputs carries over to the output.
-    """
+
+def _coprime_plan(w1: Witness, w2: Witness, t: int) -> tuple[int, int, Trace]:
+    """Check that two designs share a type and that t reaches the threshold;
+    returns the multiplicities a, b of t = a*x + b*y and the recipe."""
     if not (w1.is_od and w2.is_od):
         raise ConstructionError("combine_coprime expects two design witnesses")
     c1, c2 = w1.claim, w2.claim
@@ -894,23 +919,6 @@ def combine_coprime(w1: Witness, w2: Witness, t: int) -> Witness:
             f"t={t} is below the combination threshold {threshold} = ({n1}/{h})*({n2}/{h})"
         )
     fw = frobenius_representation(x, y, t)
-    a, b = fw.a, fw.b
-    m1, m2 = w1.matrix, w2.matrix
-    assert isinstance(m1, SignedVarMatrix) and isinstance(m2, SignedVarMatrix)
-    parts = []
-    if a > 0:
-        parts.append(np.kron(np.eye(a, dtype=np.int64), m1.codes))
-    if b > 0:
-        parts.append(np.kron(np.eye(b, dtype=np.int64), m2.codes))
-    order = h * t
-    codes = np.zeros((order, order), dtype=np.int64)
-    offset = 0
-    for part in parts:
-        size = part.shape[0]
-        codes[offset : offset + size, offset : offset + size] = part
-        offset += size
-    assert offset == order
-    xm = SignedVarMatrix(codes, c1.num_vars)
     trace = _trace(
         "combine-coprime",
         subs=(w1.trace, w2.trace),
@@ -918,13 +926,72 @@ def combine_coprime(w1: Witness, w2: Witness, t: int) -> Witness:
         h=h,
         x=x,
         y=y,
-        a=a,
-        b=b,
+        a=fw.a,
+        b=fw.b,
     )
-    out = _od_witness(xm, ODType(order, c1.type_tuple), trace)
+    return fw.a, fw.b, trace
+
+
+def combine_coprime(w1: Witness, w2: Witness, t: int) -> Witness:
+    """Combine two designs of the same type into one of order h*t.
+
+    With h = gcd(n1, n2), x = n1/h, y = n2/h, any t >= x*y splits as
+    t = a*x + b*y; each output member is (I_a x A_i) direct-sum (I_b x B_i).
+    Symmetry of both inputs carries over to the output.
+    """
+    a, b, trace = _coprime_plan(w1, w2, t)
+    m1, m2 = w1.matrix, w2.matrix
+    assert isinstance(m1, SignedVarMatrix) and isinstance(m2, SignedVarMatrix)
+    codes = _block_diagonal(((a, m1.codes), (b, m2.codes)))
+    xm = SignedVarMatrix._adopt(codes, m1.num_vars)
+    claim = w1.claim
+    assert isinstance(claim, ODType)
+    out = _od_witness(xm, ODType(xm.order, claim.type_tuple), trace)
     if w1.structure.symmetric and w2.structure.symmetric:
         if not out.structure.symmetric:
             raise VerificationInternalError("combination of symmetric inputs lost symmetry")
+    return out
+
+
+def _rebase(trace: Trace, seed: Trace, node: Trace) -> Trace:
+    """``trace`` with its sub-recipe ``seed``, reached through first subs,
+    replaced by ``node``."""
+    if trace is seed:
+        return node
+    if not trace.subs:
+        raise ConstructionError("the finished seed's recipe does not contain its seed")
+    return replace(trace, subs=(_rebase(trace.subs[0], seed, node),) + trace.subs[1:])
+
+
+def combine_finished_seeds(
+    first: tuple[Witness, Witness], second: tuple[Witness, Witness], t: int
+) -> Witness:
+    """The weighing matrix that finishing ``combine_coprime(A, B, t)`` gives,
+    built from the finished seeds instead of the order-h*t design.
+
+    ``first`` is the design A with the weighing matrix F1 it finishes to,
+    ``second`` is B with F2.  The finishing step, the same for both, is a
+    chain of variable merges, collapse to weighing and unit-slot extraction.
+    Each acts entrywise, or block by block on a block-diagonal design, so
+    finishing (I_a x A) (+) (I_b x B) gives (I_a x F1) (+) (I_b x F2).  That
+    matrix is written into one grid and verified once, at order h*t.  Its
+    recipe is F1's with A's replaced by the combine-coprime node, so replay
+    runs the finishing step on the combined design.
+    """
+    (w1, f1), (w2, f2) = first, second
+    a, b, combined = _coprime_plan(w1, w2, t)
+    c1, c2 = f1.claim, f2.claim
+    if not (isinstance(c1, WeighingType) and isinstance(c2, WeighingType)):
+        raise ConstructionError("finished seeds must be weighing-matrix witnesses")
+    if c1.weight != c2.weight or (c1.order, c2.order) != (w1.order, w2.order):
+        raise ConstructionError("finished seeds must share a weight and their seeds' orders")
+    grid = _block_diagonal(((a, f1.matrix.entries), (b, f2.matrix.entries)))
+    trace = _rebase(f1.trace, w1.trace, combined)
+    out = _weighing_witness(IntMatrix._adopt(grid), grid.shape[0], c1.weight, trace)
+    for shape in ("symmetric", "skew_symmetric"):
+        kept = getattr(f1.structure, shape) and getattr(f2.structure, shape)
+        if kept and not getattr(out.structure, shape):
+            raise VerificationInternalError(f"combination of finished seeds lost {shape}")
     return out
 
 
@@ -1269,7 +1336,7 @@ def collapse_od_to_weighing(w: Witness) -> Witness:
         raise ConstructionError("collapse_od_to_weighing expects a design witness")
     matrix = w.matrix
     assert isinstance(matrix, SignedVarMatrix)
-    flat = to_weighing_matrix(matrix)
+    flat = _substitute_variables(matrix, {i: 1 for i in range(1, matrix.num_vars + 1)})
     claim = w.claim
     assert isinstance(claim, ODType)
     k = claim.total_weight
@@ -1304,7 +1371,7 @@ def merge_od_variables(
         mapping[old] = 0
     if set(mapping) != set(range(1, claim.num_vars + 1)):
         raise ConstructionError("groups and zeros must partition the variables")
-    merged = specialize_variables(matrix, mapping)
+    merged = _substitute_variables(matrix, mapping)
     assert isinstance(merged, SignedVarMatrix)
     new_type = tuple(
         sum(claim.type_tuple[old - 1] for old in group) for group in groups

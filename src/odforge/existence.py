@@ -36,7 +36,7 @@ from .constructions import (
     block_array_od,
     circulant_cw,
     collapse_od_to_weighing,
-    combine_coprime,
+    combine_finished_seeds,
     identity_weighing,
     merge_od_variables,
     minimal_pow2_exponent,
@@ -487,13 +487,21 @@ def bound_N(
 # ---------------------------------------------------------------------------
 # Seed pairs for the combination routes (cached; verified on construction)
 # ---------------------------------------------------------------------------
+#
+# Each seed is cached as a pair: the design, and the weighing matrix a route
+# finishes it into.  Past the threshold combine_finished_seeds assembles the
+# answer from the two finished seeds, not from their order-h*t combination.
 
 
 @lru_cache(maxsize=64)
-def _sym_square_seeds(k: int, search_ms: int) -> tuple[Witness, Witness]:
+def _sym_square_seeds(
+    k: int, search_ms: int
+) -> tuple[tuple[Witness, Witness], tuple[Witness, Witness]]:
+    """The sym-square seed designs of type (k,), odd order first, each with
+    the weighing matrix it collapses to."""
     odd = od_from_weighing(symmetric_w_square_odd(k, search_ms=search_ms))
     pow2 = od_from_weighing(collapse_od_to_weighing(symmetric_od_pow2(k)))
-    return odd, pow2
+    return (odd, collapse_od_to_weighing(odd)), (pow2, collapse_od_to_weighing(pow2))
 
 
 def _seed_order(bound: BoundDerivation) -> int:
@@ -514,22 +522,39 @@ def _drop_padded_zeros(witness: Witness, weights: tuple[int, ...]) -> Witness:
     return merge_od_variables(witness, groups, tuple(slot for slot, w in slots if not w))
 
 
+def _skew_finish(witness: Witness) -> Witness:
+    """Merge a (1, k2, ..., kl) design to (1, k) and extract the skew
+    weighing matrix."""
+    claim = witness.claim
+    assert isinstance(claim, ODType)
+    if claim.num_vars > 2:
+        witness = merge_od_variables(
+            witness, [(1,), tuple(range(2, claim.num_vars + 1))]
+        )
+    return skew_weighing_from_unit_slot(witness)
+
+
 @lru_cache(maxsize=256)
-def _skew_seed(bound: BoundDerivation, pow2: bool, search_ms: int) -> Witness:
+def _skew_seed(
+    bound: BoundDerivation, pow2: bool, search_ms: int
+) -> tuple[Witness, Witness]:
     """The odd-order seed of a skew family's derivation, or with ``pow2`` its
-    power-of-two seed; both have type (1, ...) summing to 1 + k."""
+    power-of-two seed, of type (1, ...) summing to 1 + k; with the skew
+    weighing matrix it finishes to."""
     spec = FAMILIES[bound.family]
-    if not pow2:
-        return block_array_od(bound.h, spec.odd_roots(bound.ks), search_ms=search_ms)
     weights = spec.pow2_weights(bound.ks)
-    if bound.h == 2:
-        return small_od_provider(ODType(bound.pow2_order, weights), search_ms=search_ms)
-    padded = tuple(max(w, 1) for w in weights)
-    base = skew_od_pow2_four(*padded, search_ms=search_ms)
-    if bound.h == 8:
-        base = add_identity_variable(base)
-        weights = _with_unit(weights)
-    return _drop_padded_zeros(base, weights)
+    if not pow2:
+        design = block_array_od(bound.h, spec.odd_roots(bound.ks), search_ms=search_ms)
+    elif bound.h == 2:
+        design = small_od_provider(ODType(bound.pow2_order, weights), search_ms=search_ms)
+    else:
+        padded = tuple(max(w, 1) for w in weights)
+        base = skew_od_pow2_four(*padded, search_ms=search_ms)
+        if bound.h == 8:
+            base = add_identity_variable(base)
+            weights = _with_unit(weights)
+        design = _drop_padded_zeros(base, weights)
+    return design, _skew_finish(design)
 
 
 # ---------------------------------------------------------------------------
@@ -576,31 +601,17 @@ def _symmetric_route(query: Query, search_ms: int) -> Verdict:
     if n == bound.odd_order:
         return Verdict.exists(symmetric_w_square_odd(k, search_ms=search_ms))
     if bound.materializable and n == bound.pow2_order:
-        _, pow2 = _sym_square_seeds(k, search_ms)
-        return Verdict.exists(collapse_od_to_weighing(pow2))
+        _, (_, pow2) = _sym_square_seeds(k, search_ms)
+        return Verdict.exists(pow2)
     if n >= bound.N:
         if not bound.materializable:
             return Verdict.unknown(
                 "the power-of-two seed is beyond desk scale", bound
             )
-        odd, pow2 = _sym_square_seeds(k, search_ms)
-        combined = combine_coprime(odd, pow2, n)
-        return Verdict.exists(collapse_od_to_weighing(combined))
+        return Verdict.exists(combine_finished_seeds(*_sym_square_seeds(k, search_ms), n))
     return Verdict.unknown(
         f"order {n} is below the combination threshold {bound.N}", bound
     )
-
-
-def _skew_verdict_from_unit_type(witness: Witness) -> Verdict:
-    """Collapse a (1, k2, ..., kl) design to (1, k) and extract the skew
-    weighing matrix."""
-    claim = witness.claim
-    assert isinstance(claim, ODType)
-    if claim.num_vars > 2:
-        witness = merge_od_variables(
-            witness, [(1,), tuple(range(2, claim.num_vars + 1))]
-        )
-    return Verdict.exists(skew_weighing_from_unit_slot(witness))
 
 
 def _skew_route(query: Query, search_ms: int) -> Verdict:
@@ -620,20 +631,17 @@ def _skew_route(query: Query, search_ms: int) -> Verdict:
         h = bound.h
         seed_order = _seed_order(bound)
         if n == seed_order:
-            return _skew_verdict_from_unit_type(_skew_seed(bound, False, search_ms))
+            return Verdict.exists(_skew_seed(bound, False, search_ms)[1])
         if n == bound.pow2_order and bound.materializable:
-            return _skew_verdict_from_unit_type(_skew_seed(bound, True, search_ms))
+            return Verdict.exists(_skew_seed(bound, True, search_ms)[1])
         if n % h == 0 and n // h >= bound.N:
             if not bound.materializable:
                 return Verdict.unknown(
                     "the power-of-two seed is beyond desk scale", bound
                 )
-            combined = combine_coprime(
-                _skew_seed(bound, False, search_ms),
-                _skew_seed(bound, True, search_ms),
-                n // h,
-            )
-            return _skew_verdict_from_unit_type(combined)
+            return Verdict.exists(combine_finished_seeds(
+                _skew_seed(bound, False, search_ms), _skew_seed(bound, True, search_ms), n // h
+            ))
         if n == bound.pow2_order:
             attempts.append(
                 f"{family}: the power-of-two seed of order {n} was not built "

@@ -724,7 +724,7 @@ def verify_weighing(w: IntMatrix, k: int) -> CheckReport:
                 return CheckReport(False, "entry outside {0,+1,-1}", (int(i), int(j)))
         arr = arr.astype(np.int64)
     else:
-        outside = np.abs(arr) > 1
+        outside = (arr < -1) | (arr > 1)
         if outside.any():
             r, c = np.argwhere(outside)[0]
             return CheckReport(False, "entry outside {0,+1,-1}", (int(r), int(c)))
@@ -791,20 +791,11 @@ def substitute_integers(x: SignedVarMatrix, values: Sequence[int]) -> IntMatrix:
     return IntMatrix(table[x.codes + x.num_vars])
 
 
-def specialize_variables(
+def _substitute_variables(
     x: SignedVarMatrix, mapping: Mapping[int, Union[int, Var]]
 ) -> Matrix:
-    """Substitute each variable by another variable, 0, +1, or -1.
-
-    The mapping must be total on x's variables.  Merging x_i -> x_j adds the
-    weights of the two slots; sending x_i -> 0 deletes its slot.  Constant
-    targets +1/-1 cannot be mixed with variable targets (the entry types do
-    not admit mixed symbolic/numeric cells); an all-constant mapping yields an
-    IntMatrix.  Surviving variables are renumbered 1..l' preserving their
-    original order.  The result is re-verified; failure raises
-    VerificationInternalError because the merge rules preserve the design
-    property by construction.
-    """
+    """The substitution of ``specialize_variables`` without its re-check, for
+    callers that verify the result themselves."""
     if not isinstance(x, SignedVarMatrix):
         raise MatrixError("specialize_variables needs a symbolic matrix")
     l = x.num_vars
@@ -831,33 +822,44 @@ def specialize_variables(
     if var_targets:
         kept = sorted(set(var_targets))
         renumber = {old: new for new, old in enumerate(kept, start=1)}
-        images = []
+        table = np.zeros(2 * l + 1, dtype=np.int64)
         for i in range(1, l + 1):
             tgt = mapping[i]
-            images.append(renumber[tgt.index] if isinstance(tgt, Var) else 0)
-        table = np.zeros(2 * l + 1, dtype=np.int64)
-        for i, img in enumerate(images, start=1):
+            img = renumber[tgt.index] if isinstance(tgt, Var) else 0
             table[l + i] = img
             table[l - i] = -img
-        out = SignedVarMatrix(table[x.codes + x.num_vars], len(kept))
-        first_row = np.abs(out.codes[0])
-        weights = [int(np.count_nonzero(first_row == j)) for j in range(1, len(kept) + 1)]
-        rep = _family_report(out.codes, weights, _VARIABLE_LABEL)
-        if not rep.ok:
-            raise VerificationInternalError(
-                f"specialized matrix failed re-verification: {rep.message()}"
-            )
-        return out
+        return SignedVarMatrix._adopt(table[x.codes + l], len(kept))
+    table = _substitution_table(x, [int(mapping[i]) for i in range(1, l + 1)])
+    return IntMatrix._adopt(table[x.codes + l])
 
-    values = [int(mapping[i]) for i in range(1, l + 1)]
-    out_int = substitute_integers(x, values)
-    weight = int(np.abs(out_int.entries.astype(np.int64))[0].sum())
-    rep = verify_weighing(out_int, weight)
+
+def specialize_variables(
+    x: SignedVarMatrix, mapping: Mapping[int, Union[int, Var]]
+) -> Matrix:
+    """Substitute each variable by another variable, 0, +1, or -1.
+
+    The mapping must be total on x's variables.  Merging x_i -> x_j adds the
+    weights of the two slots; sending x_i -> 0 deletes its slot.  Constant
+    targets +1/-1 cannot be mixed with variable targets (the entry types do
+    not admit mixed symbolic/numeric cells); an all-constant mapping yields an
+    IntMatrix.  Surviving variables are renumbered 1..l' preserving their
+    original order.  The result is re-verified; failure raises
+    VerificationInternalError because the merge rules preserve the design
+    property by construction.
+    """
+    out = _substitute_variables(x, mapping)
+    if isinstance(out, SignedVarMatrix):
+        first_row = np.abs(out.codes[0])
+        weights = [int(np.count_nonzero(first_row == j)) for j in range(1, out.num_vars + 1)]
+        rep = _family_report(out.codes, weights, _VARIABLE_LABEL)
+    else:
+        weight = int(np.abs(out.entries.astype(np.int64))[0].sum())
+        rep = verify_weighing(out, weight)
     if not rep.ok:
         raise VerificationInternalError(
             f"specialized matrix failed re-verification: {rep.message()}"
         )
-    return out_int
+    return out
 
 
 def to_weighing_matrix(x: SignedVarMatrix) -> IntMatrix:

@@ -6,6 +6,7 @@ enough to parse (matrices only), diagnostics go to stderr.
 
 import hashlib
 import random
+import time
 
 import numpy as np
 import pytest
@@ -363,6 +364,21 @@ class TestExists:
         code, out, err = run(capsys, "exists", "--n", "16", "--k", "9", "--structure", "skew")
         assert code == EXIT_OK
         assert out == "Exists: weighing matrix W(16,9)\n"
+
+    def test_spent_budget_builds_no_word_table(self, capsys):
+        # The Kronecker-word table at order 64 took about 1 s per call to
+        # build before the 1 ms deadline was looked at; the answer is the same.
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "exists", "--n", "512", "--k", "32", "--structure", "skew",
+            "--search-ms", "1",
+        )
+        assert time.perf_counter() - start < 0.5
+        assert code == EXIT_ERROR
+        assert out == (
+            "Undecided: a design the route needs could not be built: no strategy "
+            "produced OD(order=64, type=(1, 16, 16))\n"
+        )
 
     def test_zero_diag_not_exists(self, capsys):
         code, out, err = run(

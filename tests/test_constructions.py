@@ -1,17 +1,21 @@
 """Constructive builders: every routine's output is re-checked here against
 definition-level oracles, and every recipe replays to the same matrix."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from odforge import constructions
 from odforge.constructions import (
     ConstructionError,
     UnsupportedParameterError,
     Witness,
     _cw_block,
     _normalized_unit_family,
+    _search_monomial_design,
     _skew_weighing_pow2,
     _word_compatibility,
     _word_digits,
@@ -194,6 +198,21 @@ class TestWordCompatibility:
                     mats[i] @ mats[j].T, -(mats[j] @ mats[i].T)
                 )
                 assert table[i, j] == (disjoint and anti), (i, j)
+
+
+    @pytest.mark.parametrize("pairs", [64, 5 * 64, 7 * 256])
+    def test_row_blocks_match_one_block(self, monkeypatch, pairs):
+        whole = {e: _word_compatibility(e) for e in (3, 4)}
+        monkeypatch.setattr(constructions, "_WORD_BLOCK_PAIRS", pairs)
+        for exponent, table in whole.items():
+            assert np.array_equal(_word_compatibility(exponent), table)
+
+    def test_passed_deadline_builds_nothing(self):
+        past = time.monotonic() - 1.0
+        start = time.perf_counter()
+        assert _word_compatibility(6, past) is None
+        assert _search_monomial_design(ODType(64, (1, 16, 16)), past) is None
+        assert time.perf_counter() - start < 0.1
 
 
 class TestProvider:

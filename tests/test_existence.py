@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from odforge import constructions, matrices
 from odforge.arith import is_sum_of_three_squares
 from odforge.existence import (
     BOUND_FAMILIES,
@@ -229,6 +230,42 @@ class TestBudgetIndependentBounds:
             "weight-capacity rule (total 17 <= 2**t - 2)); skew-4n: order must be"
         )
 
+
+
+class TestVerifyOnce:
+    """Past the threshold the route assembles the witness from verified,
+    finished seeds: with the seed caches warm, the only check of an order-n
+    matrix is the returned witness's own verification and structure check."""
+
+    @pytest.mark.parametrize(
+        "query",
+        [Query(1600, 4, "skew"), Query(2400, 7, "skew"), Query(1000, 4, "symmetric")],
+    )
+    def test_one_check_at_order_n(self, monkeypatch, query):
+        assert exists_query(query).kind == "exists"  # warms the seed caches
+        calls = []
+
+        def spy(module, name):
+            original = getattr(module, name)
+
+            def counted(m, *args, **kwargs):
+                arr = m if isinstance(m, np.ndarray) else getattr(m, "entries", None)
+                arr = m.codes if arr is None else arr
+                if arr.shape[0] == query.n:
+                    calls.append((name, arr))
+                return original(m, *args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        for module in (constructions, matrices):
+            for name in ("verify_weighing", "verify_od", "structure_check"):
+                spy(module, name)
+        spy(matrices, "_family_report")
+        witness = exists_query(query).witness
+        assert [name for name, _ in calls] == [
+            "verify_weighing", "_family_report", "structure_check"
+        ]
+        assert all(arr is witness.matrix.entries for _, arr in calls)
 
 
 class TestSkewSeedOrders:
