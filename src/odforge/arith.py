@@ -52,12 +52,13 @@ def is_sum_of_three_squares(k: int) -> bool:
     return k % 8 != 7
 
 
-def decompose_three_squares(k: int) -> tuple[int, int, int] | None:
-    """Lexicographically smallest sorted (a, b, c) with a^2+b^2+c^2 = k, else None."""
-    k = _check_nonneg(k)
+def _lex_three(k: int, lo: int) -> tuple[int, int, int] | None:
+    """Lexicographically smallest sorted (a, b, c) with lo <= a and
+    a^2+b^2+c^2 = k, else None.  A k that is no sum of three squares is
+    answered by the residue test, not by exhausting the search."""
     if not is_sum_of_three_squares(k):
         return None
-    for a in range(isqrt(k // 3) + 1):
+    for a in range(lo, isqrt(k // 3) + 1):
         rest_a = k - a * a
         b = a
         while 2 * b * b <= rest_a:
@@ -66,25 +67,31 @@ def decompose_three_squares(k: int) -> tuple[int, int, int] | None:
             if c * c == c2 and c >= b:
                 return (a, b, c)
             b += 1
-    # unreachable for representable k; defensive
+    return None
+
+
+def decompose_three_squares(k: int) -> tuple[int, int, int] | None:
+    """Lexicographically smallest sorted (a, b, c) with a^2+b^2+c^2 = k, else None."""
+    return _lex_three(_check_nonneg(k), 0)
+
+
+def _lex_four(k: int, lo: int) -> tuple[int, int, int, int] | None:
+    """Lexicographically smallest sorted (a, b, c, d) with lo <= a and
+    squares summing to k, else None: the smallest a whose remainder has a
+    three-square decomposition with parts at least a."""
+    for a in range(lo, isqrt(k // 4) + 1):
+        rest = _lex_three(k - a * a, a)
+        if rest is not None:
+            return (a,) + rest
     return None
 
 
 def decompose_four_squares(k: int) -> tuple[int, int, int, int]:
     """Lexicographically smallest sorted (a, b, c, d) with squares summing to k."""
-    k = _check_nonneg(k)
-    for a in range(isqrt(k // 4) + 1):
-        rest_a = k - a * a
-        for b in range(a, isqrt(rest_a // 3) + 1):
-            rest_b = rest_a - b * b
-            c = b
-            while 2 * c * c <= rest_b:
-                d2 = rest_b - c * c
-                d = isqrt(d2)
-                if d * d == d2 and d >= c:
-                    return (a, b, c, d)
-                c += 1
-    raise ArithmeticError_(f"no four-square decomposition found for {k} (impossible)")
+    quad = _lex_four(_check_nonneg(k), 0)
+    if quad is None:
+        raise ArithmeticError_(f"no four-square decomposition found for {k} (impossible)")
+    return quad
 
 
 def decompose_two_nonzero_squares(k: int) -> tuple[int, int] | None:
@@ -100,19 +107,7 @@ def decompose_two_nonzero_squares(k: int) -> tuple[int, int] | None:
 
 def decompose_four_nonzero_squares(k: int) -> tuple[int, int, int, int] | None:
     """Like decompose_four_squares but with all four parts positive, else None."""
-    k = _check_nonneg(k)
-    for a in range(1, isqrt(k // 4) + 1):
-        rest_a = k - a * a
-        for b in range(a, isqrt(rest_a // 3) + 1):
-            rest_b = rest_a - b * b
-            c = b
-            while 2 * c * c <= rest_b:
-                d2 = rest_b - c * c
-                d = isqrt(d2)
-                if d * d == d2 and d >= max(c, 1) and c >= 1:
-                    return (a, b, c, d)
-                c += 1
-    return None
+    return _lex_four(_check_nonneg(k), 1)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -343,6 +344,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser for the odforge command line.  Each subcommand sets
+    ``func`` to the name of its handler, which :func:`main` looks up in this
+    module when it runs, so one parser serves every call in a process."""
     parser = _Parser(
         prog="odforge",
         description="Construct, verify, and decide existence of weighing "
@@ -357,12 +361,12 @@ def build_parser() -> argparse.ArgumentParser:
     cw.add_argument("--q", type=int, required=True, help="prime power")
     cw.add_argument("--spread", type=int, help="stretch the order by this factor")
     _add_common(cw)
-    cw.set_defaults(func=_cmd_construct_cw)
+    cw.set_defaults(func="_cmd_construct_cw")
 
     sym_od = csub.add_parser("sym-od", help="symmetric design of order 2**k, k unit weights")
     sym_od.add_argument("--k", type=int, required=True)
     _add_common(sym_od)
-    sym_od.set_defaults(func=_cmd_construct_sym_od)
+    sym_od.set_defaults(func="_cmd_construct_sym_od")
 
     od = csub.add_parser("od", help="orthogonal design via a block array")
     od.add_argument(
@@ -379,17 +383,17 @@ def build_parser() -> argparse.ArgumentParser:
         "entries for skew4)",
     )
     _add_common(od)
-    od.set_defaults(func=_cmd_construct_od)
+    od.set_defaults(func="_cmd_construct_od")
 
     sym_w = csub.add_parser("sym-w", help="symmetric weighing matrix W(n,k)")
     sym_w.add_argument("--k", type=int, required=True)
     sym_w.add_argument("--n", type=int, required=True)
     _add_common(sym_w)
-    sym_w.set_defaults(func=_cmd_construct_sym_w)
+    sym_w.set_defaults(func="_cmd_construct_sym_w")
 
     verify = sub.add_parser("verify", help="check a matrix file")
     verify.add_argument("--file", required=True)
-    verify.set_defaults(func=_cmd_verify)
+    verify.set_defaults(func="_cmd_verify")
 
     exists = sub.add_parser("exists", help="decide an existence query")
     exists.add_argument("--n", type=int, required=True)
@@ -397,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     exists.add_argument("--structure", default="plain", choices=STRUCTURES)
     exists.add_argument("--zero-diag", action="store_true")
     _add_common(exists)
-    exists.set_defaults(func=_cmd_exists)
+    exists.set_defaults(func="_cmd_exists")
 
     bound = sub.add_parser("bound", help="explicit order threshold for a family")
     bound.add_argument("--k", type=int, required=True)
@@ -407,21 +411,26 @@ def build_parser() -> argparse.ArgumentParser:
     bound.add_argument(
         "--search-ms", type=int, default=DEFAULT_SEARCH_MS, help=argparse.SUPPRESS
     )
-    bound.set_defaults(func=_cmd_bound)
+    bound.set_defaults(func="_cmd_bound")
 
     decompose = sub.add_parser("decompose", help="write k as a sum of squares")
     decompose.add_argument("--k", type=int, required=True)
     decompose.add_argument("--squares", type=int, required=True, choices=(3, 4))
-    decompose.set_defaults(func=_cmd_decompose)
+    decompose.set_defaults(func="_cmd_decompose")
 
     return parser
 
 
+@cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser main reuses, built on its first call, not at import."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[args.func](args)
     except UnsupportedParameterError as err:
         _err(f"unsupported parameters: {err}")
         if err.strategies:

@@ -74,6 +74,7 @@ __all__ = [
     "add_identity_variable",
     "combine_coprime",
     "combine_finished_seeds",
+    "SeedRecipe",
     "symmetric_w_square_odd",
     "two_square_od",
     "goethals_seidel_od",
@@ -897,13 +898,28 @@ def _block_diagonal(blocks: Sequence[tuple[int, np.ndarray]]) -> np.ndarray:
     return grid
 
 
-def _coprime_plan(w1: Witness, w2: Witness, t: int) -> tuple[int, int, Trace]:
+@dataclass(frozen=True)
+class SeedRecipe:
+    """A seed design's claim and recipe without its matrix: all that
+    combining its finished form reads of the design."""
+
+    claim: ODType
+    trace: Trace
+
+    @staticmethod
+    def of(w: Witness) -> "SeedRecipe":
+        assert isinstance(w.claim, ODType)
+        return SeedRecipe(w.claim, w.trace)
+
+
+def _coprime_plan(
+    w1: Union[Witness, SeedRecipe], w2: Union[Witness, SeedRecipe], t: int
+) -> tuple[int, int, Trace]:
     """Check that two designs share a type and that t reaches the threshold;
     returns the multiplicities a, b of t = a*x + b*y and the recipe."""
-    if not (w1.is_od and w2.is_od):
-        raise ConstructionError("combine_coprime expects two design witnesses")
     c1, c2 = w1.claim, w2.claim
-    assert isinstance(c1, ODType) and isinstance(c2, ODType)
+    if not (isinstance(c1, ODType) and isinstance(c2, ODType)):
+        raise ConstructionError("combine_coprime expects two design witnesses")
     if c1.type_tuple != c2.type_tuple:
         raise ConstructionError(
             f"type tuples differ: {c1.type_tuple} vs {c2.type_tuple}"
@@ -964,13 +980,13 @@ def _rebase(trace: Trace, seed: Trace, node: Trace) -> Trace:
 
 
 def combine_finished_seeds(
-    first: tuple[Witness, Witness], second: tuple[Witness, Witness], t: int
+    first: tuple[SeedRecipe, Witness], second: tuple[SeedRecipe, Witness], t: int
 ) -> Witness:
     """The weighing matrix that finishing ``combine_coprime(A, B, t)`` gives,
     built from the finished seeds instead of the order-h*t design.
 
-    ``first`` is the design A with the weighing matrix F1 it finishes to,
-    ``second`` is B with F2.  The finishing step, the same for both, is a
+    ``first`` is the recipe of the design A with the weighing matrix F1 it
+    finishes to, ``second`` is B's with F2.  The finishing step, the same for both, is a
     chain of variable merges, collapse to weighing and unit-slot extraction.
     Each acts entrywise, or block by block on a block-diagonal design, so
     finishing (I_a x A) (+) (I_b x B) gives (I_a x F1) (+) (I_b x F2).  That
@@ -983,7 +999,7 @@ def combine_finished_seeds(
     c1, c2 = f1.claim, f2.claim
     if not (isinstance(c1, WeighingType) and isinstance(c2, WeighingType)):
         raise ConstructionError("finished seeds must be weighing-matrix witnesses")
-    if c1.weight != c2.weight or (c1.order, c2.order) != (w1.order, w2.order):
+    if c1.weight != c2.weight or (c1.order, c2.order) != (w1.claim.order, w2.claim.order):
         raise ConstructionError("finished seeds must share a weight and their seeds' orders")
     grid = _block_diagonal(((a, f1.matrix.entries), (b, f2.matrix.entries)))
     trace = _rebase(f1.trace, w1.trace, combined)

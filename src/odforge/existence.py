@@ -30,6 +30,7 @@ from .arith import (
 )
 from .constructions import (
     DEFAULT_SEARCH_MS,
+    SeedRecipe,
     UnsupportedParameterError,
     Witness,
     add_identity_variable,
@@ -388,24 +389,36 @@ BOUND_FAMILIES = tuple(FAMILIES)
 # ---------------------------------------------------------------------------
 
 
-def _provider_minimal_exponent(
-    type_tuple: tuple[int, ...], search_ms: int
-) -> tuple[int, bool, str]:
+@lru_cache(maxsize=256)
+def _built_exponent(type_tuple: tuple[int, ...], search_ms: int) -> int:
     """Smallest exponent t whose order-2**t design of this type the provider
-    can actually build (tried up to 2**4); when none works, fall back to the
-    smallest t >= 3 with total weight <= 2**t - 2.  Returns (t, built, note)."""
-    total = sum(type_tuple)
-    for t in range(minimal_pow2_exponent(total), 5):
+    builds, tried up to 2**4.  Raises UnsupportedParameterError when none is
+    built; the cache keeps no exception, so a failed lookup searches again."""
+    for t in range(minimal_pow2_exponent(sum(type_tuple)), 5):
         try:
             small_od_provider(ODType(1 << t, type_tuple), search_ms=search_ms)
         except UnsupportedParameterError:
             continue
-        return t, True, f"power-of-two seed materialized at order {1 << t}"
-    t = max(3, minimal_pow2_exponent(total + 2))
-    return t, False, (
-        f"power-of-two seed not materialized; exponent {t} from the "
-        f"weight-capacity rule (total {total} <= 2**t - 2)"
-    )
+        return t
+    raise UnsupportedParameterError(f"no power-of-two design of type {type_tuple} built")
+
+
+def _provider_minimal_exponent(
+    type_tuple: tuple[int, ...], search_ms: int
+) -> tuple[int, bool, str]:
+    """The built exponent of ``_built_exponent``; when none works, fall back
+    to the smallest t >= 3 with total weight <= 2**t - 2.  Returns (t, built,
+    note)."""
+    try:
+        t = _built_exponent(type_tuple, search_ms)
+    except UnsupportedParameterError:
+        total = sum(type_tuple)
+        t = max(3, minimal_pow2_exponent(total + 2))
+        return t, False, (
+            f"power-of-two seed not materialized; exponent {t} from the "
+            f"weight-capacity rule (total {total} <= 2**t - 2)"
+        )
+    return t, True, f"power-of-two seed materialized at order {1 << t}"
 
 
 def bound_N(
@@ -488,20 +501,24 @@ def bound_N(
 # Seed pairs for the combination routes (cached; verified on construction)
 # ---------------------------------------------------------------------------
 #
-# Each seed is cached as a pair: the design, and the weighing matrix a route
-# finishes it into.  Past the threshold combine_finished_seeds assembles the
-# answer from the two finished seeds, not from their order-h*t combination.
+# Each seed is cached as a pair: the design's claim and recipe, and the
+# weighing matrix a route finishes it into.  Past the threshold
+# combine_finished_seeds assembles the answer from the two finished seeds, not
+# from their order-h*t combination, so the design matrices are not kept.
 
 
 @lru_cache(maxsize=64)
 def _sym_square_seeds(
     k: int, search_ms: int
-) -> tuple[tuple[Witness, Witness], tuple[Witness, Witness]]:
+) -> tuple[tuple[SeedRecipe, Witness], tuple[SeedRecipe, Witness]]:
     """The sym-square seed designs of type (k,), odd order first, each with
     the weighing matrix it collapses to."""
     odd = od_from_weighing(symmetric_w_square_odd(k, search_ms=search_ms))
     pow2 = od_from_weighing(collapse_od_to_weighing(symmetric_od_pow2(k)))
-    return (odd, collapse_od_to_weighing(odd)), (pow2, collapse_od_to_weighing(pow2))
+    return (
+        (SeedRecipe.of(odd), collapse_od_to_weighing(odd)),
+        (SeedRecipe.of(pow2), collapse_od_to_weighing(pow2)),
+    )
 
 
 def _seed_order(bound: BoundDerivation) -> int:
@@ -537,10 +554,10 @@ def _skew_finish(witness: Witness) -> Witness:
 @lru_cache(maxsize=256)
 def _skew_seed(
     bound: BoundDerivation, pow2: bool, search_ms: int
-) -> tuple[Witness, Witness]:
-    """The odd-order seed of a skew family's derivation, or with ``pow2`` its
-    power-of-two seed, of type (1, ...) summing to 1 + k; with the skew
-    weighing matrix it finishes to."""
+) -> tuple[SeedRecipe, Witness]:
+    """The recipe of the odd-order seed of a skew family's derivation, or
+    with ``pow2`` of its power-of-two seed, of type (1, ...) summing to
+    1 + k; with the skew weighing matrix the seed finishes to."""
     spec = FAMILIES[bound.family]
     weights = spec.pow2_weights(bound.ks)
     if not pow2:
@@ -554,7 +571,7 @@ def _skew_seed(
             base = add_identity_variable(base)
             weights = _with_unit(weights)
         design = _drop_padded_zeros(base, weights)
-    return design, _skew_finish(design)
+    return SeedRecipe.of(design), _skew_finish(design)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ parsed file reproduces it byte for byte.
 
 Both directions are table-driven, a constant number of C-level calls per
 row.  Emission indexes one token table (codes -l..l, or -1..1 for weighing)
-with the whole code array and joins rows.  Parsing maps each row's tokens
+with a block of rows of the code array at a time and joins rows.  Parsing maps each row's tokens
 through one dict of the canonical tokens (plus the weighing aliases); a row
 the dict does not cover, such as one spelling an index ``+02``, is read
 token by token, which accepts the same spellings as the table and reports
@@ -179,6 +179,11 @@ def parse_matrix_file(text: str) -> tuple[Matrix, Claim, tuple[str, ...]]:
     return SignedVarMatrix._adopt(grid, claim.num_vars), claim, flags
 
 
+# Cells per row block of emission: the token lists of one block are alive
+# at a time, not those of the whole matrix.
+_EMIT_BLOCK_CELLS = 1 << 16
+
+
 def emit_matrix_file(
     matrix: Matrix, claim: Claim, flags: Sequence[str] = ()
 ) -> str:
@@ -209,18 +214,24 @@ def emit_matrix_file(
         raise MatrixFileError(
             f"matrix shape {payload.shape} does not match claimed order {claim.order}"
         )
-    if isinstance(claim, WeighingType):
-        outside = (payload < -1) | (payload > 1)
-        if outside.any():
-            value = int(payload.flat[int(np.argmax(outside))])
-            raise MatrixFileError(
-                f"weighing entries must lie in {{0, +1, -1}}, got {value}"
-            )
+    weighing = isinstance(claim, WeighingType)
+    if weighing:
         l, tokens = 1, ["-", "0", "+"]
     else:
         # SignedVarMatrix keeps every code magnitude within num_vars.
         l, tokens = claim.num_vars, _od_tokens(claim.num_vars)
     table = np.array(tokens, dtype=object)
     lines = [header]
-    lines += map(" ".join, table[payload.astype(np.intp) + l].tolist())
-    return "\n".join(lines) + "\n"
+    step = max(1, _EMIT_BLOCK_CELLS // claim.order)
+    for start in range(0, claim.order, step):
+        block = payload[start : start + step]
+        if weighing:
+            outside = (block < -1) | (block > 1)
+            if outside.any():
+                value = int(block.flat[int(np.argmax(outside))])
+                raise MatrixFileError(
+                    f"weighing entries must lie in {{0, +1, -1}}, got {value}"
+                )
+        lines += map(" ".join, table[block + l].tolist())
+    lines.append("")  # the trailing newline, without copying the joined text
+    return "\n".join(lines)

@@ -247,6 +247,43 @@ def three_squares_oracle(k):
     return False
 
 
+def reference_three_squares(k):
+    """Lexicographically smallest sorted (a, b, c) with squares summing to k,
+    else None: the full search the library ran before its residue test."""
+    from math import isqrt
+
+    for a in range(isqrt(k // 3) + 1):
+        rest_a = k - a * a
+        b = a
+        while 2 * b * b <= rest_a:
+            c2 = rest_a - b * b
+            c = isqrt(c2)
+            if c * c == c2 and c >= b:
+                return (a, b, c)
+            b += 1
+    return None
+
+
+def reference_four_squares(k, nonzero=False):
+    """Lexicographically smallest sorted (a, b, c, d) with squares summing to
+    k (all parts positive with ``nonzero``), else None: the nested loops the
+    library ran before it searched through three squares."""
+    from math import isqrt
+
+    for a in range(1 if nonzero else 0, isqrt(k // 4) + 1):
+        rest_a = k - a * a
+        for b in range(a, isqrt(rest_a // 3) + 1):
+            rest_b = rest_a - b * b
+            c = b
+            while 2 * c * c <= rest_b:
+                d2 = rest_b - c * c
+                d = isqrt(d2)
+                if d * d == d2 and d >= c:
+                    return (a, b, c, d)
+                c += 1
+    return None
+
+
 def frobenius_oracle(x, y, n):
     """All (a, b) with a*x + b*y = n, by enumeration."""
     out = []

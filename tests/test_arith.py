@@ -1,6 +1,7 @@
 """Representation arithmetic against brute-force oracles."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,12 @@ from odforge.arith import (
     prime_factorization,
     prime_power_square_factorize,
 )
-from conftest import frobenius_oracle, three_squares_oracle
+from conftest import (
+    frobenius_oracle,
+    reference_four_squares,
+    reference_three_squares,
+    three_squares_oracle,
+)
 
 
 class TestThreeSquares:
@@ -76,6 +82,24 @@ class TestFourSquares:
         # small numbers with no all-positive representation
         for k in (1, 2, 3, 5, 8, 9, 11):
             assert decompose_four_nonzero_squares(k) is None
+
+    def test_matches_reference_loops_exhaustively(self):
+        for k in range(20001):
+            assert decompose_four_squares(k) == reference_four_squares(k), k
+        for k in range(5001):
+            assert decompose_three_squares(k) == reference_three_squares(k), k
+            assert decompose_four_nonzero_squares(k) == reference_four_squares(k, True), k
+
+    def test_matches_reference_loops_on_a_seeded_sample(self):
+        rng = random.Random(20261018)
+        for k in [rng.randrange(10**6) for _ in range(150)]:
+            assert decompose_four_squares(k) == reference_four_squares(k), k
+        # remainders k - a**2 of the form 4**l * (8m + 7) are the ones the
+        # residue test skips
+        for k in [4**l * (8 * m + 7) for l in range(4) for m in range(0, 3000, 331)]:
+            assert decompose_four_squares(k) == reference_four_squares(k), k
+        for k in [rng.randrange(10**6) for _ in range(50)]:
+            assert decompose_four_nonzero_squares(k) == reference_four_squares(k, True), k
 
     def test_two_nonzero(self):
         assert decompose_two_nonzero_squares(5) == (1, 2)

@@ -622,3 +622,52 @@ class TestOutputDiscipline:
         assert out == ""
         assert "wrote weighing matrix W(7,4)" in err
         parse_matrix_file(target.read_text())
+
+
+class TestParserReuse:
+    """main builds its parser on the first call and reuses it: no call's
+    outcome depends on the calls the shared parser served before it."""
+
+    def test_sequence_matches_fresh_parsers(self, capsys, monkeypatch, tmp_path):
+        import odforge.cli
+
+        bad = tmp_path / "bad.txt"
+        bad.write_text("W 3 2\n+ + 0\n+ 0 +\n0 + +\n")  # rows 1 and 2 meet in +1
+        sequence = [
+            ("exists", "--n", "130", "--k", "4"),
+            ("exists", "--n", "ten", "--k", "4"),
+            ("bound", "--k", "9", "--family", "skew-2n", "--trace"),
+            ("decompose", "--k", "310", "--squares", "4"),
+            ("verify", "--file", str(bad)),
+            ("exists", "--n", "1600", "--k", "4", "--structure", "skew"),
+        ]
+
+        def outcomes():
+            got = []
+            for argv in sequence:
+                try:
+                    code = main(list(argv))
+                except SystemExit as exc:
+                    code = exc.code
+                captured = capsys.readouterr()
+                got.append((code, captured.out, captured.err))
+            return got
+
+        shared = [outcomes(), outcomes()]
+        monkeypatch.setattr(odforge.cli, "_shared_parser", odforge.cli.build_parser)
+        fresh = [outcomes(), outcomes()]
+        assert shared == fresh
+        codes = [code for code, _, _ in fresh[0]]
+        assert codes == [EXIT_OK, EXIT_ERROR, EXIT_OK, EXIT_OK, EXIT_NEGATIVE, EXIT_OK]
+        assert fresh[0][1][2].endswith("argument --n: invalid int value: 'ten'\n")
+        assert fresh[0][4][1].startswith("FAIL W(3,2)")
+
+    def test_main_builds_the_parser_once(self, capsys, monkeypatch):
+        import odforge.cli
+
+        assert main(["decompose", "--k", "7", "--squares", "4"]) == EXIT_OK
+        monkeypatch.setattr(
+            odforge.cli, "build_parser", lambda: pytest.fail("main rebuilt its parser")
+        )
+        assert main(["decompose", "--k", "7", "--squares", "3"]) == EXIT_NEGATIVE
+        assert capsys.readouterr().out == "7 = 1^2 + 1^2 + 1^2 + 2^2\n7 is not a sum of three squares\n"

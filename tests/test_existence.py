@@ -267,6 +267,22 @@ class TestVerifyOnce:
         ]
         assert all(arr is witness.matrix.entries for _, arr in calls)
 
+    def test_warm_bound_verifies_no_seed(self, monkeypatch):
+        """The threshold a warm query reads names a power-of-two seed the
+        provider has built before: it is not built and verified again."""
+        query = Query(1600, 4, "skew")
+        assert exists_query(query).kind == "exists"  # warms the seed caches
+        reports = []
+        original = matrices._family_report
+
+        def counted(arr, *args, **kwargs):
+            reports.append(arr)
+            return original(arr, *args, **kwargs)
+
+        monkeypatch.setattr(matrices, "_family_report", counted)
+        witness = exists_query(query).witness
+        assert len(reports) == 1 and reports[0] is witness.matrix.entries
+
 
 class TestSkewSeedOrders:
     """The skew route compares n with the order of the odd seed it builds.
