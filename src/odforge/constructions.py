@@ -908,7 +908,6 @@ class SeedRecipe:
 
     @staticmethod
     def of(w: Witness) -> "SeedRecipe":
-        assert isinstance(w.claim, ODType)
         return SeedRecipe(w.claim, w.trace)
 
 
@@ -986,13 +985,14 @@ def combine_finished_seeds(
     built from the finished seeds instead of the order-h*t design.
 
     ``first`` is the recipe of the design A with the weighing matrix F1 it
-    finishes to, ``second`` is B's with F2.  The finishing step, the same for both, is a
-    chain of variable merges, collapse to weighing and unit-slot extraction.
-    Each acts entrywise, or block by block on a block-diagonal design, so
-    finishing (I_a x A) (+) (I_b x B) gives (I_a x F1) (+) (I_b x F2).  That
-    matrix is written into one grid and verified once, at order h*t.  Its
-    recipe is F1's with A's replaced by the combine-coprime node, so replay
-    runs the finishing step on the combined design.
+    finishes to, ``second`` is B's with F2.  The finishing step, the same
+    for both, is a chain of variable merges, collapse to weighing and
+    unit-slot extraction.  Each acts entrywise, or block by block on a
+    block-diagonal design, so finishing (I_a x A) (+) (I_b x B) gives
+    (I_a x F1) (+) (I_b x F2).  That matrix is written into one grid and
+    verified once, at order h*t.  Its recipe is F1's with A's replaced by
+    the combine-coprime node, so replay runs the finishing step on the
+    combined design.
     """
     (w1, f1), (w2, f2) = first, second
     a, b, combined = _coprime_plan(w1, w2, t)

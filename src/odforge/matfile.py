@@ -16,11 +16,11 @@ parsed file reproduces it byte for byte.
 
 Both directions are table-driven, a constant number of C-level calls per
 row.  Emission indexes one token table (codes -l..l, or -1..1 for weighing)
-with a block of rows of the code array at a time and joins rows.  Parsing maps each row's tokens
-through one dict of the canonical tokens (plus the weighing aliases); a row
-the dict does not cover, such as one spelling an index ``+02``, is read
-token by token, which accepts the same spellings as the table and reports
-the first bad token by line and position.
+with one block of rows of the code array at a time and joins rows.  Parsing
+maps each row's tokens through one dict of the canonical tokens (plus the
+weighing aliases); a row the dict does not cover, such as one spelling an
+index ``+02``, is read token by token, which accepts the same spellings as
+the table and reports the first bad token by line and position.
 """
 
 from __future__ import annotations
