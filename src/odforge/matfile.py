@@ -232,6 +232,6 @@ def emit_matrix_file(
                 raise MatrixFileError(
                     f"weighing entries must lie in {{0, +1, -1}}, got {value}"
                 )
-        lines += map(" ".join, table[block + l].tolist())
+        lines += map(" ".join, table[block.astype(np.intp) + l].tolist())
     lines.append("")  # the trailing newline, without copying the joined text
     return "\n".join(lines)

@@ -670,4 +670,6 @@ class TestParserReuse:
             odforge.cli, "build_parser", lambda: pytest.fail("main rebuilt its parser")
         )
         assert main(["decompose", "--k", "7", "--squares", "3"]) == EXIT_NEGATIVE
-        assert capsys.readouterr().out == "7 = 1^2 + 1^2 + 1^2 + 2^2\n7 is not a sum of three squares\n"
+        assert capsys.readouterr().out == (
+            "7 = 1^2 + 1^2 + 1^2 + 2^2\n7 is not a sum of three squares\n"
+        )

@@ -1,5 +1,7 @@
 """Text interchange format: parsing, emission, round trips, diagnostics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -145,6 +147,29 @@ class TestEmit:
         assert str(err.value) == (
             f"weighing entries must lie in {{0, +1, -1}}, got {10**30}"
         )
+
+    def test_first_out_of_range_entry_past_the_first_row_block(self):
+        grid = np.zeros((600, 600), dtype=np.int64)
+        grid[450, 7], grid[599, 0] = -3, 5
+        with pytest.raises(MatrixFileError) as err:
+            emit_matrix_file(IntMatrix._adopt(grid), WeighingType(600, 1))
+        assert str(err.value).endswith("got -3")
+
+    def test_large_matrix_holds_no_token_grid(self):
+        # A token list per entry of the whole matrix would be eight bytes per
+        # cell; emitted in row blocks, the peak is about the text twice over
+        # (the row strings and their join).
+        n = 1024
+        grid = np.random.default_rng(5).integers(-1, 2, size=(n, n))
+        matrix = IntMatrix._adopt(grid)
+        tracemalloc.start()
+        try:
+            text = emit_matrix_file(matrix, WeighingType(n, n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text == reference_emit_matrix_file(matrix, WeighingType(n, n))
+        assert peak < 3 * len(text)
 
     def test_design_codes_of_any_signed_dtype(self):
         codes = np.array([[1, -2], [2, 1]], dtype=np.int8)
