@@ -8,24 +8,27 @@ MANIFEST.txt line recording how it came to be.  The four entries:
 * order 4:  quaternion left-multiplication family
 * order 8:  octonion left-multiplication family (Fano-plane triple rule)
 * order 16: lexicographically first Kronecker-word family from the bounded
-            backtracking search
+            backtracking search below
 
 Run from anywhere; by default writes into src/odforge/data/catalog next to
-this script's repository root.
+this script's repository root.  The search lives here, not in the package:
+the program builds its power-of-two designs without searching.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import time
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+CATALOG_DIR = REPO_ROOT / "src" / "odforge" / "data" / "catalog"
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from odforge.constructions import _search_monomial_design  # noqa: E402
 from odforge.matfile import emit_matrix_file  # noqa: E402
 from odforge.matrices import (  # noqa: E402
     ODType,
@@ -33,6 +36,8 @@ from odforge.matrices import (  # noqa: E402
     structure_check,
     verify_od,
 )
+
+DEFAULT_SEARCH_MS = 30000
 
 # Fano-plane triples defining the octonion products: for (a, b, c) the cyclic
 # products are e_a e_b = e_c, e_b e_c = e_a, e_c e_a = e_b; reversing a pair
@@ -64,7 +69,91 @@ def octonion_codes(dim: int) -> np.ndarray:
     return codes
 
 
-def build_entries(search_ms: int) -> list[tuple[str, SignedVarMatrix, ODType, str]]:
+# Letters are indexed 0..3 = I, P, Q, K.  Each word over the letters denotes
+# the Kronecker product of its 2x2 blocks, a signed permutation matrix.
+_P = np.array([[0, 1], [1, 0]], dtype=np.int64)
+_Q = np.array([[1, 0], [0, -1]], dtype=np.int64)
+LETTERS = (np.eye(2, dtype=np.int64), _P, _Q, _P @ _Q)
+# Support pattern per letter: True = diagonal (I, Q), False = antidiagonal.
+_DIAGONAL = np.array([True, False, True, False])
+# Letter pairs {I,K} and {P,Q} produce a rotation factor in W1 @ W2.T; the
+# pair is anti-amicable exactly when the number of rotation factors is odd.
+_ROTATION_PAIR = np.zeros((4, 4), dtype=bool)
+for _a, _b in ((0, 3), (3, 0), (1, 2), (2, 1)):
+    _ROTATION_PAIR[_a, _b] = True
+
+
+def word_digits(count: int, exponent: int) -> np.ndarray:
+    """Base-4 digit table, shape (count, exponent), most significant first."""
+    idx = np.arange(count, dtype=np.int64)
+    digits = np.zeros((count, exponent), dtype=np.int64)
+    for pos in range(exponent):
+        digits[:, exponent - 1 - pos] = (idx >> (2 * pos)) & 3
+    return digits
+
+
+def word_compatibility(exponent: int) -> np.ndarray:
+    """Adjacency matrix over all 4**exponent words: True when the two words
+    have disjoint support and are anti-amicable.  Built whole, with
+    (4**e, 4**e, e) temporaries; the catalog needs e = 4 at most."""
+    digits = word_digits(4**exponent, exponent)
+    diag = _DIAGONAL[digits]
+    disjoint = (diag[:, None, :] != diag[None, :, :]).any(axis=2)
+    rotations = _ROTATION_PAIR[digits[:, None, :], digits[None, :, :]].sum(axis=2)
+    return disjoint & (rotations % 2 == 1)
+
+
+def word_matrix(digit_row: np.ndarray) -> np.ndarray:
+    return reduce(np.kron, [LETTERS[d] for d in digit_row], np.eye(1, dtype=np.int64))
+
+
+def clique_search(adjacency: np.ndarray, size: int, deadline: float) -> list[int] | None:
+    """Lexicographically first clique of the given size, or None on timeout
+    or exhaustion.  Depth-first over vertices in increasing index order."""
+    count = adjacency.shape[0]
+
+    def extend(chosen: list[int], candidates: np.ndarray) -> list[int] | None:
+        if len(chosen) == size:
+            return chosen
+        if time.monotonic() > deadline:
+            return None
+        remaining = np.flatnonzero(candidates)
+        if len(chosen) + remaining.size < size:
+            return None
+        for v in remaining:
+            nxt = candidates & adjacency[v]
+            nxt[: v + 1] = False
+            result = extend(chosen + [int(v)], nxt)
+            if result is not None:
+                return result
+            if time.monotonic() > deadline:
+                return None
+        return None
+
+    return extend([], np.ones(count, dtype=bool))
+
+
+def search_monomial_design(t: ODType, deadline: float) -> SignedVarMatrix | None:
+    """Backtracking search for a design of type t on a power-of-two order
+    whose variable matrices are sums of Kronecker words over {I, P, Q, K}.
+    Lexicographically first; None when the deadline passes or none exists."""
+    exponent = t.order.bit_length() - 1
+    chosen = clique_search(word_compatibility(exponent), t.total_weight, deadline)
+    if chosen is None:
+        return None
+    digits = word_digits(4**exponent, exponent)
+    codes = np.zeros((t.order, t.order), dtype=np.int64)
+    position = 0
+    for var, weight in enumerate(t.type_tuple, start=1):
+        for _ in range(weight):
+            codes += var * word_matrix(digits[chosen[position]])
+            position += 1
+    return SignedVarMatrix(codes, t.num_vars)
+
+
+def build_entries(
+    search_ms: int = DEFAULT_SEARCH_MS,
+) -> list[tuple[str, SignedVarMatrix, ODType, str]]:
     entries = []
 
     two = SignedVarMatrix(np.array([[1, 2], [2, -1]], dtype=np.int64), 2)
@@ -95,10 +184,8 @@ def build_entries(search_ms: int) -> list[tuple[str, SignedVarMatrix, ODType, st
         )
     )
 
-    import time
-
     t16 = ODType(16, (1,) * 9)
-    found = _search_monomial_design(t16, time.monotonic() + search_ms / 1000.0)
+    found = search_monomial_design(t16, time.monotonic() + search_ms / 1000.0)
     if found is None:
         raise SystemExit("order-16 search failed; raise --search-ms")
     entries.append(
@@ -112,32 +199,37 @@ def build_entries(search_ms: int) -> list[tuple[str, SignedVarMatrix, ODType, st
     return entries
 
 
+def render_entry(name: str, matrix: SignedVarMatrix, claim: ODType) -> tuple[str, list[str]]:
+    """Verify one entry; return its matrix file text and structure flags."""
+    report = verify_od(matrix, claim)
+    if not report.ok:
+        raise SystemExit(f"{name} failed verification: {report.message()}")
+    shape = structure_check(matrix)
+    flags = []
+    if shape.symmetric:
+        flags.append("sym")
+    if shape.skew_symmetric:
+        flags.append("skew")
+    if shape.circulant:
+        flags.append("circ")
+    return emit_matrix_file(matrix, claim, flags), flags
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--out",
         type=Path,
-        default=REPO_ROOT / "src" / "odforge" / "data" / "catalog",
+        default=CATALOG_DIR,
         help="output directory (default: the packaged data directory)",
     )
-    parser.add_argument("--search-ms", type=int, default=30000)
+    parser.add_argument("--search-ms", type=int, default=DEFAULT_SEARCH_MS)
     args = parser.parse_args()
 
     args.out.mkdir(parents=True, exist_ok=True)
     manifest_lines = ["# catalog entries: <file>: <how it was built>"]
     for name, matrix, claim, provenance in build_entries(args.search_ms):
-        report = verify_od(matrix, claim)
-        if not report.ok:
-            raise SystemExit(f"{name} failed verification: {report.message()}")
-        shape = structure_check(matrix)
-        flags = []
-        if shape.symmetric:
-            flags.append("sym")
-        if shape.skew_symmetric:
-            flags.append("skew")
-        if shape.circulant:
-            flags.append("circ")
-        text = emit_matrix_file(matrix, claim, flags)
+        text, flags = render_entry(name, matrix, claim)
         (args.out / name).write_text(text)
         manifest_lines.append(f"{name}: {provenance}")
         print(f"wrote {name}: order {claim.order}, type {claim.type_tuple}, flags {flags}")

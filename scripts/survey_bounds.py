@@ -29,12 +29,6 @@ def main() -> int:
         default=None,
         help="restrict to one family (default: all)",
     )
-    parser.add_argument(
-        "--search-ms",
-        type=int,
-        default=2000,
-        help="per-seed search budget in milliseconds",
-    )
     args = parser.parse_args()
     families = [args.family] if args.family else list(BOUND_FAMILIES)
 
@@ -44,7 +38,7 @@ def main() -> int:
     for k in range(args.min_k, args.max_k + 1):
         for family in families:
             try:
-                b = bound_N(k, family, search_ms=args.search_ms)
+                b = bound_N(k, family)
             except ExistenceError:
                 continue  # family does not apply to this weight
             ks = ",".join(str(v) for v in b.ks)

@@ -195,7 +195,7 @@ def _cmd_construct_od(args: argparse.Namespace) -> int:
         t2 = minimal_pow2_exponent(1 + ks[2] + ks[3])
         order = 1 << (t1 + t2 + 1)
         plan = [f"skew power-of-two: t1 = {t1}, t2 = {t2}, order 2**{t1 + t2 + 1} = {order}"]
-        builder = lambda: skew_od_pow2_four(*ks, search_ms=args.search_ms)
+        builder = lambda: skew_od_pow2_four(*ks)
     if not _guard_cells(order, args, plan):
         return EXIT_ERROR
     return _deliver(builder(), args)
@@ -293,7 +293,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
             _err(f"family {args.family} takes no --ks override")
             return EXIT_ERROR
         ks = _parse_ks(args.ks, count)
-    derivation = bound_N(args.k, args.family, ks, search_ms=args.search_ms)
+    derivation = bound_N(args.k, args.family, ks)
     print(f"N = {derivation.N}")
     if args.trace:
         print(derivation.render())
@@ -408,6 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     bound.add_argument("--family", required=True, choices=BOUND_FAMILIES)
     bound.add_argument("--ks", help="override the default weight decomposition")
     bound.add_argument("--trace", action="store_true", help="print the derivation")
+    # Unused, since bound searches nothing; parsed because perfbench/workloads.py passes it.
     bound.add_argument(
         "--search-ms", type=int, default=DEFAULT_SEARCH_MS, help=argparse.SUPPRESS
     )

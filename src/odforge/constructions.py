@@ -8,6 +8,11 @@ candidate and record rejected attempts in the trace notes instead of hiding
 them; when every method fails they raise :class:`UnsupportedParameterError`
 listing the strategies tried, never returning an unverified matrix.
 
+The only search at run time is the circulant sign search, bounded by
+``search_ms``.  Power-of-two designs come from the packaged catalog (whose
+order-16 entry ``scripts/build_catalog.py`` found offline) and from
+constructions, so whether one is built depends on its type alone.
+
 Size conventions used throughout:
 
 * ``P = [[0,1],[1,0]]`` (symmetric swap), ``Q = [[1,0],[0,-1]]`` (sign flip),
@@ -455,110 +460,6 @@ def load_catalog(dir_path: str | os.PathLike | None = None) -> tuple[CatalogEntr
 
 
 # ---------------------------------------------------------------------------
-# Monomial-word search for small designs
-# ---------------------------------------------------------------------------
-
-# Letters are indexed 0..3 = I, P, Q, K.  Each word over the letters denotes
-# the Kronecker product of its 2x2 blocks, a signed permutation matrix.
-_LETTERS = (np.eye(2, dtype=np.int64), _P, _Q, _K)
-_LETTER_NAMES = "IPQK"
-# Support pattern per letter: True = diagonal (I, Q), False = antidiagonal.
-_DIAGONAL = np.array([True, False, True, False])
-# Letter pairs {I,K} and {P,Q} produce a rotation factor in W1 @ W2.T; the
-# pair is anti-amicable exactly when the number of rotation factors is odd.
-_ROTATION_PAIR = np.zeros((4, 4), dtype=bool)
-for _a, _b in ((0, 3), (3, 0), (1, 2), (2, 1)):
-    _ROTATION_PAIR[_a, _b] = True
-
-
-def _word_digits(count: int, exponent: int) -> np.ndarray:
-    """Base-4 digit table, shape (count, exponent), most significant first."""
-    idx = np.arange(count, dtype=np.int64)
-    digits = np.zeros((count, exponent), dtype=np.int64)
-    for pos in range(exponent):
-        digits[:, exponent - 1 - pos] = (idx >> (2 * pos)) & 3
-    return digits
-
-
-# Word pairs per row block of the adjacency table; bounds its (rows, 4**e, e)
-# temporaries and the time between two deadline checks.
-_WORD_BLOCK_PAIRS = 1 << 16
-
-
-def _word_compatibility(exponent: int, deadline: float = math.inf) -> np.ndarray | None:
-    """Adjacency matrix over all 4**exponent words: True when the two words
-    have disjoint support and are anti-amicable.  Built in row blocks; None
-    when the deadline passes before the last block."""
-    count = 4**exponent
-    digits = _word_digits(count, exponent)
-    diag = _DIAGONAL[digits]  # (count, exponent)
-    adjacency = np.empty((count, count), dtype=bool)
-    step = max(1, _WORD_BLOCK_PAIRS // count)
-    for r0 in range(0, count, step):
-        if time.monotonic() > deadline:
-            return None
-        rows = slice(r0, r0 + step)
-        disjoint = (diag[rows, None, :] != diag[None, :, :]).any(axis=2)
-        rotations = _ROTATION_PAIR[digits[rows, None, :], digits[None, :, :]].sum(axis=2)
-        adjacency[rows] = disjoint & (rotations % 2 == 1)
-    return adjacency
-
-
-def _word_matrix(digit_row: np.ndarray) -> np.ndarray:
-    return _kron_chain([_LETTERS[d] for d in digit_row])
-
-
-def _clique_search(
-    adjacency: np.ndarray, size: int, deadline: float
-) -> list[int] | None:
-    """Lexicographically first clique of the given size, or None on timeout
-    or exhaustion.  Depth-first over vertices in increasing index order."""
-    count = adjacency.shape[0]
-
-    def extend(chosen: list[int], candidates: np.ndarray) -> list[int] | None:
-        if len(chosen) == size:
-            return chosen
-        if time.monotonic() > deadline:
-            return None
-        remaining = np.flatnonzero(candidates)
-        if len(chosen) + remaining.size < size:
-            return None
-        for v in remaining:
-            nxt = candidates & adjacency[v]
-            nxt[: v + 1] = False
-            result = extend(chosen + [int(v)], nxt)
-            if result is not None:
-                return result
-            if time.monotonic() > deadline:
-                return None
-        return None
-
-    return extend([], np.ones(count, dtype=bool))
-
-
-def _search_monomial_design(t: ODType, deadline: float) -> SignedVarMatrix | None:
-    """Backtracking search for a design of type t whose variable matrices are
-    sums of Kronecker words over {I, P, Q, K}.  Lexicographically first."""
-    exponent = t.order.bit_length() - 1
-    if 1 << exponent != t.order:
-        return None
-    adjacency = _word_compatibility(exponent, deadline)
-    if adjacency is None:
-        return None
-    chosen = _clique_search(adjacency, t.total_weight, deadline)
-    if chosen is None:
-        return None
-    digits = _word_digits(4**exponent, exponent)
-    codes = np.zeros((t.order, t.order), dtype=np.int64)
-    position = 0
-    for var, weight in enumerate(t.type_tuple, start=1):
-        for _ in range(weight):
-            codes += var * _word_matrix(digits[chosen[position]])
-            position += 1
-    return SignedVarMatrix(codes, t.num_vars)
-
-
-# ---------------------------------------------------------------------------
 # Provider for small designs on power-of-two orders
 # ---------------------------------------------------------------------------
 
@@ -633,22 +534,18 @@ def _skew_weighing_pow2(order: int, k: int) -> np.ndarray:
 
 
 def small_od_provider(
-    t: ODType,
-    *,
-    search_ms: int = DEFAULT_SEARCH_MS,
-    catalog_dir: str | os.PathLike | None = None,
+    t: ODType, *, catalog_dir: str | os.PathLike | None = None
 ) -> Witness:
     """Produce a verified design of exactly the requested order and type.
 
     The order must be a power of two.  Strategy chain, all verified:
     catalog lookup; merging variables of a wider all-ones design of the same
     order (catalog entry or the symmetric all-ones construction); doubling a
-    symmetric design of half the order when the type has a unit slot;
+    symmetric design of half the order when the type has a unit slot; and
     x*I + y*S for a type (1, k) or (k, 1) with k below the order, S a skew
-    weighing matrix from the doubling lemmas (no search, so independent of
-    ``search_ms``); and a bounded backtracking search over Kronecker words.
-    When all of them fail the request is reported unsupported along with the
-    strategy list.
+    weighing matrix from the doubling lemmas.  Every step is a construction,
+    none a search, so the answer depends on the type alone.  When all of them
+    fail the request is reported unsupported along with the strategy list.
     """
     if not isinstance(t, ODType):
         raise ConstructionError("small_od_provider expects an ODType")
@@ -707,9 +604,7 @@ def small_od_provider(
         if sub_type_tuple and sum(sub_type_tuple) <= order // 2:
             try:
                 sub = small_od_provider(
-                    ODType(order // 2, sub_type_tuple),
-                    search_ms=search_ms,
-                    catalog_dir=catalog_dir,
+                    ODType(order // 2, sub_type_tuple), catalog_dir=catalog_dir
                 )
             except UnsupportedParameterError as err:
                 strategies.append(f"doubling: half-order design unavailable ({err})")
@@ -737,20 +632,6 @@ def small_od_provider(
             return _od_witness(SignedVarMatrix(codes, 2), t, trace)
     strategies.append(
         "skew doubling: needs a type (1, k) or (k, 1) with k below the order"
-    )
-
-    deadline = time.monotonic() + search_ms / 1000.0
-    found = _search_monomial_design(t, deadline)
-    if found is not None:
-        trace = _trace(
-            "small-od-provider",
-            notes=("Kronecker-word backtracking search, lexicographically first",),
-            order=order,
-            type=t.type_tuple,
-        )
-        return _od_witness(found, t, trace)
-    strategies.append(
-        f"search: Kronecker-word backtracking found nothing within {search_ms} ms"
     )
 
     raise UnsupportedParameterError(
@@ -803,14 +684,7 @@ def _normalized_unit_family(w: Witness) -> list[IntMatrix]:
     return normalized
 
 
-def skew_od_pow2_four(
-    k1: int,
-    k2: int,
-    k3: int,
-    k4: int,
-    *,
-    search_ms: int = DEFAULT_SEARCH_MS,
-) -> Witness:
+def skew_od_pow2_four(k1: int, k2: int, k3: int, k4: int) -> Witness:
     """Skew-symmetric design of order 2**(t1 + t2 + 1) and type (k1,k2,k3,k4).
 
     t1 and t2 are the smallest exponents with 1 + k1 + k2 <= 2**t1 and
@@ -824,8 +698,8 @@ def skew_od_pow2_four(
         raise ConstructionError(f"all four weights must be positive integers, got {ks}")
     t1 = minimal_pow2_exponent(1 + k1 + k2)
     t2 = minimal_pow2_exponent(1 + k3 + k4)
-    first = small_od_provider(ODType(1 << t1, (1, k1, k2)), search_ms=search_ms)
-    second = small_od_provider(ODType(1 << t2, (1, k3, k4)), search_ms=search_ms)
+    first = small_od_provider(ODType(1 << t1, (1, k1, k2)))
+    second = small_od_provider(ODType(1 << t2, (1, k3, k4)))
     a_family = _normalized_unit_family(first)
     b_family = _normalized_unit_family(second)
     eye1 = np.eye(1 << t1, dtype=np.int64)

@@ -16,9 +16,11 @@ divisor is H.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Optional
+
+import numpy as np
 
 from .arith import (
     decompose_four_nonzero_squares,
@@ -51,7 +53,7 @@ from .constructions import (
     symmetric_od_pow2,
     symmetric_w_square_odd,
 )
-from .matrices import ODType
+from .matrices import IntMatrix, ODType
 
 __all__ = [
     "ExistenceError",
@@ -390,27 +392,25 @@ BOUND_FAMILIES = tuple(FAMILIES)
 
 
 @lru_cache(maxsize=256)
-def _built_exponent(type_tuple: tuple[int, ...], search_ms: int) -> int:
+def _built_exponent(type_tuple: tuple[int, ...]) -> int:
     """Smallest exponent t whose order-2**t design of this type the provider
     builds, tried up to 2**4.  Raises UnsupportedParameterError when none is
-    built; the cache keeps no exception, so a failed lookup searches again."""
+    built; the cache keeps no exception, so a failed lookup is tried again."""
     for t in range(minimal_pow2_exponent(sum(type_tuple)), 5):
         try:
-            small_od_provider(ODType(1 << t, type_tuple), search_ms=search_ms)
+            small_od_provider(ODType(1 << t, type_tuple))
         except UnsupportedParameterError:
             continue
         return t
     raise UnsupportedParameterError(f"no power-of-two design of type {type_tuple} built")
 
 
-def _provider_minimal_exponent(
-    type_tuple: tuple[int, ...], search_ms: int
-) -> tuple[int, bool, str]:
+def _provider_minimal_exponent(type_tuple: tuple[int, ...]) -> tuple[int, bool, str]:
     """The built exponent of ``_built_exponent``; when none works, fall back
     to the smallest t >= 3 with total weight <= 2**t - 2.  Returns (t, built,
     note)."""
     try:
-        t = _built_exponent(type_tuple, search_ms)
+        t = _built_exponent(type_tuple)
     except UnsupportedParameterError:
         total = sum(type_tuple)
         t = max(3, minimal_pow2_exponent(total + 2))
@@ -421,13 +421,7 @@ def _provider_minimal_exponent(
     return t, True, f"power-of-two seed materialized at order {1 << t}"
 
 
-def bound_N(
-    k: int,
-    family: str,
-    ks: Optional[tuple[int, ...]] = None,
-    *,
-    search_ms: int = DEFAULT_SEARCH_MS,
-) -> BoundDerivation:
+def bound_N(k: int, family: str, ks: Optional[tuple[int, ...]] = None) -> BoundDerivation:
     """Explicit threshold N for one combination family at weight k.
 
     ``ks`` overrides the default weight decomposition (its squares must sum
@@ -455,7 +449,7 @@ def bound_N(
     weights = spec.pow2_weights(ks)
     notes: list[str] = []
     if spec.h == 2:
-        t, materializable, note = _provider_minimal_exponent(weights, search_ms)
+        t, materializable, note = _provider_minimal_exponent(weights)
         notes.append(note)
         exponents: tuple[tuple[str, int], ...] = (("t", t),)
     else:
@@ -507,6 +501,12 @@ def bound_N(
 # from their order-h*t combination, so the design matrices are not kept.
 
 
+def _compact(finished: Witness) -> Witness:
+    """A finished seed with its weighing matrix held as int8, exact for its
+    entries 0 and +-1: the caches keep an eighth of the int64 bytes."""
+    return replace(finished, matrix=IntMatrix._adopt(finished.matrix.entries.astype(np.int8)))
+
+
 @lru_cache(maxsize=64)
 def _sym_square_seeds(
     k: int, search_ms: int
@@ -516,8 +516,8 @@ def _sym_square_seeds(
     odd = od_from_weighing(symmetric_w_square_odd(k, search_ms=search_ms))
     pow2 = od_from_weighing(collapse_od_to_weighing(symmetric_od_pow2(k)))
     return (
-        (SeedRecipe.of(odd), collapse_od_to_weighing(odd)),
-        (SeedRecipe.of(pow2), collapse_od_to_weighing(pow2)),
+        (SeedRecipe.of(odd), _compact(collapse_od_to_weighing(odd))),
+        (SeedRecipe.of(pow2), _compact(collapse_od_to_weighing(pow2))),
     )
 
 
@@ -563,15 +563,15 @@ def _skew_seed(
     if not pow2:
         design = block_array_od(bound.h, spec.odd_roots(bound.ks), search_ms=search_ms)
     elif bound.h == 2:
-        design = small_od_provider(ODType(bound.pow2_order, weights), search_ms=search_ms)
+        design = small_od_provider(ODType(bound.pow2_order, weights))
     else:
         padded = tuple(max(w, 1) for w in weights)
-        base = skew_od_pow2_four(*padded, search_ms=search_ms)
+        base = skew_od_pow2_four(*padded)
         if bound.h == 8:
             base = add_identity_variable(base)
             weights = _with_unit(weights)
         design = _drop_padded_zeros(base, weights)
-    return SeedRecipe.of(design), _skew_finish(design)
+    return SeedRecipe.of(design), _compact(_skew_finish(design))
 
 
 # ---------------------------------------------------------------------------
@@ -614,7 +614,7 @@ def _symmetric_route(query: Query, search_ms: int) -> Verdict:
         return Verdict.unknown(
             "symmetric constructions here need a perfect square weight"
         )
-    bound = bound_N(k, "sym-square", search_ms=search_ms)
+    bound = bound_N(k, "sym-square")
     if n == bound.odd_order:
         return Verdict.exists(symmetric_w_square_odd(k, search_ms=search_ms))
     if bound.materializable and n == bound.pow2_order:
@@ -644,7 +644,7 @@ def _skew_route(query: Query, search_ms: int) -> Verdict:
             spec.split(k)
         except ExistenceError:
             continue  # the family does not take this weight
-        bound = bound_N(k, family, search_ms=search_ms)
+        bound = bound_N(k, family)
         h = bound.h
         seed_order = _seed_order(bound)
         if n == seed_order:

@@ -164,8 +164,8 @@ class IntMatrix:
 
     @classmethod
     def _adopt(cls, grid: np.ndarray) -> "IntMatrix":
-        """Wrap a 2-D int64 array the caller allocated and hands over, without
-        the copy ``__init__`` makes; the array becomes read-only."""
+        """Wrap a 2-D signed-int array the caller allocated and hands over,
+        without the copy ``__init__`` makes; the array becomes read-only."""
         out = cls.__new__(cls)
         grid.setflags(write=False)
         out.entries = grid

@@ -266,6 +266,26 @@ class TestCliCorpus:
         assert hashlib.sha256(repr(answer).encode()).hexdigest() == digest, answer
 
 
+class TestNoSearchBudget:
+    """A power-of-two design the provider cannot build is reported at once.
+    The digests, of (exit code, stdout, stderr) as in TestCliCorpus, were
+    recorded when a failed Kronecker-word search spent the whole default
+    budget first, about 5 s per command; the answers are unchanged."""
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            ("bound --k 13 --family two-square-2n --trace", "dd73f1389c25d7f21f8b29f09012079e3c6960aca322e00cccd3c1bb60143120"),
+            ("exists --n 128 --k 9 --structure skew", "21507df38823f0735469e22ce84c7b5d232cdbf6ab636269c373822660c2b58d"),
+        ],
+    )
+    def test_answer_at_once(self, capsys, argv, digest):
+        start = time.perf_counter()
+        answer = run(capsys, *argv.split())
+        assert time.perf_counter() - start < 0.5
+        assert hashlib.sha256(repr(answer).encode()).hexdigest() == digest, answer
+
+
 # (argv, sha256 of (exit code, stdout, stderr, sha256 of the --out file)) for
 # exists past h*N: symmetric and plain queries combine the sym-square seeds,
 # skew queries the seeds of the first skew family that takes k.  The --out
@@ -427,7 +447,7 @@ def _skew_seed_orders(limit=512):
             continue
         for k in range(2, 33):
             try:
-                b = bound_N(k, family, search_ms=1)
+                b = bound_N(k, family)
             except ExistenceError:
                 continue
             built = b.h * odd_block_orders(spec.odd_roots(b.ks))[1]

@@ -1,25 +1,22 @@
 """Constructive builders: every routine's output is re-checked here against
 definition-level oracles, and every recipe replays to the same matrix."""
 
+import importlib.util
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from odforge import constructions
 from odforge.constructions import (
     ConstructionError,
     UnsupportedParameterError,
     Witness,
     _cw_block,
     _normalized_unit_family,
-    _search_monomial_design,
     _skew_weighing_pow2,
-    _word_compatibility,
-    _word_digits,
-    _word_matrix,
     add_identity_variable,
     circulant_cw,
     collapse_od_to_weighing,
@@ -57,6 +54,17 @@ from odforge.matrices import (
     verify_weighing,
 )
 from conftest import dense_od_report, dense_weighing_report, is_weighing_oracle
+
+
+def _load_script(name):
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+build_catalog = _load_script("build_catalog")
 
 
 def _entries(witness):
@@ -185,12 +193,15 @@ class TestCatalog:
 
 
 class TestWordCompatibility:
+    """The Kronecker-word search of scripts/build_catalog.py, which found the
+    catalog's order-16 entry."""
+
     @pytest.mark.parametrize("exponent", [1, 2, 3])
     def test_rule_matches_matrix_brute_force(self, exponent):
         count = 4**exponent
-        table = _word_compatibility(exponent)
-        digits = _word_digits(count, exponent)
-        mats = [_word_matrix(digits[i]) for i in range(count)]
+        table = build_catalog.word_compatibility(exponent)
+        digits = build_catalog.word_digits(count, exponent)
+        mats = [build_catalog.word_matrix(digits[i]) for i in range(count)]
         for i in range(count):
             for j in range(count):
                 disjoint = not np.any((mats[i] != 0) & (mats[j] != 0))
@@ -199,20 +210,12 @@ class TestWordCompatibility:
                 )
                 assert table[i, j] == (disjoint and anti), (i, j)
 
-
-    @pytest.mark.parametrize("pairs", [64, 5 * 64, 7 * 256])
-    def test_row_blocks_match_one_block(self, monkeypatch, pairs):
-        whole = {e: _word_compatibility(e) for e in (3, 4)}
-        monkeypatch.setattr(constructions, "_WORD_BLOCK_PAIRS", pairs)
-        for exponent, table in whole.items():
-            assert np.array_equal(_word_compatibility(exponent), table)
-
-    def test_passed_deadline_builds_nothing(self):
-        past = time.monotonic() - 1.0
-        start = time.perf_counter()
-        assert _word_compatibility(6, past) is None
-        assert _search_monomial_design(ODType(64, (1, 16, 16)), past) is None
-        assert time.perf_counter() - start < 0.1
+    def test_rebuilds_the_packaged_catalog(self):
+        entries = build_catalog.build_entries()
+        assert len(entries) == 4
+        for name, matrix, claim, _ in entries:
+            text, _ = build_catalog.render_entry(name, matrix, claim)
+            assert text == (build_catalog.CATALOG_DIR / name).read_text(), name
 
 
 class TestProvider:
@@ -239,10 +242,26 @@ class TestProvider:
 
     def test_unsupported_reports_strategy_chain(self):
         with pytest.raises(UnsupportedParameterError) as err:
-            small_od_provider(ODType(16, (1,) * 10), search_ms=400)
+            small_od_provider(ODType(16, (1,) * 10))
         assert len(err.value.strategies) >= 3
         assert any("catalog" in s for s in err.value.strategies)
-        assert any("search" in s for s in err.value.strategies)
+
+    # Each total weight is past the Radon-Hurwitz bound rho(n), 9 at order 16
+    # and 10 at 32: no family of that many disjoint, anti-amicable signed
+    # permutations, which a Kronecker-word search looks for, exists.  The
+    # provider constructs none of these types and, searching nothing, says so
+    # at once.
+    @pytest.mark.parametrize(
+        "order, type_tuple",
+        [(16, (1, 1, 9)), (16, (1, 4, 9)), (16, (4, 9)),
+         (32, (1, 1, 16)), (32, (1, 4, 16)), (32, (1, 9, 9))],
+    )
+    def test_unbuilt_types_fail_at_once(self, order, type_tuple):
+        load_catalog()
+        start = time.perf_counter()
+        with pytest.raises(UnsupportedParameterError):
+            small_od_provider(ODType(order, type_tuple))
+        assert time.perf_counter() - start < 0.05
 
 
 # sha256 over the codes (little-endian int64) and the rendered trace of every
@@ -267,7 +286,7 @@ class TestSkewDoublingSeeds:
     @pytest.mark.parametrize("unit_first", [True, False])
     def test_provider_unit_types_at_order_16(self, k, unit_first):
         type_tuple = (1, k) if unit_first else (k, 1)
-        w = small_od_provider(ODType(16, type_tuple), search_ms=1)
+        w = small_od_provider(ODType(16, type_tuple))
         assert w.claim == ODType(16, type_tuple)
         assert dense_od_report(w.matrix.codes, type_tuple) == (True, None, None)
         assert replay(w.trace).matrix == w.matrix
@@ -279,7 +298,7 @@ class TestSkewDoublingSeeds:
         for order, cap in ((4, 4), (8, 8), (16, 9)):
             for a in range(1, cap):
                 for b in range(1, cap + 1 - a):
-                    w = small_od_provider(ODType(order, (a, b)), search_ms=1)
+                    w = small_od_provider(ODType(order, (a, b)))
                     digest.update(w.matrix.codes.astype("<i8").tobytes())
                     digest.update(w.trace.render().encode())
         assert digest.hexdigest() == _PROVIDER_TWO_VARIABLE_DIGEST
