@@ -24,7 +24,6 @@ from .arith import (
     is_prime_power,
 )
 from .constructions import (
-    DEFAULT_SEARCH_MS,
     ConstructionError,
     UnsupportedParameterError,
     Witness,
@@ -157,7 +156,7 @@ def _cmd_construct_cw(args: argparse.Namespace) -> int:
     plan = [f"circulant base order {base_order} = q**2 + q + 1, spread factor {c}"]
     if not _guard_cells(order, args, plan):
         return EXIT_ERROR
-    witness = circulant_cw(args.q, search_ms=args.search_ms)
+    witness = circulant_cw(args.q)
     if c > 1:
         witness = spread_circulant(witness, c)
     return _deliver(witness, args)
@@ -188,7 +187,7 @@ def _cmd_construct_od(args: argparse.Namespace) -> int:
         b_list, q = odd_block_orders(ks)
         order = h * q
         plan = [f"{label}: b = {list(b_list)}, q = {q}, order {h}q = {order}"]
-        builder = lambda: block_array_od(h, ks, search_ms=args.search_ms)
+        builder = lambda: block_array_od(h, ks)
     else:  # skew4
         ks = _parse_ks(args.ks, 4)
         t1 = minimal_pow2_exponent(1 + ks[0] + ks[1])
@@ -205,7 +204,8 @@ def _cmd_construct_sym_w(args: argparse.Namespace) -> int:
     query = Query(args.n, args.k, "symmetric")
     if not _guard_cells(args.n, args, [f"target symmetric W({args.n},{args.k})"]):
         return EXIT_ERROR
-    verdict = exists_query(query, search_ms=args.search_ms)
+    # The guard has applied the cell budget, or --force has lifted it.
+    verdict = exists_query(query, cell_budget=sys.maxsize)
     if verdict.kind != "exists":
         return _report_negative_verdict(verdict, args)
     witness = verdict.witness
@@ -269,7 +269,7 @@ def _report_negative_verdict(verdict: Verdict, args: argparse.Namespace) -> int:
 def _cmd_exists(args: argparse.Namespace) -> int:
     query = Query(args.n, args.k, args.structure, zero_diagonal=args.zero_diag)
     budget = sys.maxsize if args.force else DEFAULT_CELL_BUDGET
-    verdict = exists_query(query, search_ms=args.search_ms, cell_budget=budget)
+    verdict = exists_query(query, cell_budget=budget)
     if verdict.kind != "exists":
         return _report_negative_verdict(verdict, args)
     witness = verdict.witness
@@ -335,12 +335,13 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--force", action="store_true", help="override the large-witness guard"
     )
-    parser.add_argument(
-        "--search-ms",
-        type=int,
-        default=DEFAULT_SEARCH_MS,
-        help="search budget in milliseconds (default %(default)s)",
-    )
+    _add_ignored_budget_flag(parser)
+
+
+def _add_ignored_budget_flag(parser: argparse.ArgumentParser) -> None:
+    """Parse --search-ms and ignore it: no answer depends on a time budget,
+    but perfbench/workloads.py still passes the option."""
+    parser.add_argument("--search-ms", type=int, help=argparse.SUPPRESS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -408,10 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     bound.add_argument("--family", required=True, choices=BOUND_FAMILIES)
     bound.add_argument("--ks", help="override the default weight decomposition")
     bound.add_argument("--trace", action="store_true", help="print the derivation")
-    # Unused, since bound searches nothing; parsed because perfbench/workloads.py passes it.
-    bound.add_argument(
-        "--search-ms", type=int, default=DEFAULT_SEARCH_MS, help=argparse.SUPPRESS
-    )
+    _add_ignored_budget_flag(bound)
     bound.set_defaults(func="_cmd_bound")
 
     decompose = sub.add_parser("decompose", help="write k as a sum of squares")

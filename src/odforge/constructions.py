@@ -8,10 +8,11 @@ candidate and record rejected attempts in the trace notes instead of hiding
 them; when every method fails they raise :class:`UnsupportedParameterError`
 listing the strategies tried, never returning an unverified matrix.
 
-The only search at run time is the circulant sign search, bounded by
-``search_ms``.  Power-of-two designs come from the packaged catalog (whose
-order-16 entry ``scripts/build_catalog.py`` found offline) and from
-constructions, so whether one is built depends on its type alone.
+The only search at run time is the circulant sign search, bounded by a
+fixed cap on the candidates it scans, not by a clock.  Power-of-two designs
+come from the packaged catalog (whose order-16 entry
+``scripts/build_catalog.py`` found offline) and from constructions.  So
+whether a matrix is built, and which one, depends on its parameters alone.
 
 Size conventions used throughout:
 
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import math
 import os
-import time
 from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
 from pathlib import Path
@@ -96,11 +96,11 @@ __all__ = [
     "odd_block_orders",
 ]
 
-DEFAULT_SEARCH_MS = 5000
-
 # Hard cap on the number of sign patterns the circulant search will scan;
 # beyond this the parameter is reported as unsupported rather than letting
-# the scan run for hours.  2**22 covers every documented q comfortably.
+# the scan run for hours.  It admits q in {2, 3, 4, 5, 7, 8, 9}, the
+# largest scan being q = 7's 2**17 candidates; every other prime power up
+# to 49 has at least 24 support orbits and is refused without a scan.
 _CW_CANDIDATE_CAP = 1 << 22
 
 _P = np.array([[0, 1], [1, 0]], dtype=np.int64)
@@ -240,7 +240,7 @@ def _paf_zero(row: np.ndarray) -> bool:
     return all(int(np.dot(row, np.roll(row, shift))) == 0 for shift in range(1, n))
 
 
-def _orbit_sign_search(singer: SingerZeroSet, search_ms: int) -> list[int] | None:
+def _orbit_sign_search(singer: SingerZeroSet) -> list[int] | None:
     """Search sign patterns constant on multiplier orbits, zeros fixed on the
     trace-zero set.  Returns the lexicographically first row (+1 tried before
     -1 on each orbit, orbits ordered by smallest member) whose periodic
@@ -255,13 +255,10 @@ def _orbit_sign_search(singer: SingerZeroSet, search_ms: int) -> list[int] | Non
     m = len(support_orbits)
     if (1 << m) > _CW_CANDIDATE_CAP:
         return None
-    deadline = time.monotonic() + search_ms / 1000.0
     chunk = 4096
     total = 1 << m
     target = q * q
     for base in range(0, total, chunk):
-        if time.monotonic() > deadline:
-            return None
         count = min(chunk, total - base)
         idx = np.arange(base, base + count, dtype=np.int64)
         rows = np.zeros((count, n), dtype=np.int64)
@@ -276,7 +273,7 @@ def _orbit_sign_search(singer: SingerZeroSet, search_ms: int) -> list[int] | Non
     return None
 
 
-def circulant_cw(q: int, *, search_ms: int = DEFAULT_SEARCH_MS) -> Witness:
+def circulant_cw(q: int) -> Witness:
     """Circulant weighing matrix of order q**2 + q + 1 and weight q**2.
 
     The first row has its q + 1 zeros exactly on the trace-zero position set
@@ -307,12 +304,11 @@ def circulant_cw(q: int, *, search_ms: int = DEFAULT_SEARCH_MS) -> Witness:
             "quadratic-character signs rejected by verifier: " + rep.message()
         )
 
-    row = _orbit_sign_search(singer, search_ms)
+    row = _orbit_sign_search(singer)
     if row is not None:
         return finish(row, "signs: multiplier-orbit search, lexicographically first")
     strategies.append(
-        "multiplier-orbit sign search exhausted or timed out "
-        f"(cap {_CW_CANDIDATE_CAP} candidates, budget {search_ms} ms)"
+        f"multiplier-orbit sign search exhausted (cap {_CW_CANDIDATE_CAP} candidates)"
     )
     raise UnsupportedParameterError(
         f"no verified circulant weighing matrix found for q={q}", strategies
@@ -890,16 +886,16 @@ def combine_finished_seeds(
 # ---------------------------------------------------------------------------
 
 
-def _cw_block(q: int, *, search_ms: int = DEFAULT_SEARCH_MS) -> Witness:
+def _cw_block(q: int) -> Witness:
     """Circulant weighing block of weight q**2; q = 1 uses the order-3
     convention circulant((1, 0, 0)) so the block order is always odd."""
     if q == 1:
         trace = _trace("circulant-weighing-trivial", n=3)
         return _weighing_witness(circulant((1, 0, 0)), 3, 1, trace)
-    return circulant_cw(q, search_ms=search_ms)
+    return circulant_cw(q)
 
 
-def symmetric_w_square_odd(k: int, *, search_ms: int = DEFAULT_SEARCH_MS) -> Witness:
+def symmetric_w_square_odd(k: int) -> Witness:
     """Symmetric weighing matrix of square weight k on an odd order.
 
     Each prime-power factor q of sqrt(k) contributes a circulant block of
@@ -910,7 +906,7 @@ def symmetric_w_square_odd(k: int, *, search_ms: int = DEFAULT_SEARCH_MS) -> Wit
     blocks = []
     sub_traces = []
     for q in fact.factors:
-        cw = _cw_block(q, search_ms=search_ms)
+        cw = _cw_block(q)
         sub_traces.append(cw.trace)
         # the reflection C @ back_diagonal reverses C's columns
         blocks.append(IntMatrix(cw.matrix.entries[:, ::-1]))
@@ -966,7 +962,7 @@ def odd_block_orders(ks: Sequence[int]) -> tuple[tuple[int, ...], int]:
     return tuple(b_list), int(np.prod(b_list))
 
 
-def _odd_block_plan(ks: Sequence[int], *, search_ms: int = DEFAULT_SEARCH_MS) -> _OddBlockPlan:
+def _odd_block_plan(ks: Sequence[int]) -> _OddBlockPlan:
     """Build the circulant Kronecker blocks for weights ks (zeros allowed).
 
     Every nonzero k_j is factored into prime powers q_{1j}, ..., q_{mj}
@@ -986,7 +982,7 @@ def _odd_block_plan(ks: Sequence[int], *, search_ms: int = DEFAULT_SEARCH_MS) ->
         levels = []
         for i in range(m):
             q_ij = lists[j][i]
-            base = _cw_block(q_ij, search_ms=search_ms)
+            base = _cw_block(q_ij)
             spread = spread_circulant(base, b_list[i] // base.order)
             sub_traces.append(spread.trace)
             level = spread.matrix
@@ -1030,7 +1026,7 @@ def _block_array(
     return SignedVarMatrix(np.block(rows), num_vars)
 
 
-def two_square_od(k1: int, k2: int, *, search_ms: int = DEFAULT_SEARCH_MS) -> Witness:
+def two_square_od(k1: int, k2: int) -> Witness:
     """Design of order 2q and type (k1**2, k2**2) with q odd.
 
     The two diagonal blocks carry the back-circulant product A, the two
@@ -1039,7 +1035,7 @@ def two_square_od(k1: int, k2: int, *, search_ms: int = DEFAULT_SEARCH_MS) -> Wi
     """
     if any(not isinstance(k, int) or k < 1 for k in (k1, k2)):
         raise ConstructionError(f"both weights must be positive integers, got {(k1, k2)}")
-    plan = _odd_block_plan((k1, k2), search_ms=search_ms)
+    plan = _odd_block_plan((k1, k2))
     a, b = plan.blocks
     assert a is not None and b is not None
     layout = [
@@ -1059,15 +1055,17 @@ def two_square_od(k1: int, k2: int, *, search_ms: int = DEFAULT_SEARCH_MS) -> Wi
     return _od_witness(x, ODType(2 * plan.q, (k1 * k1, k2 * k2)), trace)
 
 
+def _transposed(block: IntMatrix | None) -> IntMatrix | None:
+    return None if block is None else transpose(block)
+
+
 def _four_block_layout(
     blocks: Sequence[IntMatrix | None], variables: Sequence[int]
 ) -> list[list[tuple[int, int, IntMatrix | None]]]:
     """The 4x4 sign/transpose pattern shared by the 4- and 8-block arrays."""
     a, b, c, d = blocks
     va, vb, vc, vd = variables
-    bt = None if b is None else transpose(b)
-    ct = None if c is None else transpose(c)
-    dt = None if d is None else transpose(d)
+    bt, ct, dt = (_transposed(m) for m in (b, c, d))
     return [
         [(va, 1, a), (vb, 1, b), (vc, 1, c), (vd, 1, d)],
         [(vb, -1, b), (va, 1, a), (vd, 1, dt), (vc, -1, ct)],
@@ -1092,15 +1090,13 @@ def _variable_assignment(ks: Sequence[int], start: int) -> tuple[list[int], tupl
     return variables, tuple(type_tuple)
 
 
-def goethals_seidel_od(
-    k1: int, k2: int, k3: int, k4: int, *, search_ms: int = DEFAULT_SEARCH_MS
-) -> Witness:
+def goethals_seidel_od(k1: int, k2: int, k3: int, k4: int) -> Witness:
     """Goethals-Seidel block array: order 4q, type (k1**2, ..., k4**2) with
     zero weights dropping their variable (zero blocks stay in the array)."""
     ks = (k1, k2, k3, k4)
     if any(not isinstance(k, int) or k < 0 for k in ks):
         raise ConstructionError(f"weights must be nonnegative integers, got {ks}")
-    plan = _odd_block_plan(ks, search_ms=search_ms)
+    plan = _odd_block_plan(ks)
     variables, type_tuple = _variable_assignment(ks, start=1)
     layout = _four_block_layout(plan.blocks, variables)
     x = _block_array(layout, plan.q, len(type_tuple))
@@ -1115,67 +1111,49 @@ def goethals_seidel_od(
     return _od_witness(x, ODType(4 * plan.q, type_tuple), trace)
 
 
-def eight_block_od(
-    k1: int, k2: int, k3: int, k4: int, *, search_ms: int = DEFAULT_SEARCH_MS
-) -> Witness:
+def eight_block_od(k1: int, k2: int, k3: int, k4: int) -> Witness:
     """Doubled block array: order 8q, type (1, k1**2, ..., k4**2).
 
-    The fresh weight-1 variable rides the block pattern P x I_{4q}; the
-    lower-right quadrant repeats the four-block array with transposes and
-    signs arranged so the whole matrix is a design.
+    The array is [[G, x*I], [x*I, G']] for the fresh weight-1 variable x:
+    G is the four-block array on (A, B, C, D), and G' is the four-block
+    array on (A, B^T, C^T, D^T) with its diagonal negated.
     """
     ks = (k1, k2, k3, k4)
     if any(not isinstance(k, int) or k < 0 for k in ks):
         raise ConstructionError(f"weights must be nonnegative integers, got {ks}")
-    plan = _odd_block_plan(ks, search_ms=search_ms)
+    plan = _odd_block_plan(ks)
     variables, squared = _variable_assignment(ks, start=2)
-    q = plan.q
     a, b, c, d = plan.blocks
-    va, vb, vc, vd = variables
-    bt = None if b is None else transpose(b)
-    ct = None if c is None else transpose(c)
-    dt = None if d is None else transpose(d)
-    eye = identity(q)
-    z = (0, 1, None)
-
-    def cell(var: int, sign: int, block: IntMatrix | None):
-        return (var, sign, block)
-
-    w = 1  # the unit variable
-    layout = [
-        [cell(va, 1, a), cell(vb, 1, b), cell(vc, 1, c), cell(vd, 1, d), cell(w, 1, eye), z, z, z],
-        [cell(vb, -1, b), cell(va, 1, a), cell(vd, 1, dt), cell(vc, -1, ct), z, cell(w, 1, eye), z, z],
-        [cell(vc, -1, c), cell(vd, -1, dt), cell(va, 1, a), cell(vb, 1, bt), z, z, cell(w, 1, eye), z],
-        [cell(vd, -1, d), cell(vc, 1, ct), cell(vb, -1, bt), cell(va, 1, a), z, z, z, cell(w, 1, eye)],
-        [cell(w, 1, eye), z, z, z, cell(va, -1, a), cell(vb, 1, bt), cell(vc, 1, ct), cell(vd, 1, dt)],
-        [z, cell(w, 1, eye), z, z, cell(vb, -1, bt), cell(va, -1, a), cell(vd, 1, d), cell(vc, -1, c)],
-        [z, z, cell(w, 1, eye), z, cell(vc, -1, ct), cell(vd, -1, d), cell(va, -1, a), cell(vb, 1, b)],
-        [z, z, z, cell(w, 1, eye), cell(vd, -1, dt), cell(vc, 1, c), cell(vb, -1, b), cell(va, -1, a)],
-    ]
-    x = _block_array(layout, q, 1 + len(squared))
+    upper = _four_block_layout(plan.blocks, variables)
+    lower = _four_block_layout((a, *(_transposed(m) for m in (b, c, d))), variables)
+    for i, row in enumerate(lower):
+        var, sign, block = row[i]
+        row[i] = (var, -sign, block)
+    eye = identity(plan.q)
+    unit = [[(1, 1, eye) if i == j else (0, 1, None) for j in range(4)] for i in range(4)]
+    layout = [g + u for g, u in zip(upper, unit)] + [u + g for u, g in zip(unit, lower)]
+    x = _block_array(layout, plan.q, 1 + len(squared))
     trace = _trace(
         "eight-block-od",
         subs=plan.sub_traces,
         ks=ks,
         b_list=plan.b_list,
         q_lists=plan.q_lists,
-        q=q,
+        q=plan.q,
     )
-    return _od_witness(x, ODType(8 * q, (1,) + squared), trace)
+    return _od_witness(x, ODType(8 * plan.q, (1,) + squared), trace)
 
 
-def block_array_od(
-    h: int, roots: Sequence[int], *, search_ms: int = DEFAULT_SEARCH_MS
-) -> Witness:
+def block_array_od(h: int, roots: Sequence[int]) -> Witness:
     """The h-block array on roots with odd part q: ``two_square_od`` at 2q,
     ``goethals_seidel_od`` at 4q, or ``eight_block_od`` at 8q, which adds a
     unit variable of its own."""
     if h == 2:
-        return two_square_od(*roots, search_ms=search_ms)
+        return two_square_od(*roots)
     if h == 4:
-        return goethals_seidel_od(*roots, search_ms=search_ms)
+        return goethals_seidel_od(*roots)
     if h == 8:
-        return eight_block_od(*roots, search_ms=search_ms)
+        return eight_block_od(*roots)
     raise ConstructionError(f"block arrays have 2, 4 or 8 blocks, got {h}")
 
 

@@ -31,7 +31,6 @@ from .arith import (
     is_sum_of_three_squares,
 )
 from .constructions import (
-    DEFAULT_SEARCH_MS,
     SeedRecipe,
     UnsupportedParameterError,
     Witness,
@@ -508,12 +507,10 @@ def _compact(finished: Witness) -> Witness:
 
 
 @lru_cache(maxsize=64)
-def _sym_square_seeds(
-    k: int, search_ms: int
-) -> tuple[tuple[SeedRecipe, Witness], tuple[SeedRecipe, Witness]]:
+def _sym_square_seeds(k: int) -> tuple[tuple[SeedRecipe, Witness], tuple[SeedRecipe, Witness]]:
     """The sym-square seed designs of type (k,), odd order first, each with
     the weighing matrix it collapses to."""
-    odd = od_from_weighing(symmetric_w_square_odd(k, search_ms=search_ms))
+    odd = od_from_weighing(symmetric_w_square_odd(k))
     pow2 = od_from_weighing(collapse_od_to_weighing(symmetric_od_pow2(k)))
     return (
         (SeedRecipe.of(odd), _compact(collapse_od_to_weighing(odd))),
@@ -552,16 +549,14 @@ def _skew_finish(witness: Witness) -> Witness:
 
 
 @lru_cache(maxsize=256)
-def _skew_seed(
-    bound: BoundDerivation, pow2: bool, search_ms: int
-) -> tuple[SeedRecipe, Witness]:
+def _skew_seed(bound: BoundDerivation, pow2: bool) -> tuple[SeedRecipe, Witness]:
     """The recipe of the odd-order seed of a skew family's derivation, or
     with ``pow2`` of its power-of-two seed, of type (1, ...) summing to
     1 + k; with the skew weighing matrix the seed finishes to."""
     spec = FAMILIES[bound.family]
     weights = spec.pow2_weights(bound.ks)
     if not pow2:
-        design = block_array_od(bound.h, spec.odd_roots(bound.ks), search_ms=search_ms)
+        design = block_array_od(bound.h, spec.odd_roots(bound.ks))
     elif bound.h == 2:
         design = small_od_provider(ODType(bound.pow2_order, weights))
     else:
@@ -579,7 +574,7 @@ def _skew_seed(
 # ---------------------------------------------------------------------------
 
 
-def _circulant_route(query: Query, search_ms: int) -> Verdict:
+def _circulant_route(query: Query) -> Verdict:
     n, k = query.n, query.k
     if k == 1:
         return Verdict.exists(identity_weighing(n))
@@ -588,7 +583,7 @@ def _circulant_route(query: Query, search_ms: int) -> Verdict:
         base_order = root * root + root + 1
         if n % base_order == 0:
             try:
-                base = circulant_cw(root, search_ms=search_ms)
+                base = circulant_cw(root)
             except UnsupportedParameterError as err:
                 return Verdict.unknown(f"circulant block unavailable: {err}")
             c = n // base_order
@@ -601,7 +596,7 @@ def _circulant_route(query: Query, search_ms: int) -> Verdict:
     )
 
 
-def _symmetric_route(query: Query, search_ms: int) -> Verdict:
+def _symmetric_route(query: Query) -> Verdict:
     n, k = query.n, query.k
     if query.zero_diagonal:
         return Verdict.unknown(
@@ -616,22 +611,22 @@ def _symmetric_route(query: Query, search_ms: int) -> Verdict:
         )
     bound = bound_N(k, "sym-square")
     if n == bound.odd_order:
-        return Verdict.exists(symmetric_w_square_odd(k, search_ms=search_ms))
+        return Verdict.exists(symmetric_w_square_odd(k))
     if bound.materializable and n == bound.pow2_order:
-        _, (_, pow2) = _sym_square_seeds(k, search_ms)
+        _, (_, pow2) = _sym_square_seeds(k)
         return Verdict.exists(pow2)
     if n >= bound.N:
         if not bound.materializable:
             return Verdict.unknown(
                 "the power-of-two seed is beyond desk scale", bound
             )
-        return Verdict.exists(combine_finished_seeds(*_sym_square_seeds(k, search_ms), n))
+        return Verdict.exists(combine_finished_seeds(*_sym_square_seeds(k), n))
     return Verdict.unknown(
         f"order {n} is below the combination threshold {bound.N}", bound
     )
 
 
-def _skew_route(query: Query, search_ms: int) -> Verdict:
+def _skew_route(query: Query) -> Verdict:
     n, k = query.n, query.k
     if k == 1:
         return Verdict.exists(skew_pairs_weighing(n))
@@ -648,16 +643,16 @@ def _skew_route(query: Query, search_ms: int) -> Verdict:
         h = bound.h
         seed_order = _seed_order(bound)
         if n == seed_order:
-            return Verdict.exists(_skew_seed(bound, False, search_ms)[1])
+            return Verdict.exists(_skew_seed(bound, False)[1])
         if n == bound.pow2_order and bound.materializable:
-            return Verdict.exists(_skew_seed(bound, True, search_ms)[1])
+            return Verdict.exists(_skew_seed(bound, True)[1])
         if n % h == 0 and n // h >= bound.N:
             if not bound.materializable:
                 return Verdict.unknown(
                     "the power-of-two seed is beyond desk scale", bound
                 )
             return Verdict.exists(combine_finished_seeds(
-                _skew_seed(bound, False, search_ms), _skew_seed(bound, True, search_ms), n // h
+                _skew_seed(bound, False), _skew_seed(bound, True), n // h
             ))
         if n == bound.pow2_order:
             attempts.append(
@@ -672,7 +667,7 @@ def _skew_route(query: Query, search_ms: int) -> Verdict:
     return Verdict.unknown("; ".join(attempts), bound)
 
 
-def _plain_route(query: Query, search_ms: int) -> Verdict:
+def _plain_route(query: Query) -> Verdict:
     n, k = query.n, query.k
     if k == 1:
         return Verdict.exists(identity_weighing(n))
@@ -687,11 +682,11 @@ def _plain_route(query: Query, search_ms: int) -> Verdict:
     ):
         for roots in candidates(weight):
             if n == h * odd_block_orders(roots)[1]:
-                od = block_array_od(h, roots, search_ms=search_ms)
+                od = block_array_od(h, roots)
                 return Verdict.exists(collapse_od_to_weighing(od))
 
     # Any symmetric witness answers a plain query.
-    sym = _symmetric_route(Query(n, k, "symmetric", query.zero_diagonal), search_ms)
+    sym = _symmetric_route(Query(n, k, "symmetric", query.zero_diagonal))
     if sym.kind == "exists":
         return sym
     return Verdict.unknown(
@@ -709,12 +704,7 @@ _ROUTES = {
 }
 
 
-def exists_query(
-    query: Query,
-    *,
-    search_ms: int = DEFAULT_SEARCH_MS,
-    cell_budget: int = DEFAULT_CELL_BUDGET,
-) -> Verdict:
+def exists_query(query: Query, *, cell_budget: int = DEFAULT_CELL_BUDGET) -> Verdict:
     """Decide a structured existence query.
 
     Pipeline: arithmetic nonexistence rules first, then the construction
@@ -734,7 +724,7 @@ def exists_query(
         )
     route = _ROUTES[query.structure]
     try:
-        verdict = route(query, search_ms)
+        verdict = route(query)
     except UnsupportedParameterError as err:
         return Verdict.unknown(f"a design the route needs could not be built: {err}")
     if verdict.kind == "exists":

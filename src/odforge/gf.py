@@ -115,12 +115,6 @@ class FiniteField:
             raise FieldError("degenerate field")
         return (1,) + (0,) * (self.m - 1)
 
-    def element(self, coeffs) -> Element:
-        c = tuple(int(v) % self.p for v in coeffs)
-        if len(c) > self.m:
-            raise FieldError(f"element has degree >= {self.m}")
-        return c + (0,) * (self.m - len(c))
-
     def from_int(self, enc: int) -> Element:
         if not 0 <= enc < self.order:
             raise FieldError(f"encoding {enc} out of range")
@@ -142,9 +136,6 @@ class FiniteField:
 
     def neg(self, x: Element) -> Element:
         return tuple((-a) % self.p for a in x)
-
-    def sub(self, x: Element, y: Element) -> Element:
-        return tuple((a - b) % self.p for a, b in zip(x, y))
 
     def mul(self, x: Element, y: Element) -> Element:
         prod = _poly_mul(list(x), list(y), self.p)

@@ -54,19 +54,14 @@ __all__ = [
     "Var",
     "identity",
     "kronecker",
-    "direct_sum",
     "mat_mul",
     "transpose",
     "circulant",
-    "back_circulant",
-    "back_diagonal",
     "structure_check",
     "verify_weighing",
     "decompose_family",
     "verify_od",
     "specialize_variables",
-    "substitute_integers",
-    "to_weighing_matrix",
 ]
 
 _FLOAT_SAFE = 2**53
@@ -362,55 +357,12 @@ def _payload(m: Matrix) -> np.ndarray:
     return m.entries if isinstance(m, IntMatrix) else m.codes
 
 
-def _entries_are_signs(arr: np.ndarray) -> bool:
-    if arr.dtype == object:
-        return all(-1 <= int(v) <= 1 for v in arr.flat)
-    return bool(np.all(np.abs(arr) <= 1))
-
-
-def kronecker(a: Matrix, b: Matrix) -> Matrix:
-    """Kronecker product.  A symbolic left factor needs a {0,+1,-1} right factor."""
-    if isinstance(a, SignedVarMatrix):
-        if not isinstance(b, IntMatrix):
-            raise MatrixError("Kronecker of two symbolic matrices is not defined here")
-        if not _entries_are_signs(b.entries):
-            raise MatrixError(
-                "symbolic Kronecker requires the numeric factor to have entries in {0,+1,-1}"
-            )
-        codes = np.kron(a.codes, b.entries.astype(np.int64))
-        return SignedVarMatrix(codes, a.num_vars)
-    if isinstance(b, SignedVarMatrix):
-        if not _entries_are_signs(a.entries):
-            raise MatrixError(
-                "symbolic Kronecker requires the numeric factor to have entries in {0,+1,-1}"
-            )
-        codes = np.kron(a.entries.astype(np.int64), b.codes)
-        return SignedVarMatrix(codes, b.num_vars)
+def kronecker(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """Kronecker product of two integer matrices."""
     ea, eb = a.entries, b.entries
     if ea.dtype == object or eb.dtype == object or _max_abs(ea) * _max_abs(eb) > _INT64_SAFE:
         return IntMatrix(np.kron(ea.astype(object), eb.astype(object)))
     return IntMatrix(np.kron(ea.astype(np.int64), eb.astype(np.int64)))
-
-
-def direct_sum(a: Matrix, b: Matrix) -> Matrix:
-    """Block-diagonal sum.  Symbolic operands must share one variable set."""
-    if isinstance(a, SignedVarMatrix) != isinstance(b, SignedVarMatrix):
-        raise MatrixError("direct_sum needs operands of the same kind")
-    if isinstance(a, SignedVarMatrix):
-        assert isinstance(b, SignedVarMatrix)
-        if a.num_vars != b.num_vars:
-            raise MatrixError("direct_sum of symbolic matrices needs equal num_vars")
-        n, m = a.order, b.order
-        out = np.zeros((n + m, n + m), dtype=np.int64)
-        out[:n, :n] = a.codes
-        out[n:, n:] = b.codes
-        return SignedVarMatrix(out, a.num_vars)
-    ea, eb = a.entries, b.entries
-    dtype = object if (ea.dtype == object or eb.dtype == object) else np.int64
-    out = np.zeros((a.rows + b.rows, a.cols + b.cols), dtype=dtype)
-    out[: a.rows, : a.cols] = ea
-    out[a.rows :, a.cols :] = eb
-    return IntMatrix(out)
 
 
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -433,21 +385,6 @@ def circulant(first_row: Sequence[int]) -> IntMatrix:
     n = arr.shape[0]
     idx = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
     return IntMatrix(arr[idx])
-
-
-def back_circulant(first_row: Sequence[int]) -> IntMatrix:
-    """Back-circulant matrix B[i][j] = d[(i + j) mod n]; always symmetric."""
-    arr = _as_exact_array([list(first_row)])[0]
-    n = arr.shape[0]
-    idx = (np.arange(n)[None, :] + np.arange(n)[:, None]) % n
-    return IntMatrix(arr[idx])
-
-
-def back_diagonal(n: int) -> IntMatrix:
-    """Back-diagonal permutation: ones where i + j = n - 1 (0-based)."""
-    if not _is_int(n) or n < 1:
-        raise MatrixError("back_diagonal order must be >= 1")
-    return IntMatrix(np.fliplr(np.eye(n, dtype=np.int64)))
 
 
 def _equal_by_rows(a: np.ndarray, b: np.ndarray, negate: bool = False) -> bool:
@@ -773,24 +710,6 @@ def verify_od(x: SignedVarMatrix, t: ODType) -> CheckReport:
     return _family_report(x.codes, t.type_tuple, _VARIABLE_LABEL)
 
 
-def _substitution_table(x: SignedVarMatrix, values: Sequence[int]) -> np.ndarray:
-    l = x.num_vars
-    if len(values) != l:
-        raise MatrixError(f"need {l} values, got {len(values)}")
-    big = any(abs(int(v)) > 2**31 for v in values)
-    table = np.zeros(2 * l + 1, dtype=object if big else np.int64)
-    for i, v in enumerate(values, start=1):
-        table[l + i] = int(v)
-        table[l - i] = -int(v)
-    return table
-
-
-def substitute_integers(x: SignedVarMatrix, values: Sequence[int]) -> IntMatrix:
-    """Evaluate the symbolic matrix at integer values (x_j := values[j-1])."""
-    table = _substitution_table(x, values)
-    return IntMatrix(table[x.codes + x.num_vars])
-
-
 def _substitute_variables(
     x: SignedVarMatrix, mapping: Mapping[int, Union[int, Var]]
 ) -> Matrix:
@@ -819,17 +738,18 @@ def _substitute_variables(
     if var_targets and has_const_sign:
         raise MatrixError("cannot mix variable targets with +1/-1 constants")
 
-    if var_targets:
-        kept = sorted(set(var_targets))
-        renumber = {old: new for new, old in enumerate(kept, start=1)}
-        table = np.zeros(2 * l + 1, dtype=np.int64)
-        for i in range(1, l + 1):
-            tgt = mapping[i]
-            img = renumber[tgt.index] if isinstance(tgt, Var) else 0
-            table[l + i] = img
-            table[l - i] = -img
+    # Code +-i maps to +-(image of variable i); a constant target is its own
+    # image, and a kept variable's image is its new number.
+    kept = sorted(set(var_targets))
+    renumber = {old: new for new, old in enumerate(kept, start=1)}
+    table = np.zeros(2 * l + 1, dtype=np.int64)
+    for i in range(1, l + 1):
+        tgt = mapping[i]
+        img = renumber[tgt.index] if isinstance(tgt, Var) else int(tgt)
+        table[l + i] = img
+        table[l - i] = -img
+    if kept:
         return SignedVarMatrix._adopt(table[x.codes + l], len(kept))
-    table = _substitution_table(x, [int(mapping[i]) for i in range(1, l + 1)])
     return IntMatrix._adopt(table[x.codes + l])
 
 
@@ -861,9 +781,3 @@ def specialize_variables(
         )
     return out
 
-
-def to_weighing_matrix(x: SignedVarMatrix) -> IntMatrix:
-    """Set every variable to +1, yielding a weighing matrix of the summed weight."""
-    out = specialize_variables(x, {i: 1 for i in range(1, x.num_vars + 1)})
-    assert isinstance(out, IntMatrix)
-    return out

@@ -89,6 +89,19 @@ class TestGuard:
         matrix, claim, flags = parse_matrix_file(out)
         assert claim == ODType(8, (1, 1, 1))
 
+    def test_force_lifts_the_cell_budget_for_sym_w(self, capsys, monkeypatch):
+        # Past 10**8 cells, --force reaches the symmetric route itself, which
+        # answers from arithmetic: every builder returns through a witness
+        # constructor, and none is called.
+        def no_build(*args):
+            raise AssertionError("a matrix was built")
+
+        monkeypatch.setattr("odforge.constructions._weighing_witness", no_build)
+        monkeypatch.setattr("odforge.constructions._od_witness", no_build)
+        code, out, err = run(capsys, "construct", "sym-w", "--n", "10001", "--k", "5", "--force")
+        assert code == EXIT_ERROR
+        assert out == "Undecided: symmetric constructions here need a perfect square weight\n"
+
     def test_block_array_guard_uses_plan_arithmetic(self, capsys):
         # Order 4 * 91 * 31 = 11284 exceeds the default cell budget, and the
         # refusal happens before any matrix is built.
@@ -399,6 +412,15 @@ class TestExists:
             "Undecided: a design the route needs could not be built: no strategy "
             "produced OD(order=64, type=(1, 16, 16))\n"
         )
+
+    def test_circulant_answer_ignores_the_budget(self, capsys):
+        # The q = 7 sign search scans 32 chunks; a 1 ms budget once cut it short.
+        code, out, err = run(
+            capsys, "exists", "--n", "57", "--k", "49", "--structure", "circulant",
+            "--search-ms", "1",
+        )
+        assert code == EXIT_OK
+        assert out == "Exists: weighing matrix W(57,49)\n"
 
     def test_zero_diag_not_exists(self, capsys):
         code, out, err = run(

@@ -1,6 +1,7 @@
 """Constructive builders: every routine's output is re-checked here against
 definition-level oracles, and every recipe replays to the same matrix."""
 
+import hashlib
 import importlib.util
 import time
 from pathlib import Path
@@ -72,8 +73,16 @@ def _entries(witness):
     return m.entries if isinstance(m, IntMatrix) else m.codes
 
 
+# sha256 of repr(first row as a list of ints) for the two longest sign
+# searches, recorded while the search still took a time budget.
+_FIRST_ROW_SHA256 = {
+    7: "c03b1e07d35661ba9b150dc3d1bfd6e7bda7bb3551a9af63c12bb5163185d83f",
+    9: "9634e3b14e2d672bda17177328ad8daef052573c870da9aa677c5726141fbd96",
+}
+
+
 class TestCirculantWeighing:
-    @pytest.mark.parametrize("q", [2, 3, 4, 5])
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
     def test_supported_orders(self, q):
         w = circulant_cw(q)
         n = q * q + q + 1
@@ -84,6 +93,9 @@ class TestCirculantWeighing:
         zero_positions = {i for i, v in enumerate(row) if v == 0}
         assert zero_positions == set(singer_zero_set(q).positions)
         assert len(zero_positions) == q + 1
+        if q in _FIRST_ROW_SHA256:
+            digest = hashlib.sha256(repr(row.tolist()).encode()).hexdigest()
+            assert digest == _FIRST_ROW_SHA256[q]
 
     def test_deterministic(self):
         first = circulant_cw(3)
@@ -93,6 +105,16 @@ class TestCirculantWeighing:
     def test_unsupported_q(self):
         with pytest.raises(ConstructionError):
             circulant_cw(6)
+
+    def test_past_the_cap_fails_at_once(self):
+        # q = 11 has 41 support orbits, far past the candidate cap: no scan.
+        start = time.perf_counter()
+        with pytest.raises(UnsupportedParameterError) as exc:
+            circulant_cw(11)
+        assert time.perf_counter() - start < 0.5
+        assert exc.value.strategies[-1] == (
+            "multiplier-orbit sign search exhausted (cap 4194304 candidates)"
+        )
 
     def test_trivial_block_convention(self):
         w = _cw_block(1)

@@ -215,13 +215,13 @@ class TestBudgetIndependentBounds:
         assert elapsed < 0.5
 
     def test_skew_seed_order_answers_exists(self):
-        verdict = exists_query(Query(16, 9, "skew"), search_ms=1)
+        verdict = exists_query(Query(16, 9, "skew"))
         assert verdict.kind == "exists", verdict.note
         assert verdict.witness.structure.skew_symmetric
         assert is_weighing_oracle(verdict.witness.matrix.entries.tolist(), 9)
 
     def test_unbuilt_seed_order_is_named_honestly(self):
-        verdict = exists_query(Query(32, 16, "skew"), search_ms=50)
+        verdict = exists_query(Query(32, 16, "skew"))
         assert verdict.kind == "unknown"
         assert verdict.note.startswith(
             "skew-2n: the power-of-two seed of order 32 was not built "
@@ -293,7 +293,7 @@ class TestSkewSeedOrders:
         [(56, 4), (56, 8), (56, 12), (104, 9), (104, 18), (104, 27), (248, 25)],
     )
     def test_built_seed_order_exists(self, n, k):
-        verdict = exists_query(Query(n, k, "skew"), search_ms=1)
+        verdict = exists_query(Query(n, k, "skew"))
         assert verdict.kind == "exists", verdict.note
         entries = verdict.witness.matrix.entries
         assert verdict.witness.claim == WeighingType(n, k)
@@ -304,12 +304,12 @@ class TestSkewSeedOrders:
         "n, k, built", [(312, 9, 104), (168, 8, 56), (168, 12, 56), (312, 18, 104), (312, 27, 104)]
     )
     def test_planned_order_is_undecided(self, n, k, built):
-        verdict = exists_query(Query(n, k, "skew"), search_ms=1)
+        verdict = exists_query(Query(n, k, "skew"))
         assert verdict.kind == "unknown"
         assert f"skew-8n: order must be {built}, " in verdict.note
 
     def test_unbuildable_seed_is_undecided(self):
-        verdict = exists_query(Query(128, 9, "skew"), search_ms=1)
+        verdict = exists_query(Query(128, 9, "skew"))
         assert verdict.kind == "unknown"
         assert verdict.note == (
             "a design the route needs could not be built: "
@@ -420,7 +420,7 @@ class TestFuzzConsistency:
         if k > n:
             k = n
         query = Query(n, k, structure, zero_diagonal=zero_diag)
-        verdict = exists_query(query, search_ms=800)
+        verdict = exists_query(query)
         assert verdict.kind in ("exists", "not-exists", "unknown")
         cert = nonexistence_check(query)
         if cert is not None:
