@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Generate the packaged catalog of small all-ones designs.
+"""Generate the packaged catalog of small all-ones designs, and the pinned
+first rows of circulant weighing matrices.
 
-Each entry is constructed, verified, and written as a .od matrix file plus a
-MANIFEST.txt line recording how it came to be.  The four entries:
+Each catalog entry is constructed, verified, and written as a .od matrix file
+plus a MANIFEST.txt line recording how it came to be.  The four entries:
 
 * order 2:  the explicit symmetric pattern [[x1, x2], [x2, -x1]]
 * order 4:  quaternion left-multiplication family
@@ -10,9 +11,14 @@ MANIFEST.txt line recording how it came to be.  The four entries:
 * order 16: lexicographically first Kronecker-word family from the bounded
             backtracking search below
 
+With --rows the script writes no catalog and prints, one "q row" line each,
+the first rows of W(q^2 + q + 1, q^2) that the multiplier-orbit sign search
+below finds for q in {2, 3, 5, 7, 8, 9}; constructions._PINNED_ROWS holds
+them.
+
 Run from anywhere; by default writes into src/odforge/data/catalog next to
-this script's repository root.  The search lives here, not in the package:
-the program builds its power-of-two designs without searching.
+this script's repository root.  Both searches live here, not in the package:
+the program builds its designs and circulant blocks without searching.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 CATALOG_DIR = REPO_ROOT / "src" / "odforge" / "data" / "catalog"
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from odforge.gf import SingerZeroSet, singer_zero_set  # noqa: E402
 from odforge.matfile import emit_matrix_file  # noqa: E402
 from odforge.matrices import (  # noqa: E402
     ODType,
@@ -151,6 +158,78 @@ def search_monomial_design(t: ODType, deadline: float) -> SignedVarMatrix | None
     return SignedVarMatrix(codes, t.num_vars)
 
 
+# Hard cap on the sign patterns the circulant search scans.  The largest
+# scan, q = 7, has 2**17 candidates; every other prime power up to 49 has at
+# least 24 support orbits, past the cap.
+CANDIDATE_CAP = 1 << 22
+PINNED_CIRCULANT_Q = (2, 3, 5, 7, 8, 9)
+
+
+def multiplier_orbits(n: int, p: int) -> list[list[int]]:
+    """Orbits of i -> p*i (mod n) on Z_n, each sorted, ordered by minimum."""
+    seen: set[int] = set()
+    orbits: list[list[int]] = []
+    for start in range(n):
+        if start in seen:
+            continue
+        orb = []
+        j = start
+        while j not in seen:
+            seen.add(j)
+            orb.append(j)
+            j = (j * p) % n
+        orbits.append(sorted(orb))
+    return orbits
+
+
+def paf_zero(row: np.ndarray) -> bool:
+    n = row.shape[0]
+    return all(int(np.dot(row, np.roll(row, shift))) == 0 for shift in range(1, n))
+
+
+def orbit_sign_search(singer: SingerZeroSet) -> list[int] | None:
+    """Search sign patterns constant on multiplier orbits, zeros fixed on the
+    trace-zero set.  Returns the lexicographically first row (+1 tried before
+    -1 on each orbit, orbits ordered by smallest member) whose periodic
+    autocorrelation vanishes at every nonzero shift, or None."""
+    n, q = singer.n, singer.q
+    p = singer.field.p
+    zero_positions = set(singer.positions)
+    orbits = multiplier_orbits(n, p)
+    # The trace-zero set is closed under the multiplier, so orbits never
+    # straddle the support boundary.
+    support_orbits = [orb for orb in orbits if orb[0] not in zero_positions]
+    m = len(support_orbits)
+    if (1 << m) > CANDIDATE_CAP:
+        return None
+    chunk = 4096
+    total = 1 << m
+    for base in range(0, total, chunk):
+        count = min(chunk, total - base)
+        idx = np.arange(base, base + count, dtype=np.int64)
+        rows = np.zeros((count, n), dtype=np.int64)
+        for bit, orb in enumerate(support_orbits):
+            signs = np.where((idx >> (m - 1 - bit)) & 1, -1, 1)
+            for pos in orb:
+                rows[:, pos] = signs
+        keep = np.abs(rows.sum(axis=1)) == q
+        for row in rows[keep]:
+            if paf_zero(row):
+                return [int(v) for v in row]
+    return None
+
+
+def pinned_circulant_rows() -> dict[int, str]:
+    """First row per pinned q as a "+"/"-"/"0" string."""
+    rows = {}
+    for q in PINNED_CIRCULANT_Q:
+        row = orbit_sign_search(singer_zero_set(q))
+        if row is None:
+            raise SystemExit(f"circulant sign search found no row for q={q}")
+        rows[q] = "".join({1: "+", -1: "-", 0: "0"}[v] for v in row)
+    return rows
+
+
 def build_entries(
     search_ms: int = DEFAULT_SEARCH_MS,
 ) -> list[tuple[str, SignedVarMatrix, ODType, str]]:
@@ -224,8 +303,17 @@ def main() -> None:
         help="output directory (default: the packaged data directory)",
     )
     parser.add_argument("--search-ms", type=int, default=DEFAULT_SEARCH_MS)
+    parser.add_argument(
+        "--rows",
+        action="store_true",
+        help="print the pinned circulant first rows instead of writing the catalog",
+    )
     args = parser.parse_args()
 
+    if args.rows:
+        for q, row in pinned_circulant_rows().items():
+            print(q, row)
+        return
     args.out.mkdir(parents=True, exist_ok=True)
     manifest_lines = ["# catalog entries: <file>: <how it was built>"]
     for name, matrix, claim, provenance in build_entries(args.search_ms):

@@ -2,17 +2,18 @@
 
 Every public constructor returns a :class:`Witness` whose matrix has already
 passed the exact verifiers in :mod:`odforge.matrices`, together with a
-replayable :class:`Trace` recording how it was built.  Functions that try
-several methods (``circulant_cw``, ``small_od_provider``) verify each
-candidate and record rejected attempts in the trace notes instead of hiding
-them; when every method fails they raise :class:`UnsupportedParameterError`
-listing the strategies tried, never returning an unverified matrix.
+replayable :class:`Trace` recording how it was built.  ``small_od_provider``
+tries several methods, verifies each candidate and records rejected attempts
+in the trace notes instead of hiding them; when every method fails it raises
+:class:`UnsupportedParameterError` listing the strategies tried, never
+returning an unverified matrix.
 
-The only search at run time is the circulant sign search, bounded by a
-fixed cap on the candidates it scans, not by a clock.  Power-of-two designs
-come from the packaged catalog (whose order-16 entry
-``scripts/build_catalog.py`` found offline) and from constructions.  So
-whether a matrix is built, and which one, depends on its parameters alone.
+Nothing searches at run time.  Circulant blocks come from a closed form, or
+from six first rows pinned as data; power-of-two designs come from the
+packaged catalog and from constructions.  ``scripts/build_catalog.py`` holds
+the offline searches that found the pinned rows and the catalog's order-16
+entry.  So whether a matrix is built, and which one, depends on its
+parameters alone.
 
 Size conventions used throughout:
 
@@ -40,7 +41,7 @@ from .arith import (
     lcm_set,
     prime_power_square_factorize,
 )
-from .gf import SingerZeroSet, quadratic_character, singer_zero_set
+from .gf import binary_quadric_sign, quadratic_character, singer_zero_set
 from .matrices import (
     IntMatrix,
     MatrixError,
@@ -95,13 +96,6 @@ __all__ = [
     "minimal_pow2_exponent",
     "odd_block_orders",
 ]
-
-# Hard cap on the number of sign patterns the circulant search will scan;
-# beyond this the parameter is reported as unsupported rather than letting
-# the scan run for hours.  It admits q in {2, 3, 4, 5, 7, 8, 9}, the
-# largest scan being q = 7's 2**17 candidates; every other prime power up
-# to 49 has at least 24 support orbits and is refused without a scan.
-_CW_CANDIDATE_CAP = 1 << 22
 
 _P = np.array([[0, 1], [1, 0]], dtype=np.int64)
 _Q = np.array([[1, 0], [0, -1]], dtype=np.int64)
@@ -205,114 +199,80 @@ def _od_witness(x: SignedVarMatrix, t: ODType, trace: Trace) -> Witness:
 # ---------------------------------------------------------------------------
 
 
-def _multiplier_orbits(n: int, p: int) -> list[list[int]]:
-    """Orbits of i -> p*i (mod n) on Z_n, each sorted, ordered by minimum."""
-    seen: set[int] = set()
-    orbits: list[list[int]] = []
-    for start in range(n):
-        if start in seen:
-            continue
-        orb = []
-        j = start
-        while j not in seen:
-            seen.add(j)
-            orb.append(j)
-            j = (j * p) % n
-        orbits.append(sorted(orb))
-    return orbits
+# First rows that the multiplier-orbit sign search of scripts/build_catalog.py
+# found ("+" = 1, "-" = -1).  They differ from the closed form below (negated
+# for q = 2, 3, 7, 8; unrelated for q = 5, 9), and every block array built on
+# them is pinned byte for byte, so they stay as data.  Each keeps the trace
+# notes it was recorded with: for odd q the verifier had first rejected the
+# signs chi_q(Tr x) alone, at the row pair (0, column) given here.
+_PINNED_ROWS = {
+    2: ("+00-0--", None),
+    3: ("00+0+++--0+-+", 3),
+    5: ("+--00-+0-----0-0+++-0-++--+-+-+", 1),
+    7: ("+-+++0--+-----+++0-0-++--+--++0+++-0-+00++-+-0+-+-++++-++", 1),
+    8: ("+--+--+--0-+++-+--0+-++++-+--+++----0-+--0+++-+++--++----0+-+-+--0---0-00", None),
+    9: (
+        "0+++--+0++++----+-+0-0+-+--+--++-++-----------+++-+--++--00+-+-0+-+0+--++---+---0++0--+-+-+",
+        2,
+    ),
+}
+_SIGN_VALUES = {"+": 1, "-": -1, "0": 0}
 
 
-def _character_sign_row(singer: SingerZeroSet) -> list[int]:
-    """Candidate first row: zeros on the trace-zero set, quadratic-character
-    signs elsewhere.  Only meaningful for odd q; the verifier decides."""
-    q = singer.q
+def _pinned_row(q: int) -> tuple[list[int], tuple[str, ...]]:
+    text, rejected_at = _PINNED_ROWS[q]
+    notes = ("signs: multiplier-orbit search, lexicographically first",)
+    if rejected_at is not None:
+        notes = (
+            "quadratic-character signs rejected by verifier: rows not orthogonal "
+            f"with weight k at (0, {rejected_at})",
+        ) + notes
+    return [_SIGN_VALUES[c] for c in text], notes
+
+
+@lru_cache(maxsize=None)
+def _closed_form_row(q: int) -> tuple[tuple[int, ...], tuple[str, ...]]:
+    """Signs on the points x = g**i of GF(q**3)/GF(q)*, zeros where Tr x = 0.
+
+    Odd q: chi_q(Tr x) * (-1)**i, where (-1)**i is the quadratic character
+    of GF(q**3) at x.  Even q: (-1)**Tr_{GF(q)/GF(2)}(s2(x) / Tr(x)**2).
+    Cached: the pure-Python field walk costs milliseconds already at q = 4.
+    """
+    singer = singer_zero_set(q)
+    field = singer.field
     row = []
-    for value in singer.traces:
-        if value == singer.field.zero:
+    x = field.one
+    for i, trace in enumerate(singer.traces):
+        if trace == field.zero:
             row.append(0)
+        elif q % 2:
+            row.append(quadratic_character(field, trace, q) * (-1) ** i)
         else:
-            row.append(quadratic_character(singer.field, value, q))
-    return row
-
-
-def _paf_zero(row: np.ndarray) -> bool:
-    n = row.shape[0]
-    return all(int(np.dot(row, np.roll(row, shift))) == 0 for shift in range(1, n))
-
-
-def _orbit_sign_search(singer: SingerZeroSet) -> list[int] | None:
-    """Search sign patterns constant on multiplier orbits, zeros fixed on the
-    trace-zero set.  Returns the lexicographically first row (+1 tried before
-    -1 on each orbit, orbits ordered by smallest member) whose periodic
-    autocorrelation vanishes at every nonzero shift, or None."""
-    n, q = singer.n, singer.q
-    p = singer.field.p
-    zero_positions = set(singer.positions)
-    orbits = _multiplier_orbits(n, p)
-    # The trace-zero set is closed under the multiplier, so orbits never
-    # straddle the support boundary.
-    support_orbits = [orb for orb in orbits if orb[0] not in zero_positions]
-    m = len(support_orbits)
-    if (1 << m) > _CW_CANDIDATE_CAP:
-        return None
-    chunk = 4096
-    total = 1 << m
-    target = q * q
-    for base in range(0, total, chunk):
-        count = min(chunk, total - base)
-        idx = np.arange(base, base + count, dtype=np.int64)
-        rows = np.zeros((count, n), dtype=np.int64)
-        for bit, orb in enumerate(support_orbits):
-            signs = np.where((idx >> (m - 1 - bit)) & 1, -1, 1)
-            for pos in orb:
-                rows[:, pos] = signs
-        keep = np.abs(rows.sum(axis=1)) == q
-        for row in rows[keep]:
-            if _paf_zero(row):
-                return [int(v) for v in row]
-    return None
+            row.append(binary_quadric_sign(field, x, q))
+        x = field.mul(x, singer.generator)
+    if q % 2:
+        note = "signs: closed form chi_q(Tr x) * (-1)**i at x = g**i"
+    else:
+        note = "signs: closed form (-1)**Tr_{GF(q)/GF(2)}(s2(x) / Tr(x)**2)"
+    return tuple(row), (note,)
 
 
 def circulant_cw(q: int) -> Witness:
     """Circulant weighing matrix of order q**2 + q + 1 and weight q**2.
 
     The first row has its q + 1 zeros exactly on the trace-zero position set
-    of GF(q**3) over GF(q).  Signs are found by a strategy chain; every
-    candidate must pass full verification before it is returned.
+    of GF(q**3) over GF(q).  Its signs are a pinned row for q in
+    {2, 3, 5, 7, 8, 9} and the closed form for every other prime power; the
+    matrix is verified once before it is returned.
     """
     if is_prime_power(q) is None:
         raise ConstructionError(f"q must be a prime power, got {q}")
-    singer = singer_zero_set(q)
-    n = singer.n
-    k = q * q
-    strategies: list[str] = []
-
-    def finish(row: Sequence[int], note: str) -> Witness:
-        candidate = circulant(row)
-        trace = _trace("circulant-weighing", notes=tuple(strategies) + (note,), q=q)
-        w = _weighing_witness(candidate, n, k, trace)
-        if not w.structure.circulant:
-            raise VerificationInternalError("circulant constructor lost circulant shape")
-        return w
-
-    if q % 2 == 1:
-        row = _character_sign_row(singer)
-        rep = verify_weighing(circulant(row), k)
-        if rep.ok:
-            return finish(row, "signs: quadratic character of relative trace")
-        strategies.append(
-            "quadratic-character signs rejected by verifier: " + rep.message()
-        )
-
-    row = _orbit_sign_search(singer)
-    if row is not None:
-        return finish(row, "signs: multiplier-orbit search, lexicographically first")
-    strategies.append(
-        f"multiplier-orbit sign search exhausted (cap {_CW_CANDIDATE_CAP} candidates)"
-    )
-    raise UnsupportedParameterError(
-        f"no verified circulant weighing matrix found for q={q}", strategies
-    )
+    row, notes = _pinned_row(q) if q in _PINNED_ROWS else _closed_form_row(q)
+    trace = _trace("circulant-weighing", notes=notes, q=q)
+    w = _weighing_witness(circulant(row), q * q + q + 1, q * q, trace)
+    if not w.structure.circulant:
+        raise VerificationInternalError("circulant constructor lost circulant shape")
+    return w
 
 
 def spread_circulant(w: Witness, c: int) -> Witness:

@@ -582,10 +582,7 @@ def _circulant_route(query: Query) -> Verdict:
     if root * root == k and is_prime_power(root) is not None:
         base_order = root * root + root + 1
         if n % base_order == 0:
-            try:
-                base = circulant_cw(root)
-            except UnsupportedParameterError as err:
-                return Verdict.unknown(f"circulant block unavailable: {err}")
+            base = circulant_cw(root)
             c = n // base_order
             return Verdict.exists(base if c == 1 else spread_circulant(base, c))
         return Verdict.unknown(

@@ -9,10 +9,12 @@ deterministic primitive element: the smallest one of full multiplicative
 order.
 
 On top of the arithmetic sit the relative trace to the index-3 subfield, the
-quadratic character of an odd-order subfield, and the trace-zero position
-sets in Z_(q^2+q+1) that underlie circulant weighing matrices: the positions
-i with Tr(g^i) = 0 form a planar difference set of size q + 1, which is
-verified explicitly before a result is returned.
+quadratic character of an odd-order subfield, the even-q quadric sign, and the
+trace-zero position sets in Z_(q^2+q+1) that underlie circulant weighing
+matrices: the positions i with Tr(g^i) = 0 form a planar difference set of
+size q + 1, which is verified explicitly before a result is returned.  The
+character (odd q) and the quadric sign (even q) give the closed-form signs on
+the other positions.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ __all__ = [
     "field_make",
     "primitive_element",
     "trace_to_subfield",
+    "binary_quadric_sign",
     "quadratic_character",
     "SingerZeroSet",
     "singer_zero_set",
@@ -209,6 +212,32 @@ def trace_to_subfield(field: FiniteField, x: Element, subfield_order: int) -> El
     if field.pow(tr, q) != tr:
         raise FieldError("trace landed outside the subfield (impossible)")
     return tr
+
+
+def binary_quadric_sign(field: FiniteField, x: Element, subfield_order: int) -> int:
+    """(-1) ** Tr_{GF(q)/GF(2)}(s2(x) / Tr(x)**2) for x in GF(q^3), q even,
+    where s2(x) = x^(1+q) + x^(1+q^2) + x^(q+q^2) and Tr(x) != 0.
+
+    The ratio is homogeneous of degree 0, so the sign is constant on the
+    cosets x * GF(q)*; it is the even-q sign rule of circulant weighing
+    matrices.
+    """
+    q = subfield_order
+    if q % 2 or field.order != q**3:
+        raise FieldError(f"no quadric sign on GF({field.order}) over GF({q})")
+    xq = field.pow(x, q)
+    xq2 = field.pow(xq, q)
+    tr = field.add(field.add(x, xq), xq2)
+    if tr == field.zero:
+        raise FieldError("the quadric sign is undefined where the trace is zero")
+    s2 = field.add(field.add(field.mul(x, xq), field.mul(x, xq2)), field.mul(xq, xq2))
+    # Tr(x) lies in GF(q)*, so Tr(x)**-2 == Tr(x)**(q-3), reduced mod q - 1.
+    y = field.mul(s2, field.pow(tr, (q - 3) % (q - 1)))
+    absolute = field.zero
+    for _ in range(q.bit_length() - 1):
+        absolute = field.add(absolute, y)
+        y = field.mul(y, y)
+    return 1 if absolute == field.zero else -1
 
 
 def quadratic_character(

@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 
 from odforge.cli import EXIT_ERROR, EXIT_NEGATIVE, EXIT_OK, main
-from odforge.constructions import odd_block_orders, replay
+from odforge.constructions import block_array_od, circulant_cw, odd_block_orders, replay
 from odforge.existence import FAMILIES, ExistenceError, Query, bound_N, exists_query
 from odforge.matfile import parse_matrix_file
 from odforge.matrices import ODType, WeighingType
-from conftest import dense_weighing_report
+from conftest import dense_od_report, dense_weighing_report
 
 
 def run(capsys, *argv):
@@ -278,6 +278,31 @@ class TestCliCorpus:
         answer = run(capsys, *argv.split())
         assert hashlib.sha256(repr(answer).encode()).hexdigest() == digest, answer
 
+    # Digests of the answers with the note lines of circulant-weighing nodes
+    # removed, recorded while the blocks still came from a run-time search:
+    # whatever those notes say, the rest of each answer stays the same.
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            ("exists --n 78 --k 9 --structure skew --trace", "863ff4613db7684c259ae3a4e711eccc89f4df4c532b46c392e1c226672ad3c9"),
+            ("exists --n 104 --k 9 --structure skew --trace", "2ae0c015e07a4da5f7785feb281c13c178f420fde34b42327ff962b514896bc4"),
+            ("exists --n 7 --k 4 --structure symmetric --trace", "0342aebc652bf17d68796715d6f771d496704c25d8068c9d34c124878d609128"),
+            ("exists --n 78 --k 10 --trace", "2e4637fa09146268b5b8b7ab3cd4c2e5af976dd467867da0fcdc65343656df25"),
+            ("exists --n 115 --k 4 --trace", "96e48012f17e6030d6539d0bf65482f3089ce3649c00a1dd721e4e39e0fce6cc"),
+        ],
+    )
+    def test_answer_without_circulant_notes(self, capsys, argv, digest):
+        code, out, err = run(capsys, *argv.split())
+        kept, node_depth = [], None
+        for line in err.split("\n"):
+            depth = len(line) - len(line.lstrip())
+            if node_depth is not None and depth == node_depth + 2 and line.lstrip().startswith("note: "):
+                continue
+            node_depth = depth if line.lstrip().startswith("circulant-weighing(") else None
+            kept.append(line)
+        answer = (code, out, "\n".join(kept))
+        assert hashlib.sha256(repr(answer).encode()).hexdigest() == digest, answer
+
 
 class TestNoSearchBudget:
     """A power-of-two design the provider cannot build is reported at once.
@@ -380,6 +405,39 @@ class TestThresholdCorpus:
         assert replay(witness.trace).matrix == witness.matrix
 
 
+class TestPrimePowerBlocks:
+    """Answers that need the closed-form circulant W(133, 121) block: the
+    written witness passes the dense oracle and its recipe replays to it."""
+
+    @pytest.mark.parametrize(
+        "argv, build",
+        [
+            ("construct cw --q 11", lambda: circulant_cw(11)),
+            (
+                "exists --n 133 --k 121 --structure circulant",
+                lambda: exists_query(Query(133, 121, "circulant")).witness,
+            ),
+            (
+                "exists --n 133 --k 121 --structure symmetric",
+                lambda: exists_query(Query(133, 121, "symmetric")).witness,
+            ),
+            ("construct od --method two --ks 1,11", lambda: block_array_od(2, (1, 11))),
+        ],
+    )
+    def test_witness_against_oracle_and_replay(self, capsys, tmp_path, argv, build):
+        target = tmp_path / "witness.txt"
+        code, out, err = run(capsys, *argv.split(), "--out", str(target))
+        assert code == EXIT_OK, err
+        matrix, claim, _ = parse_matrix_file(target.read_text())
+        if isinstance(claim, ODType):
+            assert dense_od_report(matrix.codes, claim.type_tuple)[0]
+        else:
+            assert dense_weighing_report(matrix.entries, claim.weight)[0]
+        witness = build()
+        assert witness.matrix == matrix
+        assert replay(witness.trace).matrix == matrix
+
+
 class TestExists:
     def test_witness_written_and_verifiable(self, capsys, tmp_path):
         target = tmp_path / "witness.txt"
@@ -414,7 +472,8 @@ class TestExists:
         )
 
     def test_circulant_answer_ignores_the_budget(self, capsys):
-        # The q = 7 sign search scans 32 chunks; a 1 ms budget once cut it short.
+        # The q = 7 block once came from a 32-chunk sign search that a 1 ms
+        # budget cut short; it is now pinned data.
         code, out, err = run(
             capsys, "exists", "--n", "57", "--k", "49", "--structure", "circulant",
             "--search-ms", "1",

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from odforge.gf import (
     FieldError,
+    binary_quadric_sign,
     field_make,
     primitive_element,
     quadratic_character,
@@ -86,7 +87,7 @@ class TestTrace:
         assert len(values) == q
 
     def test_trace_frobenius_invariant(self):
-        # Tr(x^p) = Tr(x)^p, the identity behind orbit-constant sign search
+        # Tr(x^p) = Tr(x)^p: the trace-zero set is closed under i -> p*i
         q = 3
         f = field_make(3, 3)
         for x in f.elements():
@@ -122,6 +123,28 @@ class TestQuadraticCharacter:
         f = field_make(2, 2)
         with pytest.raises(FieldError):
             quadratic_character(f, f.one)
+
+
+class TestBinaryQuadricSign:
+    @pytest.mark.parametrize("q", [2, 4, 8])
+    def test_constant_on_subfield_cosets(self, q):
+        s = singer_zero_set(q)
+        f = s.field
+        scalar = f.pow(s.generator, s.n)  # generates GF(q)*
+        x = f.one
+        for i in range(s.n):
+            if i not in s.positions:
+                sign = binary_quadric_sign(f, x, q)
+                assert sign in (1, -1)
+                assert binary_quadric_sign(f, f.mul(x, scalar), q) == sign
+            x = f.mul(x, s.generator)
+
+    def test_rejects_odd_q_and_trace_zero(self):
+        with pytest.raises(FieldError):
+            binary_quadric_sign(field_make(3, 3), field_make(3, 3).one, 3)
+        s = singer_zero_set(4)
+        with pytest.raises(FieldError):
+            binary_quadric_sign(s.field, s.field.pow(s.generator, s.positions[0]), 4)
 
 
 class TestSingerZeroSet:

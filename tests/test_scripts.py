@@ -34,3 +34,11 @@ def test_survey_bounds_lists_every_weight():
     lines = run_script("survey_bounds.py", "--max-k", "5").splitlines()
     weights = {line.split()[0] for line in lines if line[:5].strip().isdigit()}
     assert weights == {"1", "2", "3", "4", "5"}
+
+
+def test_build_catalog_regenerates_the_pinned_circulant_rows():
+    from odforge.constructions import _PINNED_ROWS
+
+    lines = run_script("build_catalog.py", "--rows").splitlines()
+    rows = {int(q): row for q, row in (line.split() for line in lines)}
+    assert rows == {q: row for q, (row, _) in _PINNED_ROWS.items()}
