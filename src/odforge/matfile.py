@@ -14,13 +14,16 @@ is a separate step.  Emission is canonical: flags in the order sym, skew,
 circ; weighing signs as ``+``/``-``; one trailing newline.  Re-emitting a
 parsed file reproduces it byte for byte.
 
-Both directions are table-driven, a constant number of C-level calls per
-row.  Emission indexes one token table (codes -l..l, or -1..1 for weighing)
-with one block of rows of the code array at a time and joins rows.  Parsing
-maps each row's tokens through one dict of the canonical tokens (plus the
-weighing aliases); a row the dict does not cover, such as one spelling an
-index ``+02``, is read token by token, which accepts the same spellings as
-the table and reports the first bad token by line and position.
+Both directions work one block of rows at a time, with a constant number of
+C-level calls per row block, so their temporaries are bounded by the block.
+Emission indexes one token table (codes -l..l, or -1..1 for weighing) with
+the block's codes and joins rows.  Parsing decodes the block's ASCII bytes
+with numpy array passes: separators and row ends, token lengths, then the
+sign and the decimal digits of every token at once.  A block the passes do
+not cover (a bad token, a row of the wrong length, or an index with more
+digits than l has, such as ``+02`` for l < 10) is read row by row and token
+by token, which accepts the same spellings and reports the first bad token
+by line and position.
 """
 
 from __future__ import annotations
@@ -139,6 +142,48 @@ def _parse_row(tokens: list[str], n: int, claim: Claim, line: int) -> list[int]:
     ]
 
 
+# Cells per row block of parsing: the byte and index arrays of one block
+# (some tens of bytes per cell) are alive at a time, not those of the whole
+# body.  Smaller blocks cost more calls; larger ones decode no faster.
+_PARSE_BLOCK_CELLS = 1 << 14
+
+
+def _decode_rows(rows: list[str], n: int, claim: Claim) -> np.ndarray | None:
+    """Codes of ``rows`` as a (len(rows), n) array when every row holds n
+    single-space separated tokens, each a weighing token or ``0``/``+j``/``-j``
+    with j in 1..l written in at most as many ASCII digits as l has; else
+    None, and the caller reads the rows token by token."""
+    buf = np.frombuffer("\n".join([*rows, ""]).encode("ascii", "replace"), np.uint8)
+    ends = np.flatnonzero((buf == 32) | (buf == 10))  # the byte after each token
+    if ends.size != len(rows) * n or not np.all(buf[ends[n - 1 :: n]] == 10):
+        return None
+    lengths = ends - np.concatenate(([0], ends[:-1] + 1))
+    first = buf[ends - lengths]
+    minus = first == ord("-")
+    if isinstance(claim, WeighingType):
+        codes = ((first == ord("+")) | (first == ord("1"))).view(np.int8) - minus
+        ok = ((lengths == 1) & ((codes != 0) | (first == ord("0")))) | (
+            (lengths == 2) & minus & (buf[ends - 1] == ord("1"))
+        )
+        return codes.reshape(-1, n) if ok.all() else None
+    l = claim.num_vars
+    places = len(str(l))
+    sign = (first == ord("+")).view(np.int8) - minus
+    ok = ((lengths == 1) & (first == ord("0"))) | (
+        (sign != 0) & (lengths >= 2) & (lengths <= places + 1)
+    )
+    index = np.zeros(ends.size, dtype=np.int64)
+    for place in range(places):  # digits from the last one back
+        # uint8 arithmetic: every byte other than "0".."9" lands above 9.
+        # Clipped positions belong to tokens too short to have this digit.
+        digit = np.take(buf, ends - (1 + place), mode="clip") - np.uint8(ord("0"))
+        here = lengths > place + 1
+        ok &= ~here | (digit <= 9)
+        index += (digit * here).astype(np.int64) * 10**place
+    ok &= (sign == 0) | ((index >= 1) & (index <= l))
+    return (sign * index).reshape(-1, n) if ok.all() else None
+
+
 def parse_matrix_file(text: str) -> tuple[Matrix, Claim, tuple[str, ...]]:
     """Parse a matrix file into (matrix, claim, flags); no verification."""
     lines = text.split("\n")
@@ -158,22 +203,17 @@ def parse_matrix_file(text: str) -> tuple[Matrix, Claim, tuple[str, ...]]:
         # check the grid is at most four times the size of the text.
         for row, line in enumerate(lines[1:]):
             _parse_row(line.split(" "), n, claim, row + 2)
-    if isinstance(claim, WeighingType):
-        table = _WEIGHING_TOKENS
-    else:
-        l = claim.num_vars
-        table = dict(zip(_od_tokens(l), range(-l, l + 1)))
-    lookup = table.__getitem__
     grid = np.empty((n, n), dtype=np.int64)
-    for row, line in enumerate(lines[1:]):
-        tokens = line.split(" ")
-        if len(tokens) == n:
-            try:
-                grid[row] = np.fromiter(map(lookup, tokens), np.int64, n)
-                continue
-            except KeyError:
-                pass
-        grid[row] = _parse_row(tokens, n, claim, row + 2)
+    step = max(1, _PARSE_BLOCK_CELLS // n)
+    for r0 in range(0, n, step):
+        rows = lines[1 + r0 : 1 + r0 + step]
+        codes = _decode_rows(rows, n, claim)
+        if codes is None:
+            codes = [
+                _parse_row(line.split(" "), n, claim, r0 + i + 2)
+                for i, line in enumerate(rows)
+            ]
+        grid[r0 : r0 + len(rows)] = codes
     if isinstance(claim, WeighingType):
         return IntMatrix._adopt(grid), claim, flags
     return SignedVarMatrix._adopt(grid, claim.num_vars), claim, flags

@@ -22,9 +22,12 @@ for i != j.  One pass over the codes gives every variable's row and column
 weights.  Once those hold, row r of A_i A_j^T is a sum of s_i * s_j signed
 partner terms, so each Gram matrix and each pair sum can be checked exactly
 from the row and column supports in O(n * s_i * s_j), in row blocks that keep
-the temporaries bounded.  Near-dense members go to the dense BLAS product
-instead (one product per pair); a fixed cost rule on n, s_i and s_j picks the
-kernel per product.  Both kernels report the same first violation.
+the temporaries bounded.  Both sums checked, A_j A_j^T and A_i A_j^T +
+A_j A_i^T, are symmetric, so their first violation in row-major order lies on
+or above the diagonal, and the support kernel counts only those terms.
+Near-dense members go to the dense BLAS product instead (one product per
+pair); a fixed cost rule on n, s_i and s_j picks the kernel per product.  Both
+kernels report the same first violation.
 
 Indexing convention: storage is 0-based throughout.  Classical 1-based matrix
 descriptions are converted here, in one place, as follows: a circulant has
@@ -446,10 +449,15 @@ _BLOCK_TERMS = 1 << 19
 
 # One partner term of the support kernel costs about as much as this many
 # multiply-adds of the dense BLAS product.  Measured on a 2-core x86-64 VM
-# (numpy 2.4, OpenBLAS, two threads) with valid W(n, s) inputs: 20-25 ns per
-# term against 50-75 ps per multiply-add at n >= 1024 (ratio 300-400) and
-# about 150 ps at n = 512 (ratio about 150).  A Gram check then goes to the
-# support kernel while s / n < 1/16.
+# (Xeon, numpy 2.4.6, OpenBLAS 0.3.31, two threads), each kernel alone on
+# valid W(n, s) inputs (I (x) Sylvester H_s, rows and columns permuted) with
+# s near the crossover: the support kernel takes 6-7 ns per term of n * s**2
+# (it sorts only the half on or above the diagonal), and the dense product
+# 14-18 ps per multiply-add at n >= 1024 (ratio 400-460) and 18-27 ps at
+# n = 512 (ratio 250-520).  Verifying the designs of one perfbench block-io
+# round (orders 312-1898) takes about as long at every cost from 256 to 512
+# (294-299 ms), and longer at 128 (312 ms) and 1024 (404 ms), so 256 stays.
+# A Gram check goes to the support kernel while s / n < 1/16.
 _TERM_COST = 256
 
 
@@ -465,13 +473,13 @@ def _support_is_cheaper(n: int, terms_per_row: int) -> bool:
 
 class _Member(NamedTuple):
     """Row and column supports of one {0,+1,-1} member with s nonzeros in
-    every row and every column: row r has ``signs[r, a]`` at column
-    ``cols[r, a]``; column t has ``col_signs[t, b]`` at row ``rows[t, b]``."""
+    every row and every column: row r has a nonzero at column ``cols[r, a]``,
+    negative where ``negative[r, a]`` is 1; column t has its nonzeros at the
+    rows p of ``partners[t, b] = 2 * p + (entry > 0)``."""
 
     cols: np.ndarray
-    signs: np.ndarray
-    rows: np.ndarray
-    col_signs: np.ndarray
+    negative: np.ndarray
+    partners: np.ndarray
 
 
 def _scan_codes(codes: np.ndarray, l: int, keep: bool):
@@ -515,11 +523,11 @@ def _member_supports(pairs, j: int, s: int, n: int) -> _Member:
     cols, vals = pairs
     mask = np.abs(vals) == j + 1
     mcols = cols[mask].reshape(n, s)
-    signs = np.sign(vals[mask]).reshape(n, s)
+    positive = vals[mask] > 0
     by_col = np.argsort(mcols.ravel(), kind="stable")
-    rows = (by_col // max(s, 1)).reshape(n, s)
-    col_signs = signs.ravel()[by_col].reshape(n, s)
-    return _Member(mcols, signs, rows, col_signs)
+    partners = 2 * (by_col // max(s, 1)) + positive[by_col]
+    negative = (~positive).astype(np.int64).reshape(n, s)
+    return _Member(mcols, negative, partners.reshape(n, s))
 
 
 def _support_mismatch(
@@ -528,24 +536,34 @@ def _support_mismatch(
     """First cell, in row-major order, where sum_(a,b) A_a A_b^T differs from
     diag * I.
 
+    Precondition: the sum is symmetric, as A_j A_j^T and A_i A_j^T +
+    A_j A_i^T are.  Then a violation at (r, c) with c < r has its mirror
+    (c, r) earlier in row-major order, so the first one lies on or above
+    the diagonal, and only terms with partner row c >= r are counted.
+
     Row r of A_a A_b^T is the sum, over the s_a columns t of row r's
     support, of A_a[r, t] times column t of A_b, which has s_b nonzeros: so a
     row costs s_a * s_b partner terms, not n.  Terms are encoded as
-    2 * (local row * n + column) + (sign > 0), sorted, and counted per cell.
+    2 * (local row * n + partner row) + (sign > 0), sorted, and counted per
+    cell.
     """
-    per_row = sum(a.cols.shape[1] * b.rows.shape[1] for a, b in products)
+    per_row = sum(a.cols.shape[1] * b.partners.shape[1] for a, b in products)
     if per_row == 0:
         return None
     step = max(1, _BLOCK_TERMS // per_row)
     for r0 in range(0, n, step):
         r1 = min(n, r0 + step)
-        base = np.arange(r1 - r0, dtype=np.int64)[:, None, None] * n
+        local = np.arange(r1 - r0, dtype=np.int64)[:, None, None]
         parts = []
         for a, b in products:
-            t = a.cols[r0:r1]
-            positive = a.signs[r0:r1, :, None] * b.col_signs[t] > 0
-            parts.append((2 * (base + b.rows[t]) + positive).ravel())
+            # the sign bit of A_b[p, t] flips where A_a[r, t] is negative
+            enc = b.partners[a.cols[r0:r1]]
+            enc ^= a.negative[r0:r1, :, None]
+            enc += 2 * n * local
+            parts.append(enc[enc >= 2 * ((n + 1) * local + r0)])  # p >= r
         enc = np.concatenate(parts)
+        if not enc.size:  # no term on or above the diagonal
+            continue
         enc.sort()
         key = enc >> 1
         starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))

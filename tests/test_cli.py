@@ -161,6 +161,22 @@ class TestVerify:
         assert "declared flags not satisfied" in out
         assert "skew" in out
 
+    def test_shape_check_runs_only_for_declared_flags(self, capsys, tmp_path, monkeypatch):
+        import odforge.cli
+
+        calls = []
+        check = odforge.cli.structure_check
+        monkeypatch.setattr(
+            odforge.cli, "structure_check", lambda m: calls.append(m) or check(m)
+        )
+        plain, flagged = tmp_path / "plain.txt", tmp_path / "flagged.txt"
+        plain.write_text("W 2 1\n+ 0\n0 +\n")
+        flagged.write_text("W 2 1 sym\n+ 0\n0 +\n")
+        assert run(capsys, "verify", "--file", str(plain)) == (EXIT_OK, "PASS W(2,1)\n", "")
+        assert not calls
+        assert run(capsys, "verify", "--file", str(flagged)) == (EXIT_OK, "PASS W(2,1) [sym]\n", "")
+        assert len(calls) == 1
+
     def test_missing_file_is_one(self, capsys, tmp_path):
         code, out, err = run(capsys, "verify", "--file", str(tmp_path / "nope.txt"))
         assert code == EXIT_ERROR

@@ -12,6 +12,15 @@ from odforge.matrices import IntMatrix, ODType, SignedVarMatrix, WeighingType
 from conftest import reference_emit_matrix_file, reference_parse_matrix_file
 
 
+def _two_digit_design():
+    """A 12 x 12 code grid with l = 12, so tokens such as "-12" and "+10",
+    with its claim and canonical text."""
+    n = l = 12
+    codes = (np.add.outer(np.arange(n), 3 * np.arange(n)) % (2 * l + 1)) - l
+    claim = ODType(n, (1,) * l)
+    return codes, claim, emit_matrix_file(SignedVarMatrix(codes, l), claim)
+
+
 class TestParseBasics:
     def test_minimal_weighing(self):
         matrix, claim, flags = parse_matrix_file("W 2 1\n+ 0\n0 +\n")
@@ -34,6 +43,26 @@ class TestParseBasics:
         assert isinstance(matrix, SignedVarMatrix)
         assert claim == ODType(2, (1, 1))
         assert matrix.codes.tolist() == [[1, 2], [2, -1]]
+
+    def test_two_digit_variable_indices(self):
+        codes, claim, text = _two_digit_design()
+        assert {"+10", "-12", "0", "+1"} <= set(text.split())
+        matrix, parsed_claim, _ = parse_matrix_file(text)
+        assert parsed_claim == claim
+        assert matrix.codes.tolist() == codes.tolist()
+        assert (matrix.codes.tolist(), claim, ()) == reference_parse_matrix_file(text)
+
+    # ":" is the byte after "9": a decoder that skipped the digit check
+    # would read "+:" as +10
+    @pytest.mark.parametrize(
+        "token", ["+13", "-013", "+1x", "x1", "+", "+:", "-0:", "+012", "-00012"]
+    )
+    def test_two_digit_index_tokens_match_reference(self, token):
+        lines = _two_digit_design()[2].split("\n")
+        tokens = lines[9].split(" ")
+        tokens[4] = token
+        lines[9] = " ".join(tokens)
+        assert_parsers_agree("\n".join(lines))
 
     def test_flags_parsed_and_canonicalized(self):
         _, _, flags = parse_matrix_file("W 2 1 circ sym\n+ 0\n0 +\n")
@@ -170,6 +199,28 @@ class TestEmit:
             tracemalloc.stop()
         assert text == reference_emit_matrix_file(matrix, WeighingType(n, n))
         assert peak < 3 * len(text)
+
+    @pytest.mark.parametrize("kind", ["weighing", "design"])
+    def test_parse_holds_no_token_grid(self, kind):
+        # The body is decoded one row block at a time: past the n x n int64
+        # grid and the text's rows, the peak holds one block's temporaries,
+        # not index arrays of eight bytes per token of the whole body.
+        n = 1024
+        rng = np.random.default_rng(5)
+        if kind == "weighing":
+            matrix, claim = IntMatrix._adopt(rng.integers(-1, 2, size=(n, n))), WeighingType(n, n)
+        else:
+            codes = rng.integers(-12, 13, size=(n, n))
+            matrix, claim = SignedVarMatrix._adopt(codes, 12), ODType(n, (1,) * 12)
+        text = emit_matrix_file(matrix, claim)
+        tracemalloc.start()
+        try:
+            parsed, _, _ = parse_matrix_file(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert parsed == matrix
+        assert peak < 8 * n * n + 2 * len(text)
 
     def test_design_codes_of_any_signed_dtype(self):
         codes = np.array([[1, -2], [2, 1]], dtype=np.int8)

@@ -1,0 +1,83 @@
+"""Row-block boundaries of the support kernel and of the matrix-file parser.
+
+Both work one block of rows at a time, and at their default block sizes every
+small test matrix fits in one block.  Here the differential tests of
+``test_verify_kernels.py`` and ``test_matfile.py`` run again with blocks of a
+row or a few rows, so the support kernel's upper-triangle filter and the
+parser's per-block decode meet block boundaries at every offset.
+"""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given
+
+import test_matfile
+import test_verify_kernels
+from odforge import matfile, matrices
+from odforge.constructions import circulant_cw, spread_circulant
+from odforge.matfile import emit_matrix_file, parse_matrix_file
+from odforge.matrices import IntMatrix
+from conftest import dense_weighing_report
+
+# Partner terms per kernel block: 1 gives one row per block; 96 gives blocks
+# of a few rows for the weights of the test designs.
+KERNEL_BLOCK_TERMS = (1, 96)
+# Cells per parse block: 1 gives one row per block; 24 gives blocks of two to
+# a few rows for the orders 1..12 of the generated texts.
+PARSE_BLOCK_CELLS = (1, 24)
+
+
+@pytest.mark.parametrize("terms", KERNEL_BLOCK_TERMS)
+@pytest.mark.parametrize(
+    "differential",
+    [
+        test_verify_kernels.test_design_kernels_match_dense_reference,
+        test_verify_kernels.test_weighing_kernels_match_dense_reference,
+    ],
+    ids=["design", "weighing"],
+)
+def test_kernel_differential_tests_in_small_blocks(differential, terms, monkeypatch):
+    monkeypatch.setattr(matrices, "_BLOCK_TERMS", terms)
+    differential()
+
+
+@pytest.mark.parametrize("terms", (*KERNEL_BLOCK_TERMS, matrices._BLOCK_TERMS))
+@pytest.mark.parametrize("q, spread", [(3, 1), (2, 10)])
+def test_flip_below_the_diagonal_reports_its_mirror(q, spread, terms, monkeypatch):
+    # A valid W(n, k) with one entry A[i, j] (i > j) negated: row i's inner
+    # products with the rows p sharing column j change, at (i, p) and (p, i).
+    # The first in row-major order lies above the diagonal, mirrored from
+    # below when p < i.
+    monkeypatch.setattr(matrices, "_BLOCK_TERMS", terms)
+    w = spread_circulant(circulant_cw(q), spread)
+    grid = np.array(w.matrix.entries, dtype=np.int64)
+    k = w.claim.weight
+    i, j = max((r, c) for r, c in zip(*np.nonzero(np.tril(grid, -1))))
+    grid[i, j] = -grid[i, j]
+    expected = dense_weighing_report(grid, k)
+    assert expected[0] is False and expected[2][0] < expected[2][1]
+    assert expected[2][0] < i  # the mirror of a cell in row i
+    for name, use_support in test_verify_kernels.KERNELS.items():
+        got = matrices._family_report(grid, (k,), "", use_support)
+        assert test_verify_kernels._triple(got) == expected, name
+    got = matrices.verify_weighing(IntMatrix(grid), k)
+    assert test_verify_kernels._triple(got) == expected
+
+
+@pytest.mark.parametrize("cells", PARSE_BLOCK_CELLS)
+@given(text=test_matfile.corrupted_texts())
+def test_corrupted_texts_in_small_blocks(cells, text):
+    # a bad token in a later block gives the reference's line and token
+    with mock.patch.object(matfile, "_PARSE_BLOCK_CELLS", cells):
+        test_matfile.assert_parsers_agree(text)
+
+
+@pytest.mark.parametrize("cells", PARSE_BLOCK_CELLS)
+@given(case=test_matfile._cases)
+def test_round_trips_in_small_blocks(cells, case):
+    text = emit_matrix_file(*case)
+    with mock.patch.object(matfile, "_PARSE_BLOCK_CELLS", cells):
+        assert test_matfile.assert_parsers_agree(text)[0] == "ok"
+        assert emit_matrix_file(*parse_matrix_file(text)) == text
