@@ -46,7 +46,7 @@ from .existence import (
     bound_N,
     exists_query,
 )
-from .matfile import MatrixFileError, emit_matrix_file, parse_matrix_file
+from .matfile import MatrixFileError, emit_matrix_chunks, parse_matrix_file
 from .matrices import (
     MatrixError,
     ODType,
@@ -68,10 +68,17 @@ def _err(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _write_out(path: str, text: str) -> bool:
-    """Write an --out file; on failure report it on stderr and return False."""
+def _write_matrix(witness: Witness, path: Optional[str]) -> bool:
+    """Write the witness's matrix file to ``path``, or to stdout without one,
+    one row block at a time; on a write failure report it on stderr and
+    return False."""
+    chunks = emit_matrix_chunks(witness.matrix, witness.claim, _structure_flags(witness))
+    if path is None:
+        sys.stdout.writelines(chunks)
+        return True
     try:
-        Path(path).write_text(text)
+        with open(path, "w") as out:
+            out.writelines(chunks)
     except OSError as err:
         _err(f"cannot write {path}: {err}")
         return False
@@ -92,15 +99,12 @@ def _structure_flags(witness: Witness) -> tuple[str, ...]:
 
 def _deliver(witness: Witness, args: argparse.Namespace) -> int:
     """Write the witness in interchange format and optionally its trace."""
-    text = emit_matrix_file(witness.matrix, witness.claim, _structure_flags(witness))
     if args.trace:
         _err(witness.trace.render())
+    if not _write_matrix(witness, args.out):
+        return EXIT_ERROR
     if args.out:
-        if not _write_out(args.out, text):
-            return EXIT_ERROR
         _err(f"wrote {_describe(witness)} to {args.out}")
-    else:
-        sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -272,8 +276,7 @@ def _cmd_exists(args: argparse.Namespace) -> int:
     if args.trace:
         _err(witness.trace.render())
     if args.out:
-        text = emit_matrix_file(witness.matrix, witness.claim, _structure_flags(witness))
-        if not _write_out(args.out, text):
+        if not _write_matrix(witness, args.out):
             return EXIT_ERROR
         _err(f"wrote witness to {args.out}")
     return EXIT_OK

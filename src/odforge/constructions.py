@@ -2,7 +2,9 @@
 
 Every public constructor returns a :class:`Witness` whose matrix has already
 passed the exact verifiers in :mod:`odforge.matrices`, together with a
-replayable :class:`Trace` recording how it was built.  ``small_od_provider``
+replayable :class:`Trace` recording how it was built.  A composed witness
+(a direct sum past a combination threshold) holds verified blocks instead,
+and its matrix passes the verifiers when it is first read.  ``small_od_provider``
 tries several methods, verifies each candidate and records rejected attempts
 in the trace notes instead of hiding them; when every method fails it raises
 :class:`UnsupportedParameterError` listing the strategies tried, never
@@ -158,14 +160,28 @@ def _trace(op: str, notes: Iterable[str] = (), subs: Iterable[Trace] = (), **par
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Witness:
-    """A verified matrix, its claim, its shape report, and its recipe."""
+    """A verified matrix, its claim, its shape report, and its recipe.
 
-    matrix: Union[IntMatrix, SignedVarMatrix]
+    A composed witness (see ``_composed``) is a direct sum of verified
+    weighing blocks.  It holds ``blocks``, its (multiplicity, block witness)
+    pairs, in place of a matrix, and builds and verifies its matrix when
+    ``matrix`` is first read.  Witnesses compare by identity, since that
+    read fills in a field.
+    """
+
+    _matrix: Union[IntMatrix, SignedVarMatrix, None]
     claim: Union[WeighingType, ODType]
     structure: StructureReport
     trace: Trace
+    blocks: tuple[tuple[int, "Witness"], ...] = ()
+
+    @property
+    def matrix(self) -> Union[IntMatrix, SignedVarMatrix]:
+        if self._matrix is None:
+            object.__setattr__(self, "_matrix", _materialize(self))
+        return self._matrix
 
     @property
     def order(self) -> int:
@@ -716,9 +732,9 @@ def add_identity_variable(w: Witness) -> Witness:
 
 def _block_diagonal(blocks: Sequence[tuple[int, np.ndarray]]) -> np.ndarray:
     """I_a x A (+) I_b x B (+) ... for (a, A), (b, B), ..., written block by
-    block into one preallocated int64 grid."""
+    block into one preallocated grid of the blocks' common dtype."""
     order = sum(count * block.shape[0] for count, block in blocks)
-    grid = np.zeros((order, order), dtype=np.int64)
+    grid = np.zeros((order, order), dtype=np.result_type(*(block for _, block in blocks)))
     offset = 0
     for count, block in blocks:
         size = block.shape[0]
@@ -726,6 +742,48 @@ def _block_diagonal(blocks: Sequence[tuple[int, np.ndarray]]) -> np.ndarray:
             grid[offset : offset + size, offset : offset + size] = block
             offset += size
     return grid
+
+
+def _composed(blocks: Sequence[tuple[int, Witness]], trace: Trace) -> Witness:
+    """The direct sum of ``count`` copies of each verified weighing block, in
+    order, as a witness that keeps the blocks instead of their sum.
+
+    The claim and shape report follow from the blocks.  The sum is symmetric,
+    skew or zero-diagonal iff every block is, and a single copy is its block.
+    With two or more copies, a circulant sum is c*I and a back-circulant one
+    is symmetric of weight 1 (its first row has a single nonzero), so neither
+    holds at weight k >= 2 or when the sum is not symmetric.
+    """
+    blocks = tuple((count, block) for count, block in blocks if count)
+    k = blocks[0][1].claim.weight
+    reports = [block.structure for _, block in blocks]
+    if sum(count for count, _ in blocks) == 1:
+        structure = reports[0]
+    else:
+        symmetric = all(r.symmetric for r in reports)
+        if k == 1 and symmetric:
+            raise ConstructionError("no derived shape for a symmetric direct sum of weight 1")
+        structure = StructureReport(
+            symmetric=symmetric,
+            skew_symmetric=all(r.skew_symmetric for r in reports),
+            circulant=False,
+            back_circulant=False,
+            zero_diagonal=all(r.zero_diagonal for r in reports),
+        )
+    order = sum(count * block.order for count, block in blocks)
+    return Witness(None, WeighingType(order, k), structure, trace, blocks)
+
+
+def _materialize(w: Witness) -> IntMatrix:
+    """A composed witness's matrix, written in its blocks' dtype and verified
+    once at its order; its shape must be the one derived from the blocks."""
+    grid = _block_diagonal([(count, block.matrix.entries) for count, block in w.blocks])
+    built = _weighing_witness(IntMatrix._adopt(grid), w.order, w.claim.weight, w.trace)
+    if built.structure != w.structure:
+        raise VerificationInternalError(
+            f"composed matrix has shape {built.structure}, derived {w.structure}"
+        )
+    return built.matrix
 
 
 @dataclass(frozen=True)
@@ -819,10 +877,11 @@ def combine_finished_seeds(
     for both, is a chain of variable merges, collapse to weighing and
     unit-slot extraction.  Each acts entrywise, or block by block on a
     block-diagonal design, so finishing (I_a x A) (+) (I_b x B) gives
-    (I_a x F1) (+) (I_b x F2).  That matrix is written into one grid and
-    verified once, at order h*t.  Its recipe is F1's with A's replaced by
-    the combine-coprime node, so replay runs the finishing step on the
-    combined design.
+    (I_a x F1) (+) (I_b x F2).  That sum is returned composed, as its two
+    verified blocks; its matrix is built and verified at order h*t when it
+    is first read.  Its recipe is F1's with A's replaced by the
+    combine-coprime node, so replay runs the finishing step on the combined
+    design.
     """
     (w1, f1), (w2, f2) = first, second
     a, b, combined = _coprime_plan(w1, w2, t)
@@ -831,14 +890,7 @@ def combine_finished_seeds(
         raise ConstructionError("finished seeds must be weighing-matrix witnesses")
     if c1.weight != c2.weight or (c1.order, c2.order) != (w1.claim.order, w2.claim.order):
         raise ConstructionError("finished seeds must share a weight and their seeds' orders")
-    grid = _block_diagonal(((a, f1.matrix.entries), (b, f2.matrix.entries)))
-    trace = _rebase(f1.trace, w1.trace, combined)
-    out = _weighing_witness(IntMatrix._adopt(grid), grid.shape[0], c1.weight, trace)
-    for shape in ("symmetric", "skew_symmetric"):
-        kept = getattr(f1.structure, shape) and getattr(f2.structure, shape)
-        if kept and not getattr(out.structure, shape):
-            raise VerificationInternalError(f"combination of finished seeds lost {shape}")
-    return out
+    return _composed(((a, f1), (b, f2)), _rebase(f1.trace, w1.trace, combined))
 
 
 # ---------------------------------------------------------------------------
@@ -1246,16 +1298,20 @@ def identity_weighing(n: int) -> Witness:
     return _weighing_witness(identity(n), n, 1, _trace("weighing-identity", n=n))
 
 
+@lru_cache(maxsize=None)
+def _rotation_block() -> Witness:
+    """The skew W(2, 1) K, verified once, held as int8."""
+    return _weighing_witness(
+        IntMatrix(_K.astype(np.int8)), 2, 1, _trace("skew-weighing-pairs", n=2)
+    )
+
+
 def skew_pairs_weighing(n: int) -> Witness:
-    """Skew weighing matrix of weight 1 on any even order: a direct sum of
-    2x2 rotation blocks."""
+    """Skew weighing matrix of weight 1 on any even order: I_{n/2} x K, a
+    direct sum of 2x2 rotation blocks, composed of the one verified block."""
     if not isinstance(n, int) or n < 2 or n % 2:
         raise ConstructionError(f"order must be a positive even integer, got {n}")
-    m = IntMatrix(np.kron(np.eye(n // 2, dtype=np.int64), _K))
-    out = _weighing_witness(m, n, 1, _trace("skew-weighing-pairs", n=n))
-    if not out.structure.skew_symmetric:
-        raise VerificationInternalError("pair construction is not skew")
-    return out
+    return _composed(((n // 2, _rotation_block()),), _trace("skew-weighing-pairs", n=n))
 
 
 # ---------------------------------------------------------------------------

@@ -503,7 +503,7 @@ def bound_N(k: int, family: str, ks: Optional[tuple[int, ...]] = None) -> BoundD
 def _compact(finished: Witness) -> Witness:
     """A finished seed with its weighing matrix held as int8, exact for its
     entries 0 and +-1: the caches keep an eighth of the int64 bytes."""
-    return replace(finished, matrix=IntMatrix._adopt(finished.matrix.entries.astype(np.int8)))
+    return replace(finished, _matrix=IntMatrix._adopt(finished.matrix.entries.astype(np.int8)))
 
 
 @lru_cache(maxsize=64)

@@ -17,7 +17,8 @@ parsed file reproduces it byte for byte.
 Both directions work one block of rows at a time, with a constant number of
 C-level calls per row block, so their temporaries are bounded by the block.
 Emission indexes one token table (codes -l..l, or -1..1 for weighing) with
-the block's codes and joins rows.  Parsing decodes the block's ASCII bytes
+the block's codes and joins rows; ``emit_matrix_chunks`` hands out each
+block's text as it is made, so a writer never holds the whole file.  Parsing decodes the block's ASCII bytes
 with numpy array passes: separators and row ends, token lengths, then the
 sign and the decimal digits of every token at once.  A block the passes do
 not cover (a bad token, a row of the wrong length, or an index with more
@@ -28,13 +29,19 @@ by line and position.
 
 from __future__ import annotations
 
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
 from .matrices import IntMatrix, ODType, SignedVarMatrix, WeighingType
 
-__all__ = ["MatrixFileError", "parse_matrix_file", "emit_matrix_file", "FLAG_ORDER"]
+__all__ = [
+    "MatrixFileError",
+    "parse_matrix_file",
+    "emit_matrix_file",
+    "emit_matrix_chunks",
+    "FLAG_ORDER",
+]
 
 FLAG_ORDER = ("sym", "skew", "circ")
 
@@ -224,10 +231,13 @@ def parse_matrix_file(text: str) -> tuple[Matrix, Claim, tuple[str, ...]]:
 _EMIT_BLOCK_CELLS = 1 << 16
 
 
-def emit_matrix_file(
+def emit_matrix_chunks(
     matrix: Matrix, claim: Claim, flags: Sequence[str] = ()
-) -> str:
-    """Canonical text form of a matrix under its claim; ends with newline."""
+) -> Iterator[str]:
+    """Canonical text form of a matrix under its claim, in pieces: the
+    header line, then the rows of one row block per piece, every line ending
+    with a newline.  The header is checked when this is called, the entries
+    block by block as the pieces are taken."""
     for flag in flags:
         if flag not in FLAG_ORDER:
             raise MatrixFileError(f"unknown flag {flag!r}")
@@ -239,7 +249,7 @@ def emit_matrix_file(
         if not isinstance(matrix, IntMatrix):
             raise MatrixFileError("weighing claim needs an integer matrix")
         header = f"W {claim.order} {claim.weight}{suffix}"
-        payload = matrix.entries
+        payload, l, tokens = matrix.entries, 1, ["-", "0", "+"]
     else:
         if not isinstance(matrix, SignedVarMatrix):
             raise MatrixFileError("design claim needs a symbolic matrix")
@@ -249,21 +259,25 @@ def emit_matrix_file(
             )
         type_csv = ",".join(str(s) for s in claim.type_tuple)
         header = f"OD {claim.order} {type_csv}{suffix}"
-        payload = matrix.codes
+        # SignedVarMatrix keeps every code magnitude within num_vars.
+        payload, l, tokens = matrix.codes, claim.num_vars, _od_tokens(claim.num_vars)
     if payload.shape != (claim.order, claim.order):
         raise MatrixFileError(
             f"matrix shape {payload.shape} does not match claimed order {claim.order}"
         )
-    weighing = isinstance(claim, WeighingType)
-    if weighing:
-        l, tokens = 1, ["-", "0", "+"]
-    else:
-        # SignedVarMatrix keeps every code magnitude within num_vars.
-        l, tokens = claim.num_vars, _od_tokens(claim.num_vars)
     table = np.array(tokens, dtype=object)
-    lines = [header]
-    step = max(1, _EMIT_BLOCK_CELLS // claim.order)
-    for start in range(0, claim.order, step):
+    return _emit_rows(header, payload, table, l, isinstance(claim, WeighingType))
+
+
+def _emit_rows(
+    header: str, payload: np.ndarray, table: np.ndarray, l: int, weighing: bool
+) -> Iterator[str]:
+    """The header line, then the rows of ``payload`` one row block at a
+    time, each code c written as ``table[c + l]``."""
+    yield header + "\n"
+    n = payload.shape[0]
+    step = max(1, _EMIT_BLOCK_CELLS // n)
+    for start in range(0, n, step):
         block = payload[start : start + step]
         if weighing:
             outside = (block < -1) | (block > 1)
@@ -272,6 +286,11 @@ def emit_matrix_file(
                 raise MatrixFileError(
                     f"weighing entries must lie in {{0, +1, -1}}, got {value}"
                 )
-        lines += map(" ".join, table[block.astype(np.intp) + l].tolist())
-    lines.append("")  # the trailing newline, without copying the joined text
-    return "\n".join(lines)
+        yield "\n".join(map(" ".join, table[block.astype(np.intp) + l].tolist())) + "\n"
+
+
+def emit_matrix_file(
+    matrix: Matrix, claim: Claim, flags: Sequence[str] = ()
+) -> str:
+    """Canonical text form of a matrix under its claim; ends with newline."""
+    return "".join(emit_matrix_chunks(matrix, claim, flags))

@@ -678,11 +678,10 @@ def verify_weighing(w: IntMatrix, k: int) -> CheckReport:
             if not -1 <= int(v) <= 1:
                 return CheckReport(False, "entry outside {0,+1,-1}", (int(i), int(j)))
         arr = arr.astype(np.int64)
-    else:
-        outside = (arr < -1) | (arr > 1)
-        if outside.any():
-            r, c = np.argwhere(outside)[0]
-            return CheckReport(False, "entry outside {0,+1,-1}", (int(r), int(c)))
+    elif arr.size and (arr.min() < -1 or arr.max() > 1):
+        # min and max need no n x n temporaries; the mask only finds the cell
+        r, c = np.argwhere((arr < -1) | (arr > 1))[0]
+        return CheckReport(False, "entry outside {0,+1,-1}", (int(r), int(c)))
     return _family_report(arr, (k,), "")
 
 

@@ -1,6 +1,7 @@
 """Existence engine: obstruction rules, threshold derivations, dispatch."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from odforge.existence import (
     exists_query,
     nonexistence_check,
 )
-from odforge.matrices import IntMatrix, ODType, WeighingType, verify_weighing
+from odforge.constructions import replay
+from odforge.matrices import IntMatrix, ODType, WeighingType, structure_check, verify_weighing
 from conftest import dense_weighing_report, is_weighing_oracle, three_squares_oracle
 
 
@@ -232,13 +234,19 @@ class TestBudgetIndependentBounds:
 
 
 class TestVerifyOnce:
-    """Past the threshold the route assembles the witness from verified,
-    finished seeds: with the seed caches warm, the only check of an order-n
-    matrix is the returned witness's own verification and structure check."""
+    """Past the threshold the route composes the witness of verified,
+    finished seeds.  With the seed caches warm, answering checks no matrix
+    at all; the order-n matrix is built and checked once, when it is first
+    read."""
 
     @pytest.mark.parametrize(
         "query",
-        [Query(1600, 4, "skew"), Query(2400, 7, "skew"), Query(1000, 4, "symmetric")],
+        [
+            Query(1600, 4, "skew"),
+            Query(2400, 7, "skew"),
+            Query(1000, 4, "symmetric"),
+            Query(1600, 1, "skew"),
+        ],
     )
     def test_one_check_at_order_n(self, monkeypatch, query):
         assert exists_query(query).kind == "exists"  # warms the seed caches
@@ -249,9 +257,7 @@ class TestVerifyOnce:
 
             def counted(m, *args, **kwargs):
                 arr = m if isinstance(m, np.ndarray) else getattr(m, "entries", None)
-                arr = m.codes if arr is None else arr
-                if arr.shape[0] == query.n:
-                    calls.append((name, arr))
+                calls.append((name, m.codes if arr is None else arr))
                 return original(m, *args, **kwargs)
 
             monkeypatch.setattr(module, name, counted)
@@ -261,14 +267,20 @@ class TestVerifyOnce:
                 spy(module, name)
         spy(matrices, "_family_report")
         witness = exists_query(query).witness
+        assert calls == []  # no seed and no order-n matrix is checked
+        matrix = witness.matrix
         assert [name for name, _ in calls] == [
             "verify_weighing", "_family_report", "structure_check"
         ]
-        assert all(arr is witness.matrix.entries for _, arr in calls)
+        assert all(arr is matrix.entries for _, arr in calls)
+        calls.clear()
+        assert witness.matrix is matrix
+        assert calls == []
 
     def test_warm_bound_verifies_no_seed(self, monkeypatch):
         """The threshold a warm query reads names a power-of-two seed the
-        provider has built before: it is not built and verified again."""
+        provider has built before: it is not built and verified again, and
+        the answer's own matrix is verified once, when it is read."""
         query = Query(1600, 4, "skew")
         assert exists_query(query).kind == "exists"  # warms the seed caches
         reports = []
@@ -280,7 +292,74 @@ class TestVerifyOnce:
 
         monkeypatch.setattr(matrices, "_family_report", counted)
         witness = exists_query(query).witness
-        assert len(reports) == 1 and reports[0] is witness.matrix.entries
+        assert reports == []
+        entries = witness.matrix.entries
+        assert len(reports) == 1 and reports[0] is entries
+
+    def test_warm_answer_allocates_under_a_megabyte(self):
+        query = Query(1600, 4, "skew")
+        assert exists_query(query).kind == "exists"  # warms the seed caches
+        tracemalloc.start()
+        try:
+            verdict = exists_query(query)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert verdict.kind == "exists"
+        assert peak < 1 << 20, peak
+
+
+def _steps(first: int, step: int, top: int = 1000) -> list[int]:
+    """The first four orders of a ladder, then orders near a quarter, half
+    and all of ``top``, each a whole number of steps past ``first``."""
+    near = [first + (target - first) // step * step for target in (top // 4, top // 2, top)]
+    return sorted({first + i * step for i in range(4)} | {n for n in near if n >= first})
+
+
+# (structure, k, h*N, h): the first order past the threshold of the family
+# the route takes, and the step between its orders.
+_LADDERS = (("symmetric", 4, 112, 1), ("skew", 2, 96, 4), ("skew", 3, 96, 4), ("skew", 4, 168, 2))
+# Skew k = 1 pairs at every even order; these include the threshold-sweep
+# ladder's orders up to 1000.
+_PAIR_ORDERS = (2, 4, 6, 96, 144, 214, 322, 482, 720, 1000)
+
+
+class TestComposedWitnesses:
+    """A composed witness's shape report is derived from its blocks, not
+    read off its matrix.  It must equal ``structure_check`` of the matrix the
+    witness materializes, which passes the dense oracle and is the matrix
+    its recipe replays to."""
+
+    @pytest.mark.parametrize(
+        "query",
+        [Query(n, k, structure) for structure, k, first, step in _LADDERS
+         for n in _steps(first, step)]
+        + [Query(n, 1, "skew") for n in _PAIR_ORDERS],
+        ids=lambda q: f"{q.structure}-k{q.k}-n{q.n}",
+    )
+    def test_derived_report_matches_matrix(self, query):
+        witness = exists_query(query).witness
+        assert witness.blocks, "not a composed witness"
+        entries = witness.matrix.entries
+        assert entries.dtype == np.int8
+        assert witness.structure == structure_check(witness.matrix)
+        assert dense_weighing_report(entries, query.k) == (True, None, None)
+        assert replay(witness.trace).matrix == witness.matrix
+
+    @pytest.mark.parametrize(
+        "query",
+        [Query(1344, 5, "skew"), Query(1344, 6, "skew"), Query(1344, 7, "skew"),
+         Query(6656, 9, "symmetric")],
+        ids=lambda q: f"{q.structure}-k{q.k}-n{q.n}",
+    )
+    def test_first_order_past_a_large_threshold(self, query):
+        """The first composed orders of k = 5-7 skew and k = 9 symmetric lie
+        past 1000, so they are checked by the library's own verification,
+        which materializing runs, rather than by the dense oracle."""
+        witness = exists_query(query).witness
+        assert witness.blocks, "not a composed witness"
+        assert witness.structure == structure_check(witness.matrix)
+        assert verify_weighing(witness.matrix, query.k).ok
 
 
 class TestSkewSeedOrders:
