@@ -29,8 +29,8 @@ from .constructions import (
     Witness,
     block_array_od,
     circulant_cw,
-    minimal_pow2_exponent,
     odd_block_orders,
+    skew_four_exponents,
     skew_od_pow2_four,
     spread_circulant,
     symmetric_od_pow2,
@@ -194,8 +194,7 @@ def _cmd_construct_od(args: argparse.Namespace) -> int:
         builder = lambda: block_array_od(h, ks)
     else:  # skew4
         ks = _parse_ks(args.ks, 4)
-        t1 = minimal_pow2_exponent(1 + ks[0] + ks[1])
-        t2 = minimal_pow2_exponent(1 + ks[2] + ks[3])
+        t1, t2 = skew_four_exponents(ks)
         order = 1 << (t1 + t2 + 1)
         plan = [f"skew power-of-two: t1 = {t1}, t2 = {t2}, order 2**{t1 + t2 + 1} = {order}"]
         builder = lambda: skew_od_pow2_four(*ks)

@@ -2,20 +2,22 @@
 
 Every public constructor returns a :class:`Witness` whose matrix has already
 passed the exact verifiers in :mod:`odforge.matrices`, together with a
-replayable :class:`Trace` recording how it was built.  A composed witness
-(a direct sum past a combination threshold) holds verified blocks instead,
-and its matrix passes the verifiers when it is first read.  ``small_od_provider``
-tries several methods, verifies each candidate and records rejected attempts
-in the trace notes instead of hiding them; when every method fails it raises
-:class:`UnsupportedParameterError` listing the strategies tried, never
-returning an unverified matrix.
+replayable :class:`Trace` recording how it was built.  Every matrix leaves
+through one exit, ``_witness``: it runs the verifier the claim calls for and
+the shape check once, and holds the matrix to any shape its builder promises.
+A composed witness (a direct sum past a combination threshold) holds verified
+blocks instead, and its matrix passes that exit when it is first read.
+``small_od_provider`` tries several methods, verifies each candidate and
+records rejected attempts in the trace notes instead of hiding them; when
+every method fails it raises :class:`UnsupportedParameterError` listing the
+strategies tried, never returning an unverified matrix.
 
 Nothing searches at run time.  Circulant blocks come from a closed form, or
 from six first rows pinned as data; power-of-two designs come from the
-packaged catalog and from constructions.  ``scripts/build_catalog.py`` holds
-the offline searches that found the pinned rows and the catalog's order-16
-entry.  So whether a matrix is built, and which one, depends on its
-parameters alone.
+package's own catalog (package data, read from nowhere else) and from
+constructions.  ``scripts/build_catalog.py`` holds the offline searches that
+found the pinned rows and the catalog's order-16 entry.  So whether a matrix
+is built, and which one, depends on its parameters alone.
 
 Size conventions used throughout:
 
@@ -29,10 +31,9 @@ Size conventions used throughout:
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, replace
-from functools import lru_cache, reduce
-from pathlib import Path
+from functools import cache, lru_cache, reduce
+from importlib.resources import files
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -46,7 +47,6 @@ from .arith import (
 from .gf import binary_quadric_sign, quadratic_character, singer_zero_set
 from .matrices import (
     IntMatrix,
-    MatrixError,
     ODType,
     SignedVarMatrix,
     StructureReport,
@@ -76,8 +76,8 @@ __all__ = [
     "symmetric_od_pow2",
     "CatalogEntry",
     "load_catalog",
-    "resolve_catalog_dir",
     "small_od_provider",
+    "skew_four_exponents",
     "skew_od_pow2_four",
     "add_identity_variable",
     "combine_coprime",
@@ -192,22 +192,38 @@ class Witness:
         return isinstance(self.claim, ODType)
 
 
-def _weighing_witness(m: IntMatrix, n: int, k: int, trace: Trace) -> Witness:
-    rep = verify_weighing(m, k)
+def _witness(
+    matrix: Union[IntMatrix, SignedVarMatrix],
+    claim: Union[WeighingType, ODType],
+    trace: Trace,
+    shape: str | None = None,
+) -> Witness:
+    """The one exit of every builder: verify ``matrix`` against ``claim``,
+    its order included (``verify_weighing`` for a weighing claim, ``verify_od``
+    for a design), check its shape once, and require the ``StructureReport``
+    field named by ``shape`` when the builder promises one."""
+    if isinstance(claim, WeighingType):
+        rep = verify_weighing(matrix, claim.weight)
+        failed = "constructed matrix failed weighing verification"
+    else:
+        rep = verify_od(matrix, claim)
+        failed = "constructed design failed verification"
     if not rep.ok:
-        raise VerificationInternalError(
-            f"constructed matrix failed weighing verification: {rep.message()}"
-        )
-    return Witness(m, WeighingType(n, k), structure_check(m), trace)
+        raise VerificationInternalError(f"{failed}: {rep.message()}")
+    if matrix.rows != claim.order:
+        raise VerificationInternalError(f"{trace.op} built order {matrix.rows}, not {claim.order}")
+    structure = structure_check(matrix)
+    if shape is not None and not getattr(structure, shape):
+        raise VerificationInternalError(f"{trace.op} built a matrix that is not {shape}")
+    return Witness(matrix, claim, structure, trace)
 
 
-def _od_witness(x: SignedVarMatrix, t: ODType, trace: Trace) -> Witness:
-    rep = verify_od(x, t)
-    if not rep.ok:
-        raise VerificationInternalError(
-            f"constructed design failed verification: {rep.message()}"
-        )
-    return Witness(x, t, structure_check(x), trace)
+def _design(w: Witness, who: str) -> tuple[SignedVarMatrix, ODType]:
+    """A design witness's matrix and claim; ``who`` names the caller in the
+    error raised for a weighing-matrix witness."""
+    if not w.is_od:
+        raise ConstructionError(f"{who} expects a design witness")
+    return w.matrix, w.claim
 
 
 # ---------------------------------------------------------------------------
@@ -285,10 +301,7 @@ def circulant_cw(q: int) -> Witness:
         raise ConstructionError(f"q must be a prime power, got {q}")
     row, notes = _pinned_row(q) if q in _PINNED_ROWS else _closed_form_row(q)
     trace = _trace("circulant-weighing", notes=notes, q=q)
-    w = _weighing_witness(circulant(row), q * q + q + 1, q * q, trace)
-    if not w.structure.circulant:
-        raise VerificationInternalError("circulant constructor lost circulant shape")
-    return w
+    return _witness(circulant(row), WeighingType(q * q + q + 1, q * q), trace, "circulant")
 
 
 def spread_circulant(w: Witness, c: int) -> Witness:
@@ -309,10 +322,7 @@ def spread_circulant(w: Witness, c: int) -> Witness:
     for i in range(n):
         row[c * i] = int(first[i])
     trace = _trace("spread", subs=(w.trace,), c=c)
-    out = _weighing_witness(circulant(row), c * n, k, trace)
-    if not out.structure.circulant:
-        raise VerificationInternalError("spread lost circulant shape")
-    return out
+    return _witness(circulant(row), WeighingType(c * n, k), trace, "circulant")
 
 
 # ---------------------------------------------------------------------------
@@ -342,11 +352,7 @@ def symmetric_od_pow2(k: int) -> Witness:
             word = _kron_chain(blocks)
         codes += var * word
     x = SignedVarMatrix(codes, k)
-    t = ODType(order, (1,) * k)
-    w = _od_witness(x, t, _trace("symmetric-od-all-ones", k=k))
-    if not w.structure.symmetric:
-        raise VerificationInternalError("all-ones design lost symmetry")
-    return w
+    return _witness(x, ODType(order, (1,) * k), _trace("symmetric-od-all-ones", k=k), "symmetric")
 
 
 # ---------------------------------------------------------------------------
@@ -363,43 +369,26 @@ class CatalogEntry:
     provenance: str
 
 
-def resolve_catalog_dir(explicit: str | os.PathLike | None = None):
-    """Catalog location: explicit argument, then ODFORGE_CATALOG_DIR, then
-    ./catalog if present, then the data directory shipped with the package."""
-    if explicit is not None:
-        return Path(explicit)
-    env = os.environ.get("ODFORGE_CATALOG_DIR")
-    if env:
-        return Path(env)
-    local = Path("catalog")
-    if local.is_dir():
-        return local
-    from importlib.resources import files
+@cache
+def load_catalog() -> tuple[CatalogEntry, ...]:
+    """Load and verify every design file of the catalog packaged in
+    ``odforge/data/catalog``, ordered by file name.
 
-    return files("odforge") / "data" / "catalog"
-
-
-@lru_cache(maxsize=8)
-def _load_catalog_cached(root) -> tuple[CatalogEntry, ...]:
+    Each entry must pass verification or the load fails loudly.  The catalog
+    is package data only: no environment variable or working directory
+    changes which designs it holds."""
     from .matfile import parse_matrix_file
 
+    root = files("odforge") / "data" / "catalog"
     notes: dict[str, str] = {}
-    try:
-        manifest = (root / "MANIFEST.txt").read_text()
-    except (FileNotFoundError, OSError):
-        manifest = ""
-    for line in manifest.splitlines():
+    for line in (root / "MANIFEST.txt").read_text().splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         name, _, note = line.partition(":")
         notes[name.strip()] = note.strip()
     entries = []
-    try:
-        children = sorted(root.iterdir(), key=lambda c: c.name)
-    except (FileNotFoundError, OSError):
-        children = []
-    for child in children:
+    for child in sorted(root.iterdir(), key=lambda c: c.name):
         if not child.name.endswith(".od"):
             continue
         matrix, claim, _flags = parse_matrix_file(child.read_text())
@@ -411,24 +400,11 @@ def _load_catalog_cached(root) -> tuple[CatalogEntry, ...]:
         entries.append(
             CatalogEntry(
                 name=child.name,
-                witness=_od_witness(matrix, claim, trace),
+                witness=_witness(matrix, claim, trace),
                 provenance=notes.get(child.name, "unlisted"),
             )
         )
     return tuple(entries)
-
-
-def load_catalog(dir_path: str | os.PathLike | None = None) -> tuple[CatalogEntry, ...]:
-    """Load and verify every design file in the catalog directory.
-
-    Entries are ordered by file name; each one must pass verification or the
-    load fails loudly.  The directory is resolved on every call, so a later
-    change of ODFORGE_CATALOG_DIR or of the working directory takes effect;
-    results are cached per absolute directory."""
-    root = resolve_catalog_dir(dir_path)
-    if isinstance(root, Path):
-        root = root.absolute()
-    return _load_catalog_cached(root)
 
 
 # ---------------------------------------------------------------------------
@@ -453,10 +429,7 @@ def _merge_plan(source_vars: int, t: ODType) -> dict[int, Union[int, Var]]:
 def _provider_merge_all_ones(
     base: SignedVarMatrix, base_vars: int, t: ODType, trace: Trace
 ) -> Witness:
-    mapping = _merge_plan(base_vars, t)
-    merged = _substitute_variables(base, mapping)
-    assert isinstance(merged, SignedVarMatrix)
-    return _od_witness(merged, t, trace)
+    return _witness(_substitute_variables(base, _merge_plan(base_vars, t)), t, trace)
 
 
 def _double_with_unit_slot(sub: Witness, t: ODType, unit_slot: int) -> Witness:
@@ -464,7 +437,6 @@ def _double_with_unit_slot(sub: Witness, t: ODType, unit_slot: int) -> Witness:
     design {A_i x P} + {I x Q} of type s + (1,), then permute the new unit
     variable into position unit_slot so the type equals t exactly."""
     sub_matrix = sub.matrix
-    assert isinstance(sub_matrix, SignedVarMatrix)
     ell = sub_matrix.num_vars
     codes = np.kron(sub_matrix.codes, _P)
     codes += (ell + 1) * np.kron(np.eye(sub.order, dtype=np.int64), _Q)
@@ -476,13 +448,11 @@ def _double_with_unit_slot(sub: Witness, t: ODType, unit_slot: int) -> Witness:
         for old in range(1, ell + 1):
             mapping[old] = Var(old if old < unit_slot else old + 1)
         mapping[ell + 1] = Var(unit_slot)
-        out = _substitute_variables(doubled, mapping)
-        assert isinstance(out, SignedVarMatrix)
-        permuted = out
+        permuted = _substitute_variables(doubled, mapping)
     trace = _trace(
         "double-symmetric-design", subs=(sub.trace,), unit_slot=unit_slot
     )
-    return _od_witness(permuted, t, trace)
+    return _witness(permuted, t, trace)
 
 
 def _skew_weighing_pow2(order: int, k: int) -> np.ndarray:
@@ -505,9 +475,7 @@ def _skew_weighing_pow2(order: int, k: int) -> np.ndarray:
     return np.block([[s, s + eye], [s - eye, -s]])
 
 
-def small_od_provider(
-    t: ODType, *, catalog_dir: str | os.PathLike | None = None
-) -> Witness:
+def small_od_provider(t: ODType) -> Witness:
     """Produce a verified design of exactly the requested order and type.
 
     The order must be a power of two.  Strategy chain, all verified:
@@ -526,7 +494,7 @@ def small_od_provider(
         raise ConstructionError(f"provider only covers power-of-two orders, got {order}")
     strategies: list[str] = []
 
-    catalog = load_catalog(catalog_dir)
+    catalog = load_catalog()
     for entry in catalog:
         if entry.witness.claim == t:
             return entry.witness
@@ -534,26 +502,21 @@ def small_od_provider(
 
     for entry in catalog:
         claim = entry.witness.claim
-        assert isinstance(claim, ODType)
         if claim.order != order or set(claim.type_tuple) != {1}:
             continue
         if t.total_weight <= claim.num_vars:
-            base = entry.witness.matrix
-            assert isinstance(base, SignedVarMatrix)
             trace = _trace(
                 "small-od-provider",
                 notes=(f"merge of catalog entry {entry.name}",),
                 order=order,
                 type=t.type_tuple,
             )
-            return _provider_merge_all_ones(base, claim.num_vars, t, trace)
+            return _provider_merge_all_ones(entry.witness.matrix, claim.num_vars, t, trace)
     strategies.append("merge: no all-ones catalog entry wide enough")
 
     exponent = order.bit_length() - 1
     if t.total_weight <= exponent:
         base_witness = symmetric_od_pow2(exponent)
-        base = base_witness.matrix
-        assert isinstance(base, SignedVarMatrix)
         trace = _trace(
             "small-od-provider",
             notes=("merge of the symmetric all-ones construction",),
@@ -561,7 +524,7 @@ def small_od_provider(
             order=order,
             type=t.type_tuple,
         )
-        return _provider_merge_all_ones(base, exponent, t, trace)
+        return _provider_merge_all_ones(base_witness.matrix, exponent, t, trace)
     strategies.append(
         "merge: symmetric all-ones construction carries too little weight"
     )
@@ -575,9 +538,7 @@ def small_od_provider(
         )
         if sub_type_tuple and sum(sub_type_tuple) <= order // 2:
             try:
-                sub = small_od_provider(
-                    ODType(order // 2, sub_type_tuple), catalog_dir=catalog_dir
-                )
+                sub = small_od_provider(ODType(order // 2, sub_type_tuple))
             except UnsupportedParameterError as err:
                 strategies.append(f"doubling: half-order design unavailable ({err})")
             else:
@@ -601,7 +562,7 @@ def small_od_provider(
                 order=order,
                 type=t.type_tuple,
             )
-            return _od_witness(SignedVarMatrix(codes, 2), t, trace)
+            return _witness(SignedVarMatrix(codes, 2), t, trace)
     strategies.append(
         "skew doubling: needs a type (1, k) or (k, 1) with k below the order"
     )
@@ -623,6 +584,15 @@ def minimal_pow2_exponent(total: int) -> int:
     return max(1, (total - 1).bit_length())
 
 
+def skew_four_exponents(ks: Sequence[int]) -> tuple[int, int]:
+    """Exponents t1, t2 of the skew four-part design on weights ks: the
+    smallest with 1 + k1 + k2 <= 2**t1 and 1 + k3 + k4 <= 2**t2.  The four
+    weights must be positive integers."""
+    if len(ks) != 4 or any(not isinstance(k, int) or k < 1 for k in ks):
+        raise ConstructionError(f"all four weights must be positive integers, got {tuple(ks)}")
+    return minimal_pow2_exponent(1 + ks[0] + ks[1]), minimal_pow2_exponent(1 + ks[2] + ks[3])
+
+
 def _unit_transpose_rows(unit: IntMatrix) -> tuple[np.ndarray, np.ndarray]:
     """For a signed permutation E, the rows and signs with
     (E.T @ Y)[c] = signs[c] * Y[rows[c]]: E.T @ Y is a signed row gather."""
@@ -642,9 +612,7 @@ def _normalized_unit_family(w: Witness) -> list[IntMatrix]:
     whose unit member is the identity, by multiplying every member on the
     left by the transpose of the unit member.  The non-unit members of the
     result are skew-symmetric."""
-    matrix = w.matrix
-    assert isinstance(matrix, SignedVarMatrix)
-    family = decompose_family(matrix)
+    family = decompose_family(w.matrix)
     src, signs = _unit_transpose_rows(family[0])
     normalized = [IntMatrix(signs[:, None] * member.entries[src]) for member in family]
     for i, member in enumerate(normalized[1:], start=2):
@@ -659,17 +627,13 @@ def _normalized_unit_family(w: Witness) -> list[IntMatrix]:
 def skew_od_pow2_four(k1: int, k2: int, k3: int, k4: int) -> Witness:
     """Skew-symmetric design of order 2**(t1 + t2 + 1) and type (k1,k2,k3,k4).
 
-    t1 and t2 are the smallest exponents with 1 + k1 + k2 <= 2**t1 and
-    1 + k3 + k4 <= 2**t2.  Two provider designs of types (1, k1, k2) and
-    (1, k3, k4) are normalized so their unit member is the identity; the
-    four output matrices are then I x A_i x P and B_i x I x Q, all of them
-    skew-symmetric.
+    t1 and t2 are the exponents of ``skew_four_exponents``.  Two provider
+    designs of types (1, k1, k2) and (1, k3, k4) are normalized so their unit
+    member is the identity; the four output matrices are then I x A_i x P and
+    B_i x I x Q, all of them skew-symmetric.
     """
     ks = (k1, k2, k3, k4)
-    if any(not isinstance(k, int) or k < 1 for k in ks):
-        raise ConstructionError(f"all four weights must be positive integers, got {ks}")
-    t1 = minimal_pow2_exponent(1 + k1 + k2)
-    t2 = minimal_pow2_exponent(1 + k3 + k4)
+    t1, t2 = skew_four_exponents(ks)
     first = small_od_provider(ODType(1 << t1, (1, k1, k2)))
     second = small_od_provider(ODType(1 << t2, (1, k3, k4)))
     a_family = _normalized_unit_family(first)
@@ -697,19 +661,13 @@ def skew_od_pow2_four(k1: int, k2: int, k3: int, k4: int) -> Witness:
         t1=t1,
         t2=t2,
     )
-    w = _od_witness(x, ODType(order, ks), trace)
-    if not w.structure.skew_symmetric:
-        raise VerificationInternalError("four-block skew design lost skewness")
-    return w
+    return _witness(x, ODType(order, ks), trace, "skew_symmetric")
 
 
 def add_identity_variable(w: Witness) -> Witness:
     """Prepend a fresh weight-1 variable riding the identity to a design
     whose members are all skew-symmetric."""
-    if not w.is_od:
-        raise ConstructionError("add_identity_variable expects a design witness")
-    matrix = w.matrix
-    assert isinstance(matrix, SignedVarMatrix)
+    matrix, claim = _design(w, "add_identity_variable")
     for i, member in enumerate(decompose_family(matrix), start=1):
         arr = member.entries
         if not np.array_equal(arr.T, -arr):
@@ -719,10 +677,8 @@ def add_identity_variable(w: Witness) -> Witness:
     codes = matrix.codes + np.sign(matrix.codes)  # shift every index up by one
     codes = codes + np.eye(w.order, dtype=codes.dtype)
     x = SignedVarMatrix(codes, matrix.num_vars + 1)
-    claim = w.claim
-    assert isinstance(claim, ODType)
     t = ODType(claim.order, (1,) + claim.type_tuple)
-    return _od_witness(x, t, _trace("add-identity-variable", subs=(w.trace,)))
+    return _witness(x, t, _trace("add-identity-variable", subs=(w.trace,)))
 
 
 # ---------------------------------------------------------------------------
@@ -778,7 +734,7 @@ def _materialize(w: Witness) -> IntMatrix:
     """A composed witness's matrix, written in its blocks' dtype and verified
     once at its order; its shape must be the one derived from the blocks."""
     grid = _block_diagonal([(count, block.matrix.entries) for count, block in w.blocks])
-    built = _weighing_witness(IntMatrix._adopt(grid), w.order, w.claim.weight, w.trace)
+    built = _witness(IntMatrix._adopt(grid), w.claim, w.trace)
     if built.structure != w.structure:
         raise VerificationInternalError(
             f"composed matrix has shape {built.structure}, derived {w.structure}"
@@ -844,16 +800,10 @@ def combine_coprime(w1: Witness, w2: Witness, t: int) -> Witness:
     """
     a, b, trace = _coprime_plan(w1, w2, t)
     m1, m2 = w1.matrix, w2.matrix
-    assert isinstance(m1, SignedVarMatrix) and isinstance(m2, SignedVarMatrix)
-    codes = _block_diagonal(((a, m1.codes), (b, m2.codes)))
-    xm = SignedVarMatrix._adopt(codes, m1.num_vars)
-    claim = w1.claim
-    assert isinstance(claim, ODType)
-    out = _od_witness(xm, ODType(xm.order, claim.type_tuple), trace)
-    if w1.structure.symmetric and w2.structure.symmetric:
-        if not out.structure.symmetric:
-            raise VerificationInternalError("combination of symmetric inputs lost symmetry")
-    return out
+    xm = SignedVarMatrix._adopt(_block_diagonal(((a, m1.codes), (b, m2.codes))), m1.num_vars)
+    symmetric = w1.structure.symmetric and w2.structure.symmetric
+    claim = ODType(xm.order, w1.claim.type_tuple)
+    return _witness(xm, claim, trace, "symmetric" if symmetric else None)
 
 
 def _rebase(trace: Trace, seed: Trace, node: Trace) -> Trace:
@@ -903,7 +853,7 @@ def _cw_block(q: int) -> Witness:
     convention circulant((1, 0, 0)) so the block order is always odd."""
     if q == 1:
         trace = _trace("circulant-weighing-trivial", n=3)
-        return _weighing_witness(circulant((1, 0, 0)), 3, 1, trace)
+        return _witness(circulant((1, 0, 0)), WeighingType(3, 1), trace)
     return circulant_cw(q)
 
 
@@ -931,10 +881,7 @@ def symmetric_w_square_odd(k: int) -> Witness:
         k=k,
         q_list=fact.factors,
     )
-    out = _weighing_witness(product, order, k, trace)
-    if not out.structure.symmetric:
-        raise VerificationInternalError("square-weight construction lost symmetry")
-    return out
+    return _witness(product, WeighingType(order, k), trace, "symmetric")
 
 
 @dataclass(frozen=True)
@@ -1016,11 +963,10 @@ def _odd_block_plan(ks: Sequence[int]) -> _OddBlockPlan:
     )
 
 
-def _block_array(
-    layout: Sequence[Sequence[tuple[int, int, IntMatrix | None]]],
-    q: int,
-    num_vars: int,
-) -> SignedVarMatrix:
+_Cell = tuple[int, int, Union[IntMatrix, None]]
+
+
+def _block_array(layout: Sequence[Sequence[_Cell]], q: int, num_vars: int) -> SignedVarMatrix:
     """Assemble a block matrix of variable-coded cells.
 
     Each layout cell is (variable index, sign, block) where variable index 0
@@ -1038,42 +984,18 @@ def _block_array(
     return SignedVarMatrix(np.block(rows), num_vars)
 
 
-def two_square_od(k1: int, k2: int) -> Witness:
-    """Design of order 2q and type (k1**2, k2**2) with q odd.
-
-    The two diagonal blocks carry the back-circulant product A, the two
-    off-diagonal blocks the circulant product B, in the sign pattern
-    [[A, B], [B, -A]].
-    """
-    if any(not isinstance(k, int) or k < 1 for k in (k1, k2)):
-        raise ConstructionError(f"both weights must be positive integers, got {(k1, k2)}")
-    plan = _odd_block_plan((k1, k2))
-    a, b = plan.blocks
-    assert a is not None and b is not None
-    layout = [
-        [(1, 1, a), (2, 1, b)],
-        [(2, 1, b), (1, -1, a)],
-    ]
-    x = _block_array(layout, plan.q, 2)
-    trace = _trace(
-        "two-square-od",
-        subs=plan.sub_traces,
-        k1=k1,
-        k2=k2,
-        b_list=plan.b_list,
-        q_lists=plan.q_lists,
-        q=plan.q,
-    )
-    return _od_witness(x, ODType(2 * plan.q, (k1 * k1, k2 * k2)), trace)
-
-
 def _transposed(block: IntMatrix | None) -> IntMatrix | None:
     return None if block is None else transpose(block)
 
 
-def _four_block_layout(
-    blocks: Sequence[IntMatrix | None], variables: Sequence[int]
-) -> list[list[tuple[int, int, IntMatrix | None]]]:
+def _two_block_layout(blocks: Sequence, variables: Sequence[int], q: int) -> list[list[_Cell]]:
+    """[[A, B], [B, -A]]: the back-circulant product A on the diagonal, the
+    circulant product B off it."""
+    (a, b), (va, vb) = blocks, variables
+    return [[(va, 1, a), (vb, 1, b)], [(vb, 1, b), (va, -1, a)]]
+
+
+def _four_block_layout(blocks: Sequence, variables: Sequence[int], q: int = 0) -> list[list[_Cell]]:
     """The 4x4 sign/transpose pattern shared by the 4- and 8-block arrays."""
     a, b, c, d = blocks
     va, vb, vc, vd = variables
@@ -1084,6 +1006,31 @@ def _four_block_layout(
         [(vc, -1, c), (vd, -1, dt), (va, 1, a), (vb, 1, bt)],
         [(vd, -1, d), (vc, 1, ct), (vb, -1, bt), (va, 1, a)],
     ]
+
+
+def _eight_block_layout(blocks: Sequence, variables: Sequence[int], q: int) -> list[list[_Cell]]:
+    """[[G, x*I], [x*I, G']] for the unit variable x = 1: G is the four-block
+    array on (A, B, C, D), and G' the four-block array on (A, B^T, C^T, D^T)
+    with its diagonal negated."""
+    a, b, c, d = blocks
+    upper = _four_block_layout(blocks, variables)
+    lower = _four_block_layout((a, *(_transposed(m) for m in (b, c, d))), variables)
+    for i, row in enumerate(lower):
+        var, sign, block = row[i]
+        row[i] = (var, -sign, block)
+    eye = identity(q)
+    unit = [[(1, 1, eye) if i == j else (0, 1, None) for j in range(4)] for i in range(4)]
+    return [g + u for g, u in zip(upper, unit)] + [u + g for u, g in zip(unit, lower)]
+
+
+# Blocks h -> (trace op, layout, unit variables).  A layout maps the odd
+# blocks, their variable indices and the block order q to the cells of
+# ``_block_array``; unit variables come first in the type, weight 1 each.
+_BLOCK_ARRAYS = {
+    2: ("two-square-od", _two_block_layout, 0),
+    4: ("goethals-seidel-od", _four_block_layout, 0),
+    8: ("eight-block-od", _eight_block_layout, 1),
+}
 
 
 def _variable_assignment(ks: Sequence[int], start: int) -> tuple[list[int], tuple[int, ...]]:
@@ -1102,58 +1049,50 @@ def _variable_assignment(ks: Sequence[int], start: int) -> tuple[list[int], tupl
     return variables, tuple(type_tuple)
 
 
+def _block_design(h: int, roots: Sequence[int], **trace_params) -> Witness:
+    """The h-block array of ``_BLOCK_ARRAYS`` on the odd blocks of roots:
+    order h*q, type (1,)*units + the nonzero roots squared.  Zero roots drop
+    their variable; their zero blocks stay in the array."""
+    op, layout, units = _BLOCK_ARRAYS[h]
+    plan = _odd_block_plan(roots)
+    variables, squared = _variable_assignment(roots, start=1 + units)
+    type_tuple = (1,) * units + squared
+    x = _block_array(layout(plan.blocks, variables, plan.q), plan.q, len(type_tuple))
+    trace = _trace(
+        op,
+        subs=plan.sub_traces,
+        **trace_params,
+        b_list=plan.b_list,
+        q_lists=plan.q_lists,
+        q=plan.q,
+    )
+    return _witness(x, ODType(h * plan.q, type_tuple), trace)
+
+
+def two_square_od(k1: int, k2: int) -> Witness:
+    """Design of order 2q and type (k1**2, k2**2) with q odd, in the sign
+    pattern [[A, B], [B, -A]]."""
+    if any(not isinstance(k, int) or k < 1 for k in (k1, k2)):
+        raise ConstructionError(f"both weights must be positive integers, got {(k1, k2)}")
+    return _block_design(2, (k1, k2), k1=k1, k2=k2)
+
+
 def goethals_seidel_od(k1: int, k2: int, k3: int, k4: int) -> Witness:
     """Goethals-Seidel block array: order 4q, type (k1**2, ..., k4**2) with
     zero weights dropping their variable (zero blocks stay in the array)."""
     ks = (k1, k2, k3, k4)
     if any(not isinstance(k, int) or k < 0 for k in ks):
         raise ConstructionError(f"weights must be nonnegative integers, got {ks}")
-    plan = _odd_block_plan(ks)
-    variables, type_tuple = _variable_assignment(ks, start=1)
-    layout = _four_block_layout(plan.blocks, variables)
-    x = _block_array(layout, plan.q, len(type_tuple))
-    trace = _trace(
-        "goethals-seidel-od",
-        subs=plan.sub_traces,
-        ks=ks,
-        b_list=plan.b_list,
-        q_lists=plan.q_lists,
-        q=plan.q,
-    )
-    return _od_witness(x, ODType(4 * plan.q, type_tuple), trace)
+    return _block_design(4, ks, ks=ks)
 
 
 def eight_block_od(k1: int, k2: int, k3: int, k4: int) -> Witness:
-    """Doubled block array: order 8q, type (1, k1**2, ..., k4**2).
-
-    The array is [[G, x*I], [x*I, G']] for the fresh weight-1 variable x:
-    G is the four-block array on (A, B, C, D), and G' is the four-block
-    array on (A, B^T, C^T, D^T) with its diagonal negated.
-    """
+    """Doubled block array: order 8q, type (1, k1**2, ..., k4**2), the
+    Goethals-Seidel array doubled around a fresh weight-1 variable."""
     ks = (k1, k2, k3, k4)
     if any(not isinstance(k, int) or k < 0 for k in ks):
         raise ConstructionError(f"weights must be nonnegative integers, got {ks}")
-    plan = _odd_block_plan(ks)
-    variables, squared = _variable_assignment(ks, start=2)
-    a, b, c, d = plan.blocks
-    upper = _four_block_layout(plan.blocks, variables)
-    lower = _four_block_layout((a, *(_transposed(m) for m in (b, c, d))), variables)
-    for i, row in enumerate(lower):
-        var, sign, block = row[i]
-        row[i] = (var, -sign, block)
-    eye = identity(plan.q)
-    unit = [[(1, 1, eye) if i == j else (0, 1, None) for j in range(4)] for i in range(4)]
-    layout = [g + u for g, u in zip(upper, unit)] + [u + g for u, g in zip(unit, lower)]
-    x = _block_array(layout, plan.q, 1 + len(squared))
-    trace = _trace(
-        "eight-block-od",
-        subs=plan.sub_traces,
-        ks=ks,
-        b_list=plan.b_list,
-        q_lists=plan.q_lists,
-        q=plan.q,
-    )
-    return _od_witness(x, ODType(8 * plan.q, (1,) + squared), trace)
+    return _block_design(8, ks, ks=ks)
 
 
 def block_array_od(h: int, roots: Sequence[int]) -> Witness:
@@ -1201,28 +1140,18 @@ def od_from_weighing(w: Witness) -> Witness:
     """Wrap a weighing matrix as a single-variable design (type (k,))."""
     if not isinstance(w.claim, WeighingType):
         raise ConstructionError("od_from_weighing expects a weighing-matrix witness")
-    matrix = w.matrix
-    assert isinstance(matrix, IntMatrix)
-    codes = matrix.entries.astype(np.int64)
-    x = SignedVarMatrix(codes, 1)
+    x = SignedVarMatrix(w.matrix.entries.astype(np.int64), 1)
     t = ODType(w.claim.order, (w.claim.weight,))
-    return _od_witness(x, t, _trace("od-from-weighing", subs=(w.trace,)))
+    return _witness(x, t, _trace("od-from-weighing", subs=(w.trace,)))
 
 
 def collapse_od_to_weighing(w: Witness) -> Witness:
     """Set every variable of a design to +1, yielding a weighing matrix of
     the summed weight."""
-    if not w.is_od:
-        raise ConstructionError("collapse_od_to_weighing expects a design witness")
-    matrix = w.matrix
-    assert isinstance(matrix, SignedVarMatrix)
+    matrix, claim = _design(w, "collapse_od_to_weighing")
     flat = _substitute_variables(matrix, {i: 1 for i in range(1, matrix.num_vars + 1)})
-    claim = w.claim
-    assert isinstance(claim, ODType)
-    k = claim.total_weight
-    return _weighing_witness(
-        flat, claim.order, k, _trace("collapse-to-weighing", subs=(w.trace,))
-    )
+    claim = WeighingType(claim.order, claim.total_weight)
+    return _witness(flat, claim, _trace("collapse-to-weighing", subs=(w.trace,)))
 
 
 def merge_od_variables(
@@ -1234,11 +1163,7 @@ def merge_od_variables(
     zeros lists old variables to drop.  Groups and zeros must partition the
     variable set.
     """
-    if not w.is_od:
-        raise ConstructionError("merge_od_variables expects a design witness")
-    matrix = w.matrix
-    claim = w.claim
-    assert isinstance(matrix, SignedVarMatrix) and isinstance(claim, ODType)
+    matrix, claim = _design(w, "merge_od_variables")
     mapping: dict[int, Union[int, Var]] = {}
     for slot, group in enumerate(groups, start=1):
         for old in group:
@@ -1252,7 +1177,6 @@ def merge_od_variables(
     if set(mapping) != set(range(1, claim.num_vars + 1)):
         raise ConstructionError("groups and zeros must partition the variables")
     merged = _substitute_variables(matrix, mapping)
-    assert isinstance(merged, SignedVarMatrix)
     new_type = tuple(
         sum(claim.type_tuple[old - 1] for old in group) for group in groups
     )
@@ -1262,32 +1186,23 @@ def merge_od_variables(
         groups=tuple(tuple(g) for g in groups),
         zeros=tuple(zeros),
     )
-    return _od_witness(merged, ODType(claim.order, new_type), trace)
+    return _witness(merged, ODType(claim.order, new_type), trace)
 
 
 def skew_weighing_from_unit_slot(w: Witness) -> Witness:
     """From a design of type (1, k) with family (E, S), return the skew
     weighing matrix E.T @ S of weight k."""
-    if not w.is_od:
-        raise ConstructionError("skew_weighing_from_unit_slot expects a design witness")
-    claim = w.claim
-    assert isinstance(claim, ODType)
+    matrix, claim = _design(w, "skew_weighing_from_unit_slot")
     if claim.num_vars != 2 or claim.type_tuple[0] != 1:
         raise ConstructionError(
             f"need a design of type (1, k), got {claim.type_tuple}"
         )
-    matrix = w.matrix
-    assert isinstance(matrix, SignedVarMatrix)
     unit, heavy = decompose_family(matrix)
     src, signs = _unit_transpose_rows(unit)
     skew = IntMatrix(signs[:, None] * heavy.entries[src])
-    k = claim.type_tuple[1]
-    out = _weighing_witness(
-        skew, claim.order, k, _trace("skew-from-unit-slot", subs=(w.trace,))
-    )
-    if not out.structure.skew_symmetric:
-        raise VerificationInternalError("unit-slot extraction did not produce a skew matrix")
-    return out
+    claim = WeighingType(claim.order, claim.type_tuple[1])
+    trace = _trace("skew-from-unit-slot", subs=(w.trace,))
+    return _witness(skew, claim, trace, "skew_symmetric")
 
 
 def identity_weighing(n: int) -> Witness:
@@ -1295,15 +1210,14 @@ def identity_weighing(n: int) -> Witness:
     circulant at once)."""
     if not isinstance(n, int) or n < 1:
         raise ConstructionError(f"order must be a positive integer, got {n}")
-    return _weighing_witness(identity(n), n, 1, _trace("weighing-identity", n=n))
+    return _witness(identity(n), WeighingType(n, 1), _trace("weighing-identity", n=n))
 
 
 @lru_cache(maxsize=None)
 def _rotation_block() -> Witness:
     """The skew W(2, 1) K, verified once, held as int8."""
-    return _weighing_witness(
-        IntMatrix(_K.astype(np.int8)), 2, 1, _trace("skew-weighing-pairs", n=2)
-    )
+    trace = _trace("skew-weighing-pairs", n=2)
+    return _witness(IntMatrix(_K.astype(np.int8)), WeighingType(2, 1), trace)
 
 
 def skew_pairs_weighing(n: int) -> Witness:
@@ -1331,7 +1245,6 @@ def _replay_doubled(trace: Trace) -> Witness:
     """A provider doubling step: twice the sub-design's order, with a unit
     weight inserted at the recorded slot."""
     claim = _replay_sub(trace).claim
-    assert isinstance(claim, ODType)
     type_tuple = list(claim.type_tuple)
     type_tuple.insert(trace.param("unit_slot") - 1, 1)
     return small_od_provider(ODType(2 * claim.order, tuple(type_tuple)))

@@ -44,6 +44,7 @@ from .constructions import (
     minimal_pow2_exponent,
     od_from_weighing,
     odd_block_orders,
+    skew_four_exponents,
     skew_od_pow2_four,
     skew_pairs_weighing,
     skew_weighing_from_unit_slot,
@@ -461,8 +462,7 @@ def bound_N(k: int, family: str, ks: Optional[tuple[int, ...]] = None) -> BoundD
                 notes.append(
                     "zero components padded to weight 1 on the power-of-two side, then zeroed"
                 )
-            t1 = minimal_pow2_exponent(1 + padded[0] + padded[1])
-            t2 = minimal_pow2_exponent(1 + padded[2] + padded[3])
+            t1, t2 = skew_four_exponents(padded)
             exponents = (("t1", t1), ("t2", t2), ("d", t1 + t2 + 1))
         materializable = (1 << exponents[-1][1]) ** 2 <= DEFAULT_CELL_BUDGET
         if not materializable:

@@ -46,6 +46,14 @@ class TestExitCodes:
         assert out == ""
         assert err == f"error: --spread must be at least 1, got {spread}\n"
 
+    @pytest.mark.parametrize("ks", ["0,1,1,1", "1,1,1,-3"])
+    def test_skew4_weights_must_be_positive(self, capsys, ks):
+        code, out, err = run(capsys, "construct", "od", "--method", "skew4", "--ks", ks)
+        assert code == EXIT_ERROR
+        assert out == ""
+        shown = ks.replace(",", ", ")
+        assert err == f"error: all four weights must be positive integers, got ({shown})\n"
+
     def test_not_exists_is_two(self, capsys):
         code, out, err = run(capsys, "exists", "--n", "9", "--k", "4", "--structure", "skew")
         assert code == EXIT_NEGATIVE
@@ -91,13 +99,12 @@ class TestGuard:
 
     def test_force_lifts_the_cell_budget_for_sym_w(self, capsys, monkeypatch):
         # Past 10**8 cells, --force reaches the symmetric route itself, which
-        # answers from arithmetic: every builder returns through a witness
-        # constructor, and none is called.
+        # answers from arithmetic: every builder returns through _witness,
+        # and it is never called.
         def no_build(*args):
             raise AssertionError("a matrix was built")
 
-        monkeypatch.setattr("odforge.constructions._weighing_witness", no_build)
-        monkeypatch.setattr("odforge.constructions._od_witness", no_build)
+        monkeypatch.setattr("odforge.constructions._witness", no_build)
         code, out, err = run(capsys, "construct", "sym-w", "--n", "10001", "--k", "5", "--force")
         assert code == EXIT_ERROR
         assert out == "Undecided: symmetric constructions here need a perfect square weight\n"

@@ -13,11 +13,13 @@ from hypothesis import strategies as st
 
 from odforge.constructions import (
     ConstructionError,
+    Trace,
     UnsupportedParameterError,
     Witness,
     _cw_block,
     _normalized_unit_family,
     _skew_weighing_pow2,
+    _witness,
     add_identity_variable,
     circulant_cw,
     collapse_od_to_weighing,
@@ -47,6 +49,8 @@ from odforge.matrices import (
     IntMatrix,
     ODType,
     SignedVarMatrix,
+    VerificationInternalError,
+    WeighingType,
     decompose_family,
     mat_mul,
     structure_check,
@@ -176,39 +180,40 @@ class TestCatalog:
         assert w.claim == ODType(16, (1,) * 9)
         assert w.trace.op == "od-catalog"
 
-    def test_cache_follows_directory_changes(self, tmp_path, monkeypatch):
-        import shutil
-        from importlib.resources import files
-
-        packaged = files("odforge") / "data" / "catalog"
-        for name, source in (("a", "od0002_ones2.od"), ("b", "od0004_ones4.od")):
-            (tmp_path / name / "catalog").mkdir(parents=True)
-            shutil.copy(packaged / source, tmp_path / name / "catalog" / source)
-        monkeypatch.setenv("ODFORGE_CATALOG_DIR", str(tmp_path / "a" / "catalog"))
-        assert [e.name for e in load_catalog()] == ["od0002_ones2.od"]
-        monkeypatch.setenv("ODFORGE_CATALOG_DIR", str(tmp_path / "b" / "catalog"))
-        assert [e.name for e in load_catalog()] == ["od0004_ones4.od"]
-        # ./catalog is resolved against the working directory of each call.
-        monkeypatch.delenv("ODFORGE_CATALOG_DIR")
-        monkeypatch.chdir(tmp_path / "a")
-        assert [e.name for e in load_catalog()] == ["od0002_ones2.od"]
-        monkeypatch.chdir(tmp_path / "b")
-        assert [e.name for e in load_catalog()] == ["od0004_ones4.od"]
-
-    def test_directory_resolution_precedence(self, tmp_path, monkeypatch):
-        from pathlib import Path
-
-        from odforge.constructions import resolve_catalog_dir
-
-        explicit = tmp_path / "explicit"
-        assert resolve_catalog_dir(explicit) == explicit
-        monkeypatch.setenv("ODFORGE_CATALOG_DIR", str(tmp_path / "env"))
-        assert resolve_catalog_dir(None) == tmp_path / "env"
-        monkeypatch.delenv("ODFORGE_CATALOG_DIR")
-        monkeypatch.chdir(tmp_path)
-        assert str(resolve_catalog_dir(None)).endswith(("catalog",))
+    def test_catalog_is_package_data_only(self, tmp_path, monkeypatch):
+        # A ./catalog holding a file that does not parse, named again by
+        # ODFORGE_CATALOG_DIR, changes neither the design nor its recipe.
+        before = small_od_provider(ODType(8, (1, 4)))
         (tmp_path / "catalog").mkdir()
-        assert resolve_catalog_dir(None) == Path("catalog")
+        (tmp_path / "catalog" / "junk.od").write_text("junk\n")
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("ODFORGE_CATALOG_DIR", str(tmp_path / "catalog"))
+        load_catalog.cache_clear()
+        after = small_od_provider(ODType(8, (1, 4)))
+        assert after.trace == before.trace
+        assert "merge of catalog entry od0008_ones8.od" in after.trace.notes
+        assert np.array_equal(after.matrix.codes, before.matrix.codes)
+
+
+class TestSingleExit:
+    """``_witness`` is every builder's one exit: it refuses a matrix that
+    fails its claim or lacks the shape its builder promised."""
+
+    @pytest.mark.parametrize(
+        "build, claim, shape",
+        [
+            (lambda: circulant_cw(2).matrix, WeighingType(7, 3), None),
+            (lambda: circulant_cw(2).matrix, WeighingType(8, 4), None),
+            (lambda: symmetric_od_pow2(2).matrix, ODType(4, (1, 2)), None),
+            # circulant W(7, 4) is not symmetric
+            (lambda: circulant_cw(2).matrix, WeighingType(7, 4), "symmetric"),
+            (lambda: symmetric_od_pow2(2).matrix, ODType(4, (1, 1)), "skew_symmetric"),
+        ],
+        ids=["weighing-claim", "weighing-order", "design-claim", "symmetric-shape", "skew-shape"],
+    )
+    def test_broken_promise_raises(self, build, claim, shape):
+        with pytest.raises(VerificationInternalError):
+            _witness(build(), claim, Trace("test"), shape)
 
 
 class TestWordCompatibility:
