@@ -117,16 +117,28 @@ def _describe(witness: Witness) -> str:
     return f"orthogonal design OD({claim.order};{body})"
 
 
+# Cells of the largest grid numpy can address with 8-byte (int64 or
+# float64) entries, the widest a build holds.
+_ADDRESSABLE_CELLS = sys.maxsize // 8
+
+
 def _guard_cells(order: int, args: argparse.Namespace, plan: Sequence[str]) -> bool:
-    """Refuse huge materializations unless --force; the plan (the derivation
-    arithmetic known before building anything) is printed either way."""
+    """Refuse huge materializations unless --force, and sizes numpy cannot
+    address even with it; the plan (the derivation arithmetic known before
+    building anything) is printed with either refusal."""
     cells = order * order
-    if cells <= DEFAULT_CELL_BUDGET or args.force:
+    if cells <= DEFAULT_CELL_BUDGET or (args.force and cells <= _ADDRESSABLE_CELLS):
         return True
-    _err(
-        f"refusing to materialize order {order} ({cells} cells exceeds "
-        f"{DEFAULT_CELL_BUDGET}); pass --force to override"
-    )
+    if args.force:
+        _err(
+            f"refusing to materialize order {order} ({cells} cells is past "
+            f"the {_ADDRESSABLE_CELLS} numpy can address), even with --force"
+        )
+    else:
+        _err(
+            f"refusing to materialize order {order} ({cells} cells exceeds "
+            f"{DEFAULT_CELL_BUDGET}); pass --force to override"
+        )
     for line in plan:
         _err(f"plan: {line}")
     return False

@@ -362,11 +362,10 @@ def symmetric_od_pow2(k: int) -> Witness:
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """One stored design: file name, verified witness, provenance note."""
+    """One stored design: file name and verified witness."""
 
     name: str
     witness: Witness
-    provenance: str
 
 
 @cache
@@ -380,13 +379,6 @@ def load_catalog() -> tuple[CatalogEntry, ...]:
     from .matfile import parse_matrix_file
 
     root = files("odforge") / "data" / "catalog"
-    notes: dict[str, str] = {}
-    for line in (root / "MANIFEST.txt").read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        name, _, note = line.partition(":")
-        notes[name.strip()] = note.strip()
     entries = []
     for child in sorted(root.iterdir(), key=lambda c: c.name):
         if not child.name.endswith(".od"):
@@ -397,13 +389,7 @@ def load_catalog() -> tuple[CatalogEntry, ...]:
         trace = _trace(
             "od-catalog", name=child.name, order=claim.order, type=claim.type_tuple
         )
-        entries.append(
-            CatalogEntry(
-                name=child.name,
-                witness=_witness(matrix, claim, trace),
-                provenance=notes.get(child.name, "unlisted"),
-            )
-        )
+        entries.append(CatalogEntry(child.name, _witness(matrix, claim, trace)))
     return tuple(entries)
 
 
@@ -708,13 +694,18 @@ def _composed(blocks: Sequence[tuple[int, Witness]], trace: Trace) -> Witness:
     skew or zero-diagonal iff every block is, and a single copy is its block.
     With two or more copies, a circulant sum is c*I and a back-circulant one
     is symmetric of weight 1 (its first row has a single nonzero), so neither
-    holds at weight k >= 2 or when the sum is not symmetric.
+    holds at weight k >= 2 or when the sum is not symmetric.  The sum of c
+    copies of one 1x1 block [x] is x*I_c: circulant, and back-circulant only
+    for c <= 2.
     """
     blocks = tuple((count, block) for count, block in blocks if count)
     k = blocks[0][1].claim.weight
     reports = [block.structure for _, block in blocks]
-    if sum(count for count, _ in blocks) == 1:
+    copies = sum(count for count, _ in blocks)
+    if copies == 1:
         structure = reports[0]
+    elif len(blocks) == 1 and blocks[0][1].order == 1:
+        structure = replace(reports[0], back_circulant=copies <= 2)
     else:
         symmetric = all(r.symmetric for r in reports)
         if k == 1 and symmetric:
@@ -1128,8 +1119,7 @@ def rational_family_seed(a: int, b: int, c: int) -> IntMatrix:
     )
     k = a * a + b * b + c * c
     product = mat_mul(d, transpose(d)).entries
-    expected = k * np.eye(4, dtype=np.int64)
-    if not np.array_equal(np.asarray(product, dtype=object), np.asarray(expected, dtype=object)):
+    if not np.array_equal(product, k * np.eye(4, dtype=np.int64)):
         raise VerificationInternalError("rational seed failed its product identity")
     if not np.array_equal(d.entries.T, -d.entries):
         raise VerificationInternalError("rational seed is not skew")
@@ -1205,12 +1195,19 @@ def skew_weighing_from_unit_slot(w: Witness) -> Witness:
     return _witness(skew, claim, trace, "skew_symmetric")
 
 
+@lru_cache(maxsize=None)
+def _unit_block() -> Witness:
+    """The W(1, 1) [1], verified once, held as int8."""
+    trace = _trace("weighing-identity", n=1)
+    return _witness(IntMatrix(np.ones((1, 1), dtype=np.int8)), WeighingType(1, 1), trace)
+
+
 def identity_weighing(n: int) -> Witness:
     """The identity matrix as a weighing matrix of weight 1 (symmetric and
-    circulant at once)."""
+    circulant at once), composed of n copies of the one verified [1]."""
     if not isinstance(n, int) or n < 1:
         raise ConstructionError(f"order must be a positive integer, got {n}")
-    return _witness(identity(n), WeighingType(n, 1), _trace("weighing-identity", n=n))
+    return _composed(((n, _unit_block()),), _trace("weighing-identity", n=n))
 
 
 @lru_cache(maxsize=None)

@@ -3,11 +3,12 @@ and the exact verifiers built on it.
 
 Two matrix kinds live here:
 
-* ``IntMatrix`` holds exact integer entries backed by a numpy array.  Products
-  go through a proven-safe fast path: float64 BLAS when every intermediate
-  value is bounded below 2**53, int64 accumulation when bounded below 2**63,
-  and arbitrary-precision Python integers otherwise.  Every path is exact;
-  there is no silent overflow and no rounding.
+* ``IntMatrix`` holds exact integer entries in a signed numpy integer array
+  (int64 for anything given as Python integers); an entry past int64 is
+  refused.  Products go through two proven-safe tiers: float64 BLAS when every
+  intermediate value is bounded below 2**53, int64 accumulation when bounded
+  below 2**63.  A product that could pass int64 is refused, so there is no
+  silent overflow and no rounding.
 
 * ``SignedVarMatrix`` holds entries drawn from {0, +x_1, -x_1, ..., +x_l, -x_l}
   for formal commuting variables x_j, encoded as signed integer codes: 0 for
@@ -86,68 +87,53 @@ def _is_int(value) -> bool:
 
 
 def _as_exact_array(data) -> np.ndarray:
-    """Return a 2-D exact-integer array (signed int dtype, or object for big values)."""
+    """Return a 2-D signed-integer array: a copy of a signed-integer array,
+    or int64 for any other input, whose entries must each be an integer (not
+    a bool) within int64."""
     if isinstance(data, np.ndarray):
         if data.ndim != 2:
             raise MatrixError(f"expected a 2-D array, got ndim={data.ndim}")
         if data.dtype in _SIGNED_INT_DTYPES:
             return data.copy()
-        if data.dtype == object:
-            arr = data.copy()
-            for v in arr.flat:
-                if not _is_int(v):
-                    raise MatrixError(f"non-integer entry {v!r}")
-            return arr
-        if np.issubdtype(data.dtype, np.integer):
-            # unsigned dtypes: route through object to avoid wrap-around
-            return _as_exact_array([[int(v) for v in row] for row in data])
-        raise MatrixError(f"matrix entries must be integers, got dtype {data.dtype}")
+        if data.dtype != object and not np.issubdtype(data.dtype, np.integer):
+            raise MatrixError(f"matrix entries must be integers, got dtype {data.dtype}")
+        data = data.tolist()  # object and unsigned arrays: checked entry by entry
     rows = [list(r) for r in data]
     if not rows:
         raise MatrixError("matrix needs at least one row")
     width = len(rows[0])
     if width == 0:
         raise MatrixError("matrix needs at least one column")
-    big = False
     for r in rows:
         if len(r) != width:
             raise MatrixError("ragged rows")
         for v in r:
             if not _is_int(v):
                 raise MatrixError(f"non-integer entry {v!r}")
-            if not (-_INT64_SAFE <= int(v) <= _INT64_SAFE):
-                big = True
-    if big:
-        arr = np.empty((len(rows), width), dtype=object)
-        for i, r in enumerate(rows):
-            for j, v in enumerate(r):
-                arr[i, j] = int(v)
-        return arr
+            if not -_INT64_SAFE <= int(v) <= _INT64_SAFE:
+                raise MatrixError(f"entry {v} does not fit a 64-bit integer")
     return np.array(rows, dtype=np.int64)
 
 
 def _max_abs(arr: np.ndarray) -> int:
-    if arr.size == 0:
-        return 0
-    if arr.dtype == object:
-        return max(abs(int(v)) for v in arr.flat)
-    return int(np.max(np.abs(arr.astype(np.int64, copy=False))))
+    return max(int(arr.max()), -int(arr.min())) if arr.size else 0
 
 
 def _exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact integer product of two 2-D integer arrays.
 
-    Chooses the cheapest representation whose intermediates provably cannot
+    Chooses the cheaper representation whose intermediates provably cannot
     lose exactness: float64 (BLAS) while every partial sum stays below 2**53,
-    int64 while below 2**63, Python integers beyond that.
+    int64 while below 2**63.  Raises ``MatrixError`` when a partial sum could
+    pass int64.
     """
     bound = a.shape[1] * _max_abs(a) * _max_abs(b)
     if bound < _FLOAT_SAFE:
         prod = np.asarray(a, dtype=np.float64) @ np.asarray(b, dtype=np.float64)
         return prod.astype(np.int64)
-    if bound < _INT64_SAFE and a.dtype != object and b.dtype != object:
-        return a.astype(np.int64) @ b.astype(np.int64)
-    return np.dot(a.astype(object), b.astype(object))
+    if bound > _INT64_SAFE:
+        raise MatrixError(f"product entries could reach {bound}, past 64-bit integers")
+    return a.astype(np.int64) @ b.astype(np.int64)
 
 
 class IntMatrix:
@@ -180,9 +166,6 @@ class IntMatrix:
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
-
-    def tolist(self) -> list[list[int]]:
-        return [[int(v) for v in row] for row in self.entries]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntMatrix):
@@ -220,11 +203,9 @@ class SignedVarMatrix:
         return out
 
     def _own(self, arr: np.ndarray, num_vars: int | None) -> None:
-        if arr.dtype == object:
-            raise MatrixError("variable codes must fit machine integers")
         if arr.shape[0] != arr.shape[1]:
             raise MatrixError("symbolic matrices must be square")
-        top = max(int(arr.max()), -int(arr.min())) if arr.size else 0
+        top = _max_abs(arr)
         if num_vars is None:
             num_vars = top
         if not _is_int(num_vars) or num_vars < 0:
@@ -246,9 +227,6 @@ class SignedVarMatrix:
     @property
     def cols(self) -> int:
         return self.codes.shape[1]
-
-    def tolist(self) -> list[list[int]]:
-        return [[int(v) for v in row] for row in self.codes]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SignedVarMatrix):
@@ -363,8 +341,8 @@ def _payload(m: Matrix) -> np.ndarray:
 def kronecker(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     """Kronecker product of two integer matrices."""
     ea, eb = a.entries, b.entries
-    if ea.dtype == object or eb.dtype == object or _max_abs(ea) * _max_abs(eb) > _INT64_SAFE:
-        return IntMatrix(np.kron(ea.astype(object), eb.astype(object)))
+    if _max_abs(ea) * _max_abs(eb) > _INT64_SAFE:
+        raise MatrixError("Kronecker product entries would pass 64-bit integers")
     return IntMatrix(np.kron(ea.astype(np.int64), eb.astype(np.int64)))
 
 
@@ -407,10 +385,7 @@ def structure_check(m: Matrix) -> StructureReport:
         raise MatrixError("structure_check needs a square matrix")
     symmetric = _equal_by_rows(arr, arr.T)
     skew = _equal_by_rows(arr, arr.T, negate=True)
-    if arr.dtype == object:
-        zero_diag = all(int(v) == 0 for v in np.diagonal(arr))
-    else:
-        zero_diag = not bool(np.any(np.diagonal(arr)))
+    zero_diag = not bool(np.any(np.diagonal(arr)))
     # Circulant: each row is the one above shifted right by one, the last
     # entry wrapping to the front.  Back-circulant: shifted left, the first
     # entry wrapping to the back.
@@ -673,12 +648,7 @@ def verify_weighing(w: IntMatrix, k: int) -> CheckReport:
     if not w.is_square:
         return CheckReport(False, "not square", (w.rows, w.cols))
     arr = w.entries
-    if arr.dtype == object:
-        for (i, j), v in np.ndenumerate(arr):
-            if not -1 <= int(v) <= 1:
-                return CheckReport(False, "entry outside {0,+1,-1}", (int(i), int(j)))
-        arr = arr.astype(np.int64)
-    elif arr.size and (arr.min() < -1 or arr.max() > 1):
+    if arr.size and (arr.min() < -1 or arr.max() > 1):
         # min and max need no n x n temporaries; the mask only finds the cell
         r, c = np.argwhere((arr < -1) | (arr > 1))[0]
         return CheckReport(False, "entry outside {0,+1,-1}", (int(r), int(c)))

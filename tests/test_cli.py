@@ -109,6 +109,19 @@ class TestGuard:
         assert code == EXIT_ERROR
         assert out == "Undecided: symmetric constructions here need a perfect square weight\n"
 
+    def test_force_refuses_a_size_numpy_cannot_address(self, capsys, monkeypatch):
+        # 2**80 cells: refused from arithmetic, before anything is allocated.
+        def no_build(*args):
+            raise AssertionError("a matrix was built")
+
+        monkeypatch.setattr("odforge.cli.symmetric_od_pow2", no_build)
+        code, out, err = run(capsys, "construct", "sym-od", "--k", "40", "--force")
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err.startswith("refusing to materialize order 1099511627776 (")
+        assert "even with --force" in err
+        assert "plan: order 2**40 = 1099511627776" in err
+
     def test_block_array_guard_uses_plan_arithmetic(self, capsys):
         # Order 4 * 91 * 31 = 11284 exceeds the default cell budget, and the
         # refusal happens before any matrix is built.

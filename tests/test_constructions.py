@@ -16,6 +16,7 @@ from odforge.constructions import (
     Trace,
     UnsupportedParameterError,
     Witness,
+    _composed,
     _cw_block,
     _normalized_unit_family,
     _skew_weighing_pow2,
@@ -481,6 +482,24 @@ class TestSkewBuilders:
         w = identity_weighing(5)
         assert w.claim.order == 5 and w.claim.weight == 1
         assert w.structure.symmetric and w.structure.circulant
+
+    @pytest.mark.parametrize("x", [1, -1])
+    @pytest.mark.parametrize("c", range(1, 7))
+    def test_copies_of_a_unit_block_derive_their_report(self, c, x):
+        """c copies of [x] are x*I_c; the report is derived without the
+        matrix, and reading the matrix checks it against ``structure_check``."""
+        block = _witness(IntMatrix([[x]]), WeighingType(1, 1), Trace("unit"))
+        w = _composed(((c, block),), Trace("copies"))
+        assert w.blocks
+        assert w.structure == structure_check(IntMatrix(x * np.eye(c, dtype=np.int64)))
+        assert w.structure == structure_check(w.matrix)
+        if x == 1:
+            assert identity_weighing(c).structure == w.structure
+
+    def test_symmetric_weight_one_sum_of_larger_blocks_is_refused(self):
+        swap = _witness(IntMatrix([[0, 1], [1, 0]]), WeighingType(2, 1), Trace("swap"))
+        with pytest.raises(ConstructionError):
+            _composed(((2, swap),), Trace("swaps"))
 
 
 class TestRationalSeed:

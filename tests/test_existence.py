@@ -246,6 +246,9 @@ class TestVerifyOnce:
             Query(2400, 7, "skew"),
             Query(1000, 4, "symmetric"),
             Query(1600, 1, "skew"),
+            Query(4000, 1, "plain"),
+            Query(4000, 1, "symmetric"),
+            Query(4000, 1, "circulant"),
         ],
     )
     def test_one_check_at_order_n(self, monkeypatch, query):
@@ -306,6 +309,20 @@ class TestVerifyOnce:
         finally:
             tracemalloc.stop()
         assert verdict.kind == "exists"
+        assert peak < 1 << 20, peak
+
+    @pytest.mark.parametrize("structure", ["plain", "symmetric", "circulant"])
+    def test_warm_weight_one_answer_allocates_under_a_megabyte(self, structure):
+        """I_n is n copies of one verified [1]: answering builds no n x n grid."""
+        query = Query(4000, 1, structure)
+        assert exists_query(query).kind == "exists"  # warms the unit block
+        tracemalloc.start()
+        try:
+            verdict = exists_query(query)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert verdict.witness.blocks, "not a composed witness"
         assert peak < 1 << 20, peak
 
 

@@ -168,13 +168,13 @@ class TestEmit:
         assert fragment in str(err.value)
 
     def test_first_out_of_range_weighing_entry_is_named(self):
-        # Row-major order decides which entry is reported; a huge (object
-        # dtype) entry is reported as is.
-        grid = [[1, 0, 10**30], [0, -7, 1], [1, 1, 0]]
+        # Row-major order decides which entry is reported; a huge entry is
+        # reported as is.
+        grid = [[1, 0, 2**62], [0, -7, 1], [1, 1, 0]]
         with pytest.raises(MatrixFileError) as err:
             emit_matrix_file(IntMatrix(grid), WeighingType(3, 2))
         assert str(err.value) == (
-            f"weighing entries must lie in {{0, +1, -1}}, got {10**30}"
+            f"weighing entries must lie in {{0, +1, -1}}, got {2**62}"
         )
 
     def test_first_out_of_range_entry_past_the_first_row_block(self):
@@ -459,7 +459,7 @@ class TestAgainstReference:
 
     @given(
         weighing_cases(
-            st.one_of(st.integers(min_value=-3, max_value=3), st.just(10**30))
+            st.one_of(st.integers(min_value=-3, max_value=3), st.just(2**62))
         )
     )
     def test_weighing_emit_errors_match_reference(self, case):

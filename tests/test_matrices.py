@@ -65,13 +65,17 @@ class TestExactProducts:
         want = naive_matmul(a_rows, b_rows)
         assert [[int(v) for v in row] for row in got] == want
 
-    def test_huge_entries_stay_exact(self):
-        # beyond float64's 2**53 and int64's 2**63 ranges
-        big = 2**62
-        a = IntMatrix(np.array([[big, big], [big, -big]], dtype=object))
-        product = mat_mul(a, transpose(a)).entries
-        assert product[0][0] == 2 * big * big  # needs > 64-bit arithmetic
-        assert product[0][1] == 0
+    def test_entries_and_products_past_int64_are_refused(self):
+        with pytest.raises(MatrixError):
+            IntMatrix([[2**63]])
+        with pytest.raises(MatrixError):
+            IntMatrix(np.array([[2**63]], dtype=np.uint64))
+        big = 2**62  # fits int64, but a product of two such entries does not
+        a = IntMatrix([[big, big], [big, -big]])
+        with pytest.raises(MatrixError):
+            mat_mul(a, transpose(a))
+        with pytest.raises(MatrixError):
+            kronecker(a, a)
 
     def test_float_boundary_exactness(self):
         # products just above 2**53 must not round
