@@ -961,18 +961,16 @@ def _block_array(layout: Sequence[Sequence[_Cell]], q: int, num_vars: int) -> Si
     """Assemble a block matrix of variable-coded cells.
 
     Each layout cell is (variable index, sign, block) where variable index 0
-    or block None mean an all-zero block of order q.
+    or block None mean an all-zero block of order q.  Every cell is written
+    into one preallocated int64 grid, which the matrix adopts without a copy.
     """
-    rows = []
-    for row in layout:
-        cells = []
-        for var, sign, block in row:
-            if var == 0 or block is None:
-                cells.append(np.zeros((q, q), dtype=np.int64))
-            else:
-                cells.append(var * sign * block.entries.astype(np.int64))
-        rows.append(cells)
-    return SignedVarMatrix(np.block(rows), num_vars)
+    grid = np.zeros((len(layout) * q, len(layout[0]) * q), dtype=np.int64)
+    for i, row in enumerate(layout):
+        for j, (var, sign, block) in enumerate(row):
+            if var != 0 and block is not None:
+                cell = grid[i * q : (i + 1) * q, j * q : (j + 1) * q]
+                np.multiply(block.entries, var * sign, out=cell)
+    return SignedVarMatrix._adopt(grid, num_vars)
 
 
 def _transposed(block: IntMatrix | None) -> IntMatrix | None:

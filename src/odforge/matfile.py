@@ -16,15 +16,17 @@ parsed file reproduces it byte for byte.
 
 Both directions work one block of rows at a time, with a constant number of
 C-level calls per row block, so their temporaries are bounded by the block.
-Emission indexes one token table (codes -l..l, or -1..1 for weighing) with
-the block's codes and joins rows; ``emit_matrix_chunks`` hands out each
-block's text as it is made, so a writer never holds the whole file.  Parsing decodes the block's ASCII bytes
-with numpy array passes: separators and row ends, token lengths, then the
-sign and the decimal digits of every token at once.  A block the passes do
-not cover (a bad token, a row of the wrong length, or an index with more
-digits than l has, such as ``+02`` for l < 10) is read row by row and token
-by token, which accepts the same spellings and reports the first bad token
-by line and position.
+Emission indexes one table of fixed-width words (codes -l..l, or -1..1 for
+weighing; each word a token, its space and NUL padding) with the block's
+codes, turns the space after each row's last token into a newline, and drops
+the padding with one mask; ``emit_matrix_chunks`` hands out each block's text
+as it is made, so a writer never holds the whole file.  Parsing decodes the
+block's ASCII bytes with numpy array passes: separators and row ends, token
+lengths, then the sign and the decimal digits of every token at once.  A
+block the passes do not cover (a bad token, a row of the wrong length, or an
+index with more digits than l has, such as ``+02`` for l < 10) is read row by
+row and token by token, which accepts the same spellings and reports the
+first bad token by line and position.
 """
 
 from __future__ import annotations
@@ -226,7 +228,7 @@ def parse_matrix_file(text: str) -> tuple[Matrix, Claim, tuple[str, ...]]:
     return SignedVarMatrix._adopt(grid, claim.num_vars), claim, flags
 
 
-# Cells per row block of emission: the token lists of one block are alive
+# Cells per row block of emission: the words and bytes of one block are alive
 # at a time, not those of the whole matrix.
 _EMIT_BLOCK_CELLS = 1 << 16
 
@@ -265,17 +267,26 @@ def emit_matrix_chunks(
         raise MatrixFileError(
             f"matrix shape {payload.shape} does not match claimed order {claim.order}"
         )
-    table = np.array(tokens, dtype=object)
-    return _emit_rows(header, payload, table, l, isinstance(claim, WeighingType))
+    return _emit_rows(header, payload, _token_words(tokens), l, isinstance(claim, WeighingType))
+
+
+def _token_words(tokens: Sequence[str]) -> np.ndarray:
+    """Each token and a space, NUL-padded to one unsigned word of 1, 2, 4 or
+    8 bytes.  Design tokens have at most 7 characters: l <= order, and an
+    order of 10**6 would need 10**12 cells."""
+    width = next(size for size in (1, 2, 4, 8) if size > max(map(len, tokens)))
+    words = np.array([f"{token} ".encode("ascii") for token in tokens], dtype=f"S{width}")
+    return words.view(f"u{width}")
 
 
 def _emit_rows(
     header: str, payload: np.ndarray, table: np.ndarray, l: int, weighing: bool
 ) -> Iterator[str]:
     """The header line, then the rows of ``payload`` one row block at a
-    time, each code c written as ``table[c + l]``."""
+    time, each code c written as the token in word ``table[c + l]``."""
     yield header + "\n"
     n = payload.shape[0]
+    width = table.itemsize
     step = max(1, _EMIT_BLOCK_CELLS // n)
     for start in range(0, n, step):
         block = payload[start : start + step]
@@ -286,7 +297,10 @@ def _emit_rows(
                 raise MatrixFileError(
                     f"weighing entries must lie in {{0, +1, -1}}, got {value}"
                 )
-        yield "\n".join(map(" ".join, table[block.astype(np.intp) + l].tolist())) + "\n"
+        text = table[block.astype(np.intp) + l].view(np.uint8).reshape(len(block), n * width)
+        last = text[:, -width:]  # the word of each row's last token
+        last[last == ord(" ")] = ord("\n")
+        yield text[text != 0].tobytes().decode("ascii")
 
 
 def emit_matrix_file(

@@ -28,7 +28,12 @@ A_j A_i^T, are symmetric, so their first violation in row-major order lies on
 or above the diagonal, and the support kernel counts only those terms.
 Near-dense members go to the dense BLAS product instead (one product per
 pair); a fixed cost rule on n, s_i and s_j picks the kernel per product.  Both
-kernels report the same first violation.
+kernels report the same first violation.  Before either runs, a
+block-circulant pass tries to prove the family from far fewer terms: when n =
+h * q with h the 2-part of n and q >= 3, and every q x q block of the codes is
+circulant or back-circulant, each block of a Gram matrix or pair sum follows
+from the first rows of the blocks alone.  A family the pass does not prove
+goes to the kernels, so every report is theirs.
 
 Indexing convention: storage is 0-based throughout.  Classical 1-based matrix
 descriptions are converted here, in one place, as follows: a circulant has
@@ -368,12 +373,18 @@ def circulant(first_row: Sequence[int]) -> IntMatrix:
     return IntMatrix(arr[idx])
 
 
+# Rows per block of the exact comparisons below: their temporaries are a few
+# rows of the matrix, whatever its order.
+_COMPARE_ROWS = 64
+
+
 def _equal_by_rows(a: np.ndarray, b: np.ndarray, negate: bool = False) -> bool:
     """``np.array_equal(a, -b if negate else b)`` for arrays of one shape,
-    compared 64 rows at a time and stopped at the first block that differs."""
-    for r in range(0, a.shape[0], 64):
-        rows = b[r : r + 64]
-        if not np.array_equal(a[r : r + 64], -rows if negate else rows):
+    compared ``_COMPARE_ROWS`` rows at a time and stopped at the first block
+    that differs."""
+    for r in range(0, a.shape[0], _COMPARE_ROWS):
+        rows = b[r : r + _COMPARE_ROWS]
+        if not np.array_equal(a[r : r + _COMPARE_ROWS], -rows if negate else rows):
             return False
     return True
 
@@ -557,6 +568,139 @@ def _support_mismatch(
     return None
 
 
+def _block_types(codes: np.ndarray, h: int, q: int) -> np.ndarray | None:
+    """For ``codes`` read as an h x h grid of q x q blocks: an (h, h) bool
+    array marking the back-circulant blocks, when every block is circulant
+    (row t + 1 is row t turned right) or back-circulant (turned left); else
+    None.  A block that is both is constant and counts as circulant.
+
+    Rows 0 and 1 of the blocks give their types; every later row of a block
+    row is then compared with the row above it turned, ``_COMPARE_ROWS`` rows
+    at a time, and the first block of rows that differs ends the check."""
+    n = h * q
+    cols = np.arange(n)
+    start = cols - cols % q
+    right = start + (cols - 1) % q  # row t + 1 of a circulant block, read from row t
+    left = start + (cols + 1) % q  # the same for a back-circulant block
+    tops, belows = codes[::q], codes[1::q]  # rows 0 and 1 of every block row
+    circ = (belows == tops[:, right]).reshape(h, h, q).all(axis=2)
+    if not (circ | (belows == tops[:, left]).reshape(h, h, q).all(axis=2)).all():
+        return None
+    turns = np.where(np.repeat(circ, q, axis=1), right, left)
+    for top, turn in zip(range(0, n, q), turns):
+        for r in range(top + 1, top + q - 1, _COMPARE_ROWS):
+            stop = min(r + _COMPARE_ROWS, top + q - 1)
+            if not np.array_equal(codes[r + 1 : stop + 1], codes[r:stop].take(turn, axis=1)):
+                return None
+    return ~circ
+
+
+class _FirstRows(NamedTuple):
+    """The nonzeros of one member in row 0 of every block, s of them in each
+    block row and in each block column: nonzero e lies in block (i[e], j[e])
+    at place x[e], negative where neg[e]; sorted by block row, and listed by
+    block column in ``by_col``, an (h, s) array of indices e."""
+
+    i: np.ndarray
+    j: np.ndarray
+    x: np.ndarray
+    neg: np.ndarray
+    by_col: np.ndarray
+
+
+def _first_row_sums(
+    products: Sequence[tuple[_FirstRows, _FirstRows]],
+    back: np.ndarray,
+    q: int,
+    i0: int,
+    i1: int,
+) -> np.ndarray:
+    """Blocks (i, k), i0 <= i < i1, of sum_(a,b) A_a A_b^T for block-circulant
+    members: an array (i1 - i0, h, 2, q) holding u and w, where block (i, k)
+    is circ(u) + back(w).
+
+    A nonzero at place x of row 0 of block (i, j) of A_a and one at place y
+    of row 0 of block (k, j) of A_b add the product of their signs to place
+    x - y of the block's circulant part when both blocks have one type, and
+    of its back-circulant part when not; y - x instead when block (k, j) is
+    back-circulant."""
+    h = back.shape[0]
+    cells = (i1 - i0) * h * 2 * q
+    counts = np.zeros(2 * cells, dtype=np.int64)
+    for a, b in products:
+        lo, hi = i0 * a.by_col.shape[1], i1 * a.by_col.shape[1]
+        i, j, x = a.i[lo:hi, None], a.j[lo:hi, None], a.x[lo:hi, None]
+        partner = b.by_col[a.j[lo:hi]]  # b's nonzeros in the same block column
+        k, y = b.i[partner], b.x[partner]
+        turned = back[k, j]
+        place = np.where(turned, y - x, x - y) % q
+        cell = (((i - i0) * h + k) * 2 + (back[i, j] != turned)) * q + place
+        sign = a.neg[lo:hi, None] ^ b.neg[partner]
+        counts += np.bincount((2 * cell + sign).ravel(), minlength=2 * cells)
+    counts = counts.reshape(i1 - i0, h, 2, q, 2)
+    return counts[..., 0] - counts[..., 1]
+
+
+def _block_circulant_proof(codes: np.ndarray, weights: Sequence[int]) -> bool:
+    """True when the members of ``codes`` are proven to form an
+    orthogonal-design family of the given weights from the first rows of
+    their blocks; False when that is not proven, and the kernels decide.
+
+    With n = h * q, h the 2-part of n and q >= 3 odd, the proof applies when
+    every q x q block of the h x h grid is circulant or back-circulant, as in
+    the 2-, 4- and 8-block arrays of circulant weighing blocks.  Then each
+    member has s nonzeros in every row and column exactly when its row 0 of
+    every block has s in each block row and each block column, and each
+    block of a Gram matrix or pair sum is circ(u) + back(w), with u and w
+    summed from the first rows only (``_first_row_sums``), in h * s_i * s_j
+    integer terms per product.  Because q is odd, (r, c) -> (c - r, c + r)
+    is a bijection, so circ(u) + back(w) = circ(t) exactly when w is
+    constant and u + w[0] = t; the target t is s * e_0 on the diagonal
+    blocks of a Gram matrix and 0 everywhere else.
+    """
+    n = codes.shape[0]
+    h = n & -n
+    q = n // h
+    if q < 3:
+        return False
+    back = _block_types(codes, h, q)
+    if back is None:
+        return False
+    first = codes[::q].reshape(h, h, q).astype(np.int64)  # row 0 of block (i, j)
+    mag = np.abs(first)
+    if mag.max() > len(weights):
+        return False
+    members = []
+    for v, s in enumerate(weights, start=1):
+        hit = mag == v
+        per_block = np.count_nonzero(hit, axis=2)  # in every row and column of the block
+        if (per_block.sum(axis=1) != s).any() or (per_block.sum(axis=0) != s).any():
+            return False
+        i, j, x = np.nonzero(hit)
+        by_col = np.argsort(j, kind="stable").reshape(h, s)
+        members.append(_FirstRows(i, j, x, first[i, j, x] < 0, by_col))
+    checks = [([(m, m)], s, s * s) for m, s in zip(members, weights)] + [
+        ([(a, b), (b, a)], 0, 2 * weights[p] * weights[r])
+        for p, a in enumerate(members)
+        for r, b in enumerate(members)
+        if p < r
+    ]
+    for products, diag, terms in checks:
+        # block rows per step keep both the terms and the cells within a block
+        step = max(1, _BLOCK_TERMS // max(terms, 4 * n))
+        for i0 in range(0, h, step):
+            i1 = min(h, i0 + step)
+            sums = _first_row_sums(products, back, q, i0, i1)
+            u, w = sums[:, :, 0], sums[:, :, 1]
+            if (w != w[..., :1]).any():
+                return False
+            u += w[..., :1]
+            u[np.arange(i1 - i0), np.arange(i0, i1), 0] -= diag
+            if u.any():
+                return False
+    return True
+
+
 def _family_report(
     codes: np.ndarray,
     weights: Sequence[int],
@@ -571,11 +715,18 @@ def _family_report(
     A_i A_j^T + A_j A_i^T = 0.  ``label.format(j)`` prefixes member j's
     conditions.
 
-    Each product is computed by whichever kernel ``use_support(n,
-    terms_per_row)`` picks: the support kernel, O(n * s_i * s_j), or the dense
-    BLAS product through ``_exact_matmul``, O(n**3).  Both are exact and
-    report the same first violation.
+    First the block-circulant pass, ``_block_circulant_proof``: when n has an
+    odd part q >= 3 and every q x q block of the code grid is circulant or
+    back-circulant, it checks every condition from the first rows of the
+    blocks, in O(h * s_i * s_j) terms per product, and a family it proves is
+    ok.  Otherwise (the pass proves nothing, or finds a violation) each
+    product is computed by whichever kernel ``use_support(n, terms_per_row)``
+    picks: the support kernel, O(n * s_i * s_j), or the dense BLAS product
+    through ``_exact_matmul``, O(n**3).  Both are exact and report the same
+    first violation.
     """
+    if _block_circulant_proof(codes, weights):
+        return CheckReport(True)
     n = codes.shape[0]
     l = len(weights)
     plan = {
@@ -636,10 +787,14 @@ def verify_weighing(w: IntMatrix, k: int) -> CheckReport:
     {0,+1,-1}, exactly k nonzeros in every row and every column, and
     W * W^T = k * I computed exactly.
 
-    The product is checked by the support kernel, from the k nonzeros of each
-    row and column in O(n * k**2), when that costs less than the dense BLAS
-    product's n**3 by the fixed rule ``_support_is_cheaper``; otherwise by the
-    dense product through ``_exact_matmul``.
+    When n = h * q (h the 2-part of n, q >= 3) and every q x q block of
+    ``w`` is circulant or back-circulant, the block-circulant pass proves a
+    valid matrix from the first rows of its blocks in O(h * k**2) terms.
+    Otherwise, and for every matrix with a violation, the product is checked
+    by the support kernel, from the k nonzeros of each row and column in
+    O(n * k**2), when that costs less than the dense BLAS product's n**3 by
+    the fixed rule ``_support_is_cheaper``; otherwise by the dense product
+    through ``_exact_matmul``.
     """
     if not isinstance(w, IntMatrix):
         raise MatrixError("verify_weighing needs an integer matrix")
@@ -678,9 +833,13 @@ def verify_od(x: SignedVarMatrix, t: ODType) -> CheckReport:
 
     Conditions, in order of first violation: order, variable count, then for
     each variable j in turn its row weights, column weights and
-    A_j A_j^T = s_j I, then each pair i < j in turn.  Each Gram matrix and
-    each pair sum A_i A_j^T + A_j A_i^T is computed by one of two exact
-    kernels: the support kernel, from the s_i nonzeros of each row of A_i and
+    A_j A_j^T = s_j I, then each pair i < j in turn.  A design of order
+    h * q (h the 2-part of the order, q >= 3) whose q x q blocks are all
+    circulant or back-circulant, such as the 2-, 4- and 8-block arrays, is
+    proven by the block-circulant pass from the first rows of its blocks, in
+    O(h * s_i * s_j) terms per product.  Otherwise, and for every design
+    with a violation, each Gram matrix and each pair sum
+    A_i A_j^T + A_j A_i^T is computed by one of two exact kernels: the support kernel, from the s_i nonzeros of each row of A_i and
     the s_j of each column of A_j in O(n * s_i * s_j), or the dense BLAS
     product through ``_exact_matmul`` in O(n**3), one product per pair.  The
     fixed rule ``_support_is_cheaper`` picks, per product, whichever costs

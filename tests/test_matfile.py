@@ -222,6 +222,14 @@ class TestEmit:
         assert parsed == matrix
         assert peak < 8 * n * n + 2 * len(text)
 
+    @pytest.mark.parametrize("l", [9, 10, 99, 100])
+    def test_design_tokens_of_every_word_width(self, l):
+        # with its space, "-9" fills 3 bytes of a 4-byte word, "-99" all 4,
+        # "-100" 5 of 8
+        codes = np.random.default_rng(l).integers(-l, l + 1, size=(l, l))
+        matrix, claim = SignedVarMatrix._adopt(codes, l), ODType(l, (1,) * l)
+        assert emit_matrix_file(matrix, claim) == reference_emit_matrix_file(matrix, claim)
+
     def test_design_codes_of_any_signed_dtype(self):
         codes = np.array([[1, -2], [2, 1]], dtype=np.int8)
         text = emit_matrix_file(SignedVarMatrix(codes, 2), ODType(2, (1, 1)))

@@ -1,10 +1,12 @@
-"""Row-block boundaries of the support kernel and of the matrix-file parser.
+"""Row-block boundaries of the support kernel, of the block-circulant
+structure check and of the matrix-file parser.
 
-Both work one block of rows at a time, and at their default block sizes every
-small test matrix fits in one block.  Here the differential tests of
-``test_verify_kernels.py`` and ``test_matfile.py`` run again with blocks of a
-row or a few rows, so the support kernel's upper-triangle filter and the
-parser's per-block decode meet block boundaries at every offset.
+All three work one block of rows at a time, and at their default block sizes
+every small test matrix fits in one block.  Here the differential tests of
+``test_verify_kernels.py``, ``test_block_circulant.py`` and
+``test_matfile.py`` run again with blocks of a row or a few rows, so the
+support kernel's upper-triangle filter, the structure check's early exit and
+the parser's per-block decode meet block boundaries at every offset.
 """
 
 from unittest import mock
@@ -13,10 +15,11 @@ import numpy as np
 import pytest
 from hypothesis import given
 
+import test_block_circulant
 import test_matfile
 import test_verify_kernels
 from odforge import matfile, matrices
-from odforge.constructions import circulant_cw, spread_circulant
+from odforge.constructions import circulant_cw, goethals_seidel_od, spread_circulant
 from odforge.matfile import emit_matrix_file, parse_matrix_file
 from odforge.matrices import IntMatrix
 from conftest import dense_weighing_report
@@ -24,6 +27,8 @@ from conftest import dense_weighing_report
 # Partner terms per kernel block: 1 gives one row per block; 96 gives blocks
 # of a few rows for the weights of the test designs.
 KERNEL_BLOCK_TERMS = (1, 96)
+# Rows per comparison block of the structure check.
+COMPARE_ROWS = (1, 2, 3)
 # Cells per parse block: 1 gives one row per block; 24 gives blocks of two to
 # a few rows for the orders 1..12 of the generated texts.
 PARSE_BLOCK_CELLS = (1, 24)
@@ -64,6 +69,34 @@ def test_flip_below_the_diagonal_reports_its_mirror(q, spread, terms, monkeypatc
         assert test_verify_kernels._triple(got) == expected, name
     got = matrices.verify_weighing(IntMatrix(grid), k)
     assert test_verify_kernels._triple(got) == expected
+
+
+@pytest.mark.parametrize("rows", COMPARE_ROWS)
+@pytest.mark.parametrize(
+    "differential",
+    [
+        test_block_circulant.test_proof_agrees_with_dense_reference,
+        test_verify_kernels.test_design_kernels_match_dense_reference,
+    ],
+    ids=["structured", "design"],
+)
+def test_block_circulant_differential_tests_in_small_blocks(differential, rows, monkeypatch):
+    monkeypatch.setattr(matrices, "_COMPARE_ROWS", rows)
+    differential()
+
+
+@pytest.mark.parametrize("rows", COMPARE_ROWS)
+def test_structure_check_finds_a_flip_in_every_row(rows, monkeypatch):
+    # one sign flipped in row r breaks its q x q block (q = 21) whatever r
+    # is, so the pass proves nothing; unflipped, it proves the design
+    monkeypatch.setattr(matrices, "_COMPARE_ROWS", rows)
+    w = goethals_seidel_od(1, 1, 1, 2)
+    weights = w.claim.type_tuple
+    assert matrices._block_circulant_proof(w.matrix.codes, weights)
+    for r in range(w.claim.order):
+        codes = np.array(w.matrix.codes)
+        codes[r, np.flatnonzero(codes[r])[r % 5]] *= -1
+        assert not matrices._block_circulant_proof(codes, weights), r
 
 
 @pytest.mark.parametrize("cells", PARSE_BLOCK_CELLS)

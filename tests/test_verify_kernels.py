@@ -6,8 +6,12 @@ picked per product by a cost rule.  Here each kernel is forced for every
 product and run on designs from every constructor and on corruptions of
 them: sign flips, changed codes, row swaps and column swaps.  Each must
 report the (ok, condition, where) triple of the reference, so the same
-first violation, and so must the public verifiers.
+first violation, and so must the public verifiers.  The block-circulant pass,
+which proves many of these designs before a kernel runs, is turned off here
+(``test_block_circulant.py`` checks it).
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -54,6 +58,11 @@ WEIGHINGS = [
 ]
 
 
+def _kernels_only():
+    """The block-circulant pass turned off, so the kernels decide every case."""
+    return mock.patch.object(matrices, "_block_circulant_proof", lambda codes, weights: False)
+
+
 def _triple(report):
     return report.ok, report.condition, report.where
 
@@ -87,9 +96,10 @@ def _corrupted(draw, pool):
 def test_design_kernels_match_dense_reference(case):
     codes, weights = case
     expected = dense_od_report(codes, weights)
-    for name, use_support in KERNELS.items():
-        got = matrices._family_report(codes, weights, matrices._VARIABLE_LABEL, use_support)
-        assert _triple(got) == expected, name
+    with _kernels_only():
+        for name, use_support in KERNELS.items():
+            got = matrices._family_report(codes, weights, matrices._VARIABLE_LABEL, use_support)
+            assert _triple(got) == expected, name
     n = codes.shape[0]
     if sum(weights) <= n:
         x = SignedVarMatrix(codes, len(weights))
@@ -103,16 +113,18 @@ def test_weighing_kernels_match_dense_reference(case):
     flat = np.sign(codes) if len(weights) > 1 else codes
     k = sum(weights)
     expected = dense_weighing_report(flat, k)
-    for name, use_support in KERNELS.items():
-        got = matrices._family_report(flat, (k,), "", use_support)
-        assert _triple(got) == expected, name
+    with _kernels_only():
+        for name, use_support in KERNELS.items():
+            got = matrices._family_report(flat, (k,), "", use_support)
+            assert _triple(got) == expected, name
     assert _triple(matrices.verify_weighing(IntMatrix(flat), k)) == expected
 
 
 @pytest.mark.parametrize("name", sorted(KERNELS))
 def test_every_constructor_output_passes_both_kernels(name):
     for codes, weights in DESIGNS:
-        report = matrices._family_report(
-            codes, weights, matrices._VARIABLE_LABEL, KERNELS[name]
-        )
+        with _kernels_only():
+            report = matrices._family_report(
+                codes, weights, matrices._VARIABLE_LABEL, KERNELS[name]
+            )
         assert report.ok, (codes.shape, weights, report.message())
