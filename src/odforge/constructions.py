@@ -53,6 +53,7 @@ from .matrices import (
     Var,
     VerificationInternalError,
     WeighingType,
+    _code_dtype,
     _substitute_variables,
     decompose_family,
     circulant,
@@ -660,9 +661,11 @@ def add_identity_variable(w: Witness) -> Witness:
             raise ConstructionError(
                 f"variable {i} is not skew-symmetric; identity slot unavailable"
             )
-    codes = matrix.codes + np.sign(matrix.codes)  # shift every index up by one
-    codes = codes + np.eye(w.order, dtype=codes.dtype)
-    x = SignedVarMatrix(codes, matrix.num_vars + 1)
+    # shift every index up by one, in a dtype that holds the new top index
+    codes = matrix.codes.astype(_code_dtype(matrix.num_vars + 1))
+    codes += np.sign(codes)
+    codes += np.eye(w.order, dtype=codes.dtype)
+    x = SignedVarMatrix._adopt(codes, matrix.num_vars + 1)
     t = ODType(claim.order, (1,) + claim.type_tuple)
     return _witness(x, t, _trace("add-identity-variable", subs=(w.trace,)))
 
@@ -962,9 +965,10 @@ def _block_array(layout: Sequence[Sequence[_Cell]], q: int, num_vars: int) -> Si
 
     Each layout cell is (variable index, sign, block) where variable index 0
     or block None mean an all-zero block of order q.  Every cell is written
-    into one preallocated int64 grid, which the matrix adopts without a copy.
+    into one preallocated grid of ``_code_dtype(num_vars)`` (one byte per cell
+    for up to 127 variables), which the matrix adopts without a copy.
     """
-    grid = np.zeros((len(layout) * q, len(layout[0]) * q), dtype=np.int64)
+    grid = np.zeros((len(layout) * q, len(layout[0]) * q), dtype=_code_dtype(num_vars))
     for i, row in enumerate(layout):
         for j, (var, sign, block) in enumerate(row):
             if var != 0 and block is not None:

@@ -502,8 +502,10 @@ def bound_N(k: int, family: str, ks: Optional[tuple[int, ...]] = None) -> BoundD
 
 def _compact(finished: Witness) -> Witness:
     """A finished seed with its weighing matrix held as int8, exact for its
-    entries 0 and +-1: the caches keep an eighth of the int64 bytes."""
-    return replace(finished, _matrix=IntMatrix._adopt(finished.matrix.entries.astype(np.int8)))
+    entries 0 and +-1: the caches keep an eighth of the int64 bytes.  A
+    collapsed design is int8 already and keeps its array."""
+    entries = finished.matrix.entries.astype(np.int8, copy=False)
+    return replace(finished, _matrix=IntMatrix._adopt(entries))
 
 
 @lru_cache(maxsize=64)

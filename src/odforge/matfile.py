@@ -15,18 +15,23 @@ circ; weighing signs as ``+``/``-``; one trailing newline.  Re-emitting a
 parsed file reproduces it byte for byte.
 
 Both directions work one block of rows at a time, with a constant number of
-C-level calls per row block, so their temporaries are bounded by the block.
-Emission indexes one table of fixed-width words (codes -l..l, or -1..1 for
-weighing; each word a token, its space and NUL padding) with the block's
-codes, turns the space after each row's last token into a newline, and drops
-the padding with one mask; ``emit_matrix_chunks`` hands out each block's text
-as it is made, so a writer never holds the whole file.  Parsing decodes the
-block's ASCII bytes with numpy array passes: separators and row ends, token
-lengths, then the sign and the decimal digits of every token at once.  A
-block the passes do not cover (a bad token, a row of the wrong length, or an
-index with more digits than l has, such as ``+02`` for l < 10) is read row by
-row and token by token, which accepts the same spellings and reports the
-first bad token by line and position.
+numpy calls per row block, so their temporaries are bounded by the block.
+Emission indexes one table of fixed-width words (each word a token, its space
+and NUL padding; code c at word c mod (2l + 1), or mod 3 for weighing) with
+the block's codes as stored, turns the space after each row's last token into
+a newline, and drops the padding with ``bytes.translate``;
+``emit_matrix_chunks`` hands out each block's text as it is made, so a writer
+never holds the whole file.  Parsing cuts the text into row blocks at its
+newlines (one ``str.find`` per row) and decodes each block's ASCII bytes with
+numpy array passes: separators and row ends, token starts and lengths, then
+the sign and the decimal digits of every token at once (for l <= 9 the last
+byte of a token is its only digit).  Codes land in one grid of the narrowest
+signed dtype that holds -l..l, one byte per cell for weighing files and for
+designs of up to 127 variables.  A block the passes do not cover (a bad
+token, a row of the wrong length, or an index with more digits than l has,
+such as ``+02`` for l < 10) is read row by row and token by token, which
+accepts the same spellings and reports the first bad token by line and
+position.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from typing import Iterator, Sequence, Union
 
 import numpy as np
 
-from .matrices import IntMatrix, ODType, SignedVarMatrix, WeighingType
+from .matrices import IntMatrix, ODType, SignedVarMatrix, WeighingType, _code_dtype
 
 __all__ = [
     "MatrixFileError",
@@ -127,9 +132,10 @@ def _parse_od_token(token: str, num_vars: int, line: int, column: int) -> int:
 
 
 def _od_tokens(num_vars: int) -> list[str]:
-    """Canonical design tokens of the codes -num_vars..num_vars, in order."""
-    return [f"-{-c}" for c in range(-num_vars, 0)] + ["0"] + [
-        f"+{c}" for c in range(1, num_vars + 1)
+    """Canonical design tokens of the codes -l..l, code c at c mod (2l + 1):
+    0, +1, ..., +l, then -l, ..., -1."""
+    return ["0"] + [f"+{c}" for c in range(1, num_vars + 1)] + [
+        f"-{c}" for c in range(num_vars, 0, -1)
     ]
 
 
@@ -151,79 +157,110 @@ def _parse_row(tokens: list[str], n: int, claim: Claim, line: int) -> list[int]:
     ]
 
 
-# Cells per row block of parsing: the byte and index arrays of one block
+# Cells per row block of parsing: the bytes and index arrays of one block
 # (some tens of bytes per cell) are alive at a time, not those of the whole
 # body.  Smaller blocks cost more calls; larger ones decode no faster.
-_PARSE_BLOCK_CELLS = 1 << 14
+_PARSE_BLOCK_CELLS = 1 << 15
 
 
-def _decode_rows(rows: list[str], n: int, claim: Claim) -> np.ndarray | None:
-    """Codes of ``rows`` as a (len(rows), n) array when every row holds n
-    single-space separated tokens, each a weighing token or ``0``/``+j``/``-j``
-    with j in 1..l written in at most as many ASCII digits as l has; else
-    None, and the caller reads the rows token by token."""
-    buf = np.frombuffer("\n".join([*rows, ""]).encode("ascii", "replace"), np.uint8)
+def _decode_rows(block: str, claim: Claim, out: np.ndarray) -> bool:
+    """Write the codes of ``block``, the text of len(out) rows each ending
+    with a newline, into the (rows, n) array ``out`` and return True when
+    every row holds n single-space separated tokens, each a weighing token
+    or ``0``/``+j``/``-j`` with j in 1..l written in at most as many ASCII
+    digits as l has; else return False, and the caller reads the rows token
+    by token."""
+    rows, n = out.shape
+    out = out.reshape(-1)
+    buf = np.frombuffer(block.encode("ascii", "replace"), np.uint8)
     ends = np.flatnonzero((buf == 32) | (buf == 10))  # the byte after each token
-    if ends.size != len(rows) * n or not np.all(buf[ends[n - 1 :: n]] == 10):
-        return None
-    lengths = ends - np.concatenate(([0], ends[:-1] + 1))
-    first = buf[ends - lengths]
+    if ends.size != rows * n or not np.all(buf[ends[n - 1 :: n]] == 10):
+        return False
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    np.add(ends[:-1], 1, out=starts[1:])
+    lengths = ends - starts
+    first = buf[starts]
     minus = first == ord("-")
+    # uint8 arithmetic: every byte other than "0".."9" lands above 9
+    last = buf[ends - 1] - np.uint8(ord("0"))
     if isinstance(claim, WeighingType):
-        codes = ((first == ord("+")) | (first == ord("1"))).view(np.int8) - minus
-        ok = ((lengths == 1) & ((codes != 0) | (first == ord("0")))) | (
-            (lengths == 2) & minus & (buf[ends - 1] == ord("1"))
+        plus = (first == ord("+")) | (first == ord("1"))
+        np.subtract(plus.view(np.int8), minus, out=out)
+        ok = ((lengths == 1) & ((out != 0) | (first == ord("0")))) | (
+            (lengths == 2) & minus & (last == 1)
         )
-        return codes.reshape(-1, n) if ok.all() else None
+        return bool(ok.all())
     l = claim.num_vars
-    places = len(str(l))
     sign = (first == ord("+")).view(np.int8) - minus
-    ok = ((lengths == 1) & (first == ord("0"))) | (
-        (sign != 0) & (lengths >= 2) & (lengths <= places + 1)
-    )
+    zero = (lengths == 1) & (first == ord("0"))
+    if l <= 9:
+        # a token's last byte is its only digit
+        ok = zero | ((sign != 0) & (lengths == 2) & (last >= 1) & (last <= l))
+        if not ok.all():
+            return False
+        np.multiply(sign, last.view(np.int8), out=out)
+        return True
+    places = len(str(l))
+    ok = zero | ((sign != 0) & (lengths >= 2) & (lengths <= places + 1))
     index = np.zeros(ends.size, dtype=np.int64)
     for place in range(places):  # digits from the last one back
-        # uint8 arithmetic: every byte other than "0".."9" lands above 9.
         # Clipped positions belong to tokens too short to have this digit.
         digit = np.take(buf, ends - (1 + place), mode="clip") - np.uint8(ord("0"))
         here = lengths > place + 1
         ok &= ~here | (digit <= 9)
         index += (digit * here).astype(np.int64) * 10**place
     ok &= (sign == 0) | ((index >= 1) & (index <= l))
-    return (sign * index).reshape(-1, n) if ok.all() else None
+    if not ok.all():
+        return False
+    np.multiply(sign, index, out=out, casting="unsafe")
+    return True
 
 
 def parse_matrix_file(text: str) -> tuple[Matrix, Claim, tuple[str, ...]]:
-    """Parse a matrix file into (matrix, claim, flags); no verification."""
-    lines = text.split("\n")
-    while lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
+    """Parse a matrix file into (matrix, claim, flags); no verification.
+
+    Codes are held in the narrowest signed dtype that holds -l..l: int8 for
+    every weighing file and every design of up to 127 variables."""
+    end = len(text)
+    while end and text[end - 1] == "\n":
+        end -= 1
+    if not end:
         raise MatrixFileError("empty file")
-    claim, flags = _parse_header(lines[0])
+    head = text.find("\n", 0, end)
+    if head < 0:
+        head = end
+    claim, flags = _parse_header(text[:head])
     n = claim.order
-    if len(lines) - 1 != n:
-        raise MatrixFileError(
-            f"body has {len(lines) - 1} rows, header promises {n}"
-        )
+    rows = text.count("\n", head, end)
+    if rows != n:
+        raise MatrixFileError(f"body has {rows} rows, header promises {n}")
     if len(text) < n * (2 * n - 1):
         # A row of n tokens needs 2n - 1 characters, so some row is bad: find
         # it without allocating an n x n grid the text cannot fill.  Past this
-        # check the grid is at most four times the size of the text.
-        for row, line in enumerate(lines[1:]):
+        # check the grid holds at most one byte per character of the text
+        # for l <= 127.
+        for row, line in enumerate(text[head + 1 : end].split("\n")):
             _parse_row(line.split(" "), n, claim, row + 2)
-    grid = np.empty((n, n), dtype=np.int64)
+    weighing = isinstance(claim, WeighingType)
+    grid = np.empty((n, n), dtype=np.int8 if weighing else _code_dtype(claim.num_vars))
     step = max(1, _PARSE_BLOCK_CELLS // n)
+    start = head + 1
     for r0 in range(0, n, step):
-        rows = lines[1 + r0 : 1 + r0 + step]
-        codes = _decode_rows(rows, n, claim)
-        if codes is None:
-            codes = [
+        stop = start
+        for _ in range(min(step, n - r0)):  # past the block's last newline
+            stop = text.find("\n", stop, end) + 1 or end + 1
+        block = text[start:stop]
+        if stop > len(text):  # the last row, without its newline
+            block += "\n"
+        out = grid[r0 : r0 + step]
+        if not _decode_rows(block, claim, out):
+            out[:] = [
                 _parse_row(line.split(" "), n, claim, r0 + i + 2)
-                for i, line in enumerate(rows)
+                for i, line in enumerate(block[:-1].split("\n"))
             ]
-        grid[r0 : r0 + len(rows)] = codes
-    if isinstance(claim, WeighingType):
+        start = stop
+    if weighing:
         return IntMatrix._adopt(grid), claim, flags
     return SignedVarMatrix._adopt(grid, claim.num_vars), claim, flags
 
@@ -251,7 +288,7 @@ def emit_matrix_chunks(
         if not isinstance(matrix, IntMatrix):
             raise MatrixFileError("weighing claim needs an integer matrix")
         header = f"W {claim.order} {claim.weight}{suffix}"
-        payload, l, tokens = matrix.entries, 1, ["-", "0", "+"]
+        payload, tokens = matrix.entries, ["0", "+", "-"]
     else:
         if not isinstance(matrix, SignedVarMatrix):
             raise MatrixFileError("design claim needs a symbolic matrix")
@@ -262,12 +299,12 @@ def emit_matrix_chunks(
         type_csv = ",".join(str(s) for s in claim.type_tuple)
         header = f"OD {claim.order} {type_csv}{suffix}"
         # SignedVarMatrix keeps every code magnitude within num_vars.
-        payload, l, tokens = matrix.codes, claim.num_vars, _od_tokens(claim.num_vars)
+        payload, tokens = matrix.codes, _od_tokens(claim.num_vars)
     if payload.shape != (claim.order, claim.order):
         raise MatrixFileError(
             f"matrix shape {payload.shape} does not match claimed order {claim.order}"
         )
-    return _emit_rows(header, payload, _token_words(tokens), l, isinstance(claim, WeighingType))
+    return _emit_rows(header, payload, _token_words(tokens), isinstance(claim, WeighingType))
 
 
 def _token_words(tokens: Sequence[str]) -> np.ndarray:
@@ -280,10 +317,11 @@ def _token_words(tokens: Sequence[str]) -> np.ndarray:
 
 
 def _emit_rows(
-    header: str, payload: np.ndarray, table: np.ndarray, l: int, weighing: bool
+    header: str, payload: np.ndarray, table: np.ndarray, weighing: bool
 ) -> Iterator[str]:
     """The header line, then the rows of ``payload`` one row block at a
-    time, each code c written as the token in word ``table[c + l]``."""
+    time, each code c written as the token in word ``table[c mod len(table)]``
+    (codes index the table as stored, in any dtype)."""
     yield header + "\n"
     n = payload.shape[0]
     width = table.itemsize
@@ -297,10 +335,10 @@ def _emit_rows(
                 raise MatrixFileError(
                     f"weighing entries must lie in {{0, +1, -1}}, got {value}"
                 )
-        text = table[block.astype(np.intp) + l].view(np.uint8).reshape(len(block), n * width)
+        text = table.take(block, mode="wrap").view(np.uint8).reshape(len(block), n * width)
         last = text[:, -width:]  # the word of each row's last token
         last[last == ord(" ")] = ord("\n")
-        yield text[text != 0].tobytes().decode("ascii")
+        yield text.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def emit_matrix_file(

@@ -28,12 +28,13 @@ A_j A_i^T, are symmetric, so their first violation in row-major order lies on
 or above the diagonal, and the support kernel counts only those terms.
 Near-dense members go to the dense BLAS product instead (one product per
 pair); a fixed cost rule on n, s_i and s_j picks the kernel per product.  Both
-kernels report the same first violation.  Before either runs, a
-block-circulant pass tries to prove the family from far fewer terms: when n =
-h * q with h the 2-part of n and q >= 3, and every q x q block of the codes is
-circulant or back-circulant, each block of a Gram matrix or pair sum follows
-from the first rows of the blocks alone.  A family the pass does not prove
-goes to the kernels, so every report is theirs.
+kernels report the same first violation.  Before either runs, except on
+small families the support kernel checks faster, a block-circulant pass tries
+to prove the family from far fewer terms: when n = h * q with h the 2-part of
+n and q >= 3, and every q x q block of the codes is circulant or
+back-circulant, each block of a Gram matrix or pair sum follows from the
+first rows of the blocks alone.  A family the pass does not prove goes to the
+kernels, so every report is theirs.
 
 Indexing convention: storage is 0-based throughout.  Classical 1-based matrix
 descriptions are converted here, in one place, as follows: a circulant has
@@ -79,6 +80,12 @@ _INT64_SAFE = 2**63 - 1
 _SIGNED_INT_DTYPES = (np.int8, np.int16, np.int32, np.int64)
 
 
+def _code_dtype(num_vars: int) -> np.dtype:
+    """The narrowest signed integer dtype that holds the codes -l..l:
+    int8 for l <= 127."""
+    return np.dtype(next(t for t in _SIGNED_INT_DTYPES if np.iinfo(t).max >= num_vars))
+
+
 class MatrixError(ValueError):
     """Malformed matrix input: bad shape, bad entries, or kind mismatch."""
 
@@ -94,11 +101,14 @@ def _is_int(value) -> bool:
 def _as_exact_array(data) -> np.ndarray:
     """Return a 2-D signed-integer array: a copy of a signed-integer array,
     or int64 for any other input, whose entries must each be an integer (not
-    a bool) within int64."""
+    a bool) within int64.  A narrower array holding its dtype's minimum (-128
+    in int8), whose negation and ``np.abs`` would wrap, is copied to int64."""
     if isinstance(data, np.ndarray):
         if data.ndim != 2:
             raise MatrixError(f"expected a 2-D array, got ndim={data.ndim}")
         if data.dtype in _SIGNED_INT_DTYPES:
+            if data.dtype != np.int64 and data.size and data.min() == np.iinfo(data.dtype).min:
+                return data.astype(np.int64)
             return data.copy()
         if data.dtype != object and not np.issubdtype(data.dtype, np.integer):
             raise MatrixError(f"matrix entries must be integers, got dtype {data.dtype}")
@@ -191,7 +201,9 @@ class SignedVarMatrix:
 
     ``codes[i][j] == 0`` means a zero cell; ``codes[i][j] == +-j`` means
     ``+-x_j`` (variables are numbered from 1).  ``num_vars`` is l; every code
-    magnitude must lie in [0, l].
+    magnitude must lie in [0, l].  The codes keep the signed dtype they are
+    given (int64 for Python integers); arithmetic on them widens where a sum
+    could pass that dtype, as ``_substitute_variables`` does.
     """
 
     __slots__ = ("codes", "num_vars")
@@ -201,8 +213,10 @@ class SignedVarMatrix:
 
     @classmethod
     def _adopt(cls, grid: np.ndarray, num_vars: int) -> "SignedVarMatrix":
-        """Wrap a square int64 code array the caller allocated and hands over,
-        without the copy ``__init__`` makes; the array becomes read-only."""
+        """Wrap a square signed-int code array the caller allocated and hands
+        over, without the copy ``__init__`` makes; the array becomes
+        read-only.  The library's grids are ``_code_dtype(num_vars)``, one
+        byte per cell for up to 127 variables."""
         out = cls.__new__(cls)
         out._own(grid, num_vars)
         return out
@@ -701,6 +715,20 @@ def _block_circulant_proof(codes: np.ndarray, weights: Sequence[int]) -> bool:
     return True
 
 
+# The block-circulant pass is skipped on families of at most this many
+# support-kernel terms, n * (s_1 + ... + s_l)**2, whose products all go to the
+# support kernel.  On small orders the pass costs 0.1-0.2 ms per Gram matrix
+# and pair sum, about a hundred numpy calls.  Timed on the designs the
+# constructions build (2-core x86-64, numpy 2.4.6, OpenBLAS 0.3.31), the
+# support kernel is as fast or faster below about 2**14 terms (W(24, 1): 0.12
+# against 0.19 ms; OD(168; 1, 1, 1, 1, 4), 10,752 terms: 1.3 against 1.7 ms),
+# and the pass wins from about 3 * 10**4 (OD(182; 4, 9): 0.4 against 0.9 ms).
+# A family with a dense product keeps the pass: for about a second after a
+# process's first multithreaded BLAS product, an 84 x 84 product takes about
+# 8 ms instead of 0.03 ms, and a CLI process is that young.
+_PASS_MIN_TERMS = 1 << 14
+
+
 def _family_report(
     codes: np.ndarray,
     weights: Sequence[int],
@@ -715,9 +743,10 @@ def _family_report(
     A_i A_j^T + A_j A_i^T = 0.  ``label.format(j)`` prefixes member j's
     conditions.
 
-    First the block-circulant pass, ``_block_circulant_proof``: when n has an
-    odd part q >= 3 and every q x q block of the code grid is circulant or
-    back-circulant, it checks every condition from the first rows of the
+    First, unless the family has at most ``_PASS_MIN_TERMS`` support terms
+    and no dense product, the block-circulant pass,
+    ``_block_circulant_proof``: when n has an odd part q >= 3 and every
+    q x q block of the code grid is circulant or back-circulant, it checks every condition from the first rows of the
     blocks, in O(h * s_i * s_j) terms per product, and a family it proves is
     ok.  Otherwise (the pass proves nothing, or finds a violation) each
     product is computed by whichever kernel ``use_support(n, terms_per_row)``
@@ -725,8 +754,6 @@ def _family_report(
     through ``_exact_matmul``, O(n**3).  Both are exact and report the same
     first violation.
     """
-    if _block_circulant_proof(codes, weights):
-        return CheckReport(True)
     n = codes.shape[0]
     l = len(weights)
     plan = {
@@ -734,6 +761,9 @@ def _family_report(
         for i in range(l)
         for j in range(i, l)
     }
+    small = n * sum(weights) ** 2 <= _PASS_MIN_TERMS and all(plan.values())
+    if not small and _block_circulant_proof(codes, weights):
+        return CheckReport(True)
     row_w, col_w, pairs = _scan_codes(codes, l, keep=any(plan.values()))
     members: dict[int, _Member] = {}
     dense: dict[int, np.ndarray] = {}
@@ -789,7 +819,8 @@ def verify_weighing(w: IntMatrix, k: int) -> CheckReport:
 
     When n = h * q (h the 2-part of n, q >= 3) and every q x q block of
     ``w`` is circulant or back-circulant, the block-circulant pass proves a
-    valid matrix from the first rows of its blocks in O(h * k**2) terms.
+    valid matrix from the first rows of its blocks in O(h * k**2) terms; it
+    is skipped where the support kernel is cheaper (``_PASS_MIN_TERMS``).
     Otherwise, and for every matrix with a violation, the product is checked
     by the support kernel, from the k nonzeros of each row and column in
     O(n * k**2), when that costs less than the dense BLAS product's n**3 by
@@ -837,7 +868,8 @@ def verify_od(x: SignedVarMatrix, t: ODType) -> CheckReport:
     h * q (h the 2-part of the order, q >= 3) whose q x q blocks are all
     circulant or back-circulant, such as the 2-, 4- and 8-block arrays, is
     proven by the block-circulant pass from the first rows of its blocks, in
-    O(h * s_i * s_j) terms per product.  Otherwise, and for every design
+    O(h * s_i * s_j) terms per product, except where the support kernel is
+    cheaper (``_PASS_MIN_TERMS``).  Otherwise, and for every design
     with a violation, each Gram matrix and each pair sum
     A_i A_j^T + A_j A_i^T is computed by one of two exact kernels: the support kernel, from the s_i nonzeros of each row of A_i and
     the s_j of each column of A_j in O(n * s_i * s_j), or the dense BLAS
@@ -885,18 +917,20 @@ def _substitute_variables(
         raise MatrixError("cannot mix variable targets with +1/-1 constants")
 
     # Code +-i maps to +-(image of variable i); a constant target is its own
-    # image, and a kept variable's image is its new number.
+    # image, and a kept variable's image is its new number.  Code c sits at
+    # c mod (2l + 1), so the codes index the table as they are, in any dtype.
     kept = sorted(set(var_targets))
     renumber = {old: new for new, old in enumerate(kept, start=1)}
-    table = np.zeros(2 * l + 1, dtype=np.int64)
+    table = np.zeros(2 * l + 1, dtype=_code_dtype(len(kept)))
     for i in range(1, l + 1):
         tgt = mapping[i]
         img = renumber[tgt.index] if isinstance(tgt, Var) else int(tgt)
-        table[l + i] = img
-        table[l - i] = -img
+        table[i] = img
+        table[-i] = -img
+    out = table.take(x.codes, mode="wrap")
     if kept:
-        return SignedVarMatrix._adopt(table[x.codes + l], len(kept))
-    return IntMatrix._adopt(table[x.codes + l])
+        return SignedVarMatrix._adopt(out, len(kept))
+    return IntMatrix._adopt(out)
 
 
 def specialize_variables(

@@ -170,3 +170,27 @@ def test_late_violation_falls_back_to_the_kernels():
     assert (report.ok, report.condition, report.where) == dense_od_report(
         codes, w.claim.type_tuple
     )
+
+
+@pytest.mark.parametrize(
+    "w, runs",
+    [
+        # OD(24; 1, 1, 1, 1, 1) and OD(84; 1, 1, 1, 4): few terms, all in
+        # the support kernel
+        (eight_block_od(1, 1, 1, 1), False),
+        (goethals_seidel_od(1, 1, 1, 2), False),
+        # W(7, 4) and OD(42; 1, 4): few terms, but a dense product
+        (circulant_cw(2), True),
+        (two_square_od(1, 2), True),
+        # OD(182; 4, 9): 30,758 terms
+        (two_square_od(2, 3), True),
+    ],
+)
+def test_pass_runs_unless_the_support_kernel_is_cheaper(w, runs, monkeypatch):
+    calls = []
+    proof = matrices._block_circulant_proof
+    monkeypatch.setattr(
+        matrices, "_block_circulant_proof", lambda codes, weights: calls.append(1) or proof(codes, weights)
+    )
+    assert matrices._family_report(np.asarray(_codes(w)), _weights(w), "").ok
+    assert calls == ([1] if runs else [])

@@ -218,6 +218,23 @@ class TestVerify:
             "error: line 2, token 1: bad design token '+\u00b2' (expected 0, +j, -j)\n"
         )
 
+    @pytest.mark.parametrize("variant", ["crlf", "no-final-newline"])
+    def test_canonical_file_passes_with_other_line_ends(self, capsys, tmp_path, variant):
+        # The file is read in text mode with universal newlines, so a CRLF
+        # copy and a copy without its final newline both pass.
+        good = tmp_path / "good.txt"
+        code, _, _ = run(
+            capsys, "construct", "od", "--method", "two", "--ks", "1,2", "--out", str(good)
+        )
+        assert code == EXIT_OK
+        code, expected, _ = run(capsys, "verify", "--file", str(good))
+        assert code == EXIT_OK and expected.startswith("PASS OD(")
+        data = good.read_bytes()
+        assert data.endswith(b"\n") and b"\r" not in data
+        copy = tmp_path / f"{variant}.txt"
+        copy.write_bytes(data.replace(b"\n", b"\r\n") if variant == "crlf" else data[:-1])
+        assert run(capsys, "verify", "--file", str(copy)) == (EXIT_OK, expected, "")
+
     def test_undecodable_file_is_a_clean_error(self, capsys, tmp_path):
         f = tmp_path / "binary.txt"
         f.write_bytes(b"\xff\xfe")

@@ -5,17 +5,20 @@ import hashlib
 import importlib.util
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from odforge import constructions
 from odforge.constructions import (
     ConstructionError,
     Trace,
     UnsupportedParameterError,
     Witness,
+    _block_array,
     _composed,
     _cw_block,
     _normalized_unit_family,
@@ -370,6 +373,21 @@ class TestBlockArrays:
         assert odd_block_orders((2, 4, 6, 6)) == ((21, 39), 819)
 
 
+class TestBlockArrayCodes:
+    @pytest.mark.parametrize("num_vars, dtype", [(127, np.int8), (128, np.int16)])
+    def test_grid_is_exact_at_and_past_the_int8_limit(self, num_vars, dtype):
+        a = circulant_cw(2).matrix
+        b = IntMatrix(a.entries.astype(np.int8))
+        layout = [[(num_vars, 1, a), (num_vars - 1, -1, b)], [(1, -1, b), (num_vars, -1, a)]]
+        grid = _block_array(layout, 7, num_vars)
+        assert grid.codes.dtype == dtype
+        want = np.block(
+            [[var * sign * block.entries.astype(np.int64) for var, sign, block in row] for row in layout]
+        )
+        assert np.array_equal(grid.codes, want)
+        assert grid.codes.max() == num_vars and grid.codes.min() == -num_vars
+
+
 class TestSymmetricSquareWeighing:
     @pytest.mark.parametrize(
         "k, order",
@@ -438,6 +456,31 @@ class TestSkewBuilders:
         assert w.claim == ODType(32, (1, 1, 1, 1, 1))
         members = decompose_family(w.matrix)
         assert np.array_equal(members[0].entries, np.eye(32, dtype=np.int64))
+
+    def test_add_identity_variable_widens_past_int8(self):
+        # No design has 127 variables at a buildable order (Radon-Hurwitz),
+        # so a skew family of 127 weight-1 members, each +j at (0, j) and
+        # -j at (j, 0), goes through the step with the verifying exit
+        # replaced: the shifted codes reach 128 and must not wrap.
+        codes = np.zeros((128, 128), dtype=np.int8)
+        j = np.arange(1, 128)
+        codes[0, j], codes[j, 0] = j, -j
+        claim = ODType(128, (1,) * 127)
+        w = Witness(SignedVarMatrix(codes, 127), claim, None, identity_weighing(1).trace)
+        unverified = lambda matrix, claim, trace, shape=None: Witness(matrix, claim, None, trace)
+        with mock.patch.object(constructions, "_witness", unverified):
+            out = add_identity_variable(w).matrix
+        wide = codes.astype(np.int64)
+        assert out.num_vars == 128 and out.codes.dtype == np.int16
+        assert np.array_equal(out.codes, wide + np.sign(wide) + np.eye(128, dtype=np.int64))
+        assert out.codes[0, 127] == 128 and out.codes[127, 0] == -128
+
+    def test_add_identity_variable_of_a_small_design_is_one_byte(self):
+        w = skew_od_pow2_four(1, 1, 1, 1)
+        wide = w.matrix.codes.astype(np.int64)
+        out = add_identity_variable(w).matrix
+        assert out.codes.dtype == np.int8
+        assert np.array_equal(out.codes, wide + np.sign(wide) + np.eye(32, dtype=np.int64))
 
     def test_add_identity_rejects_non_skew(self):
         with pytest.raises(ConstructionError):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from odforge.constructions import two_square_od
 from odforge.matfile import FLAG_ORDER, MatrixFileError, emit_matrix_file, parse_matrix_file
 from odforge.matrices import IntMatrix, ODType, SignedVarMatrix, WeighingType
 from conftest import reference_emit_matrix_file, reference_parse_matrix_file
@@ -222,6 +223,22 @@ class TestEmit:
         assert parsed == matrix
         assert peak < 8 * n * n + 2 * len(text)
 
+    def test_parse_of_a_large_design_holds_under_two_bytes_per_cell(self):
+        # OD(1898; 9, 64), the largest block-io design: its 7.3 MB text is
+        # decoded into a one-byte grid, so the peak is the grid and one row
+        # block's temporaries (an int64 grid alone would be 8 n^2 bytes).
+        w = two_square_od(3, 8)
+        n = w.claim.order
+        text = emit_matrix_file(w.matrix, w.claim)
+        tracemalloc.start()
+        try:
+            parsed, _, _ = parse_matrix_file(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert parsed == w.matrix
+        assert peak < 2 * n * n
+
     @pytest.mark.parametrize("l", [9, 10, 99, 100])
     def test_design_tokens_of_every_word_width(self, l):
         # with its space, "-9" fills 3 bytes of a 4-byte word, "-99" all 4,
@@ -269,6 +286,20 @@ class TestRoundTrip:
         original = emit_matrix_file(SignedVarMatrix(codes, 4), ODType(4, (1, 1, 1, 1)))
         matrix, claim, flags = parse_matrix_file(original)
         assert emit_matrix_file(matrix, claim, flags) == original
+
+    @pytest.mark.parametrize("l, dtype", [(127, np.int8), (128, np.int16)])
+    def test_widest_int8_design_and_the_next_round_trip(self, l, dtype):
+        # codes -l and +l in the first row, then every code at random
+        codes = np.random.default_rng(l).integers(-l, l + 1, size=(l, l))
+        codes[0, :2] = -l, l
+        claim = ODType(l, (1,) * l)
+        original = emit_matrix_file(SignedVarMatrix(codes, l), claim)
+        assert original == reference_emit_matrix_file(SignedVarMatrix(codes, l), claim)
+        matrix, parsed_claim, flags = parse_matrix_file(original)
+        assert matrix.codes.dtype == dtype
+        assert matrix.codes.tolist() == codes.tolist()
+        assert assert_parsers_agree(original)[0] == "ok"
+        assert emit_matrix_file(matrix, parsed_claim, flags) == original
 
     @given(
         st.integers(min_value=1, max_value=6).flatmap(
@@ -322,10 +353,11 @@ def _parse_outcome(parse, text):
     except MatrixFileError as err:
         return "error", str(err)
     if isinstance(matrix, IntMatrix):
-        assert matrix.entries.dtype == np.int64
+        assert matrix.entries.dtype == np.int8
         matrix = matrix.entries.tolist()
     elif isinstance(matrix, SignedVarMatrix):
-        assert matrix.codes.dtype == np.int64
+        # one byte per cell up to 127 variables, the next signed width past it
+        assert matrix.codes.dtype == (np.int8 if claim.num_vars <= 127 else np.int16)
         matrix = matrix.codes.tolist()
     return "ok", matrix, claim, flags
 

@@ -14,6 +14,7 @@ from odforge.matrices import (
     StructureReport,
     Var,
     WeighingType,
+    _substitute_variables,
     circulant,
     decompose_family,
     identity,
@@ -218,8 +219,32 @@ class TestSpecialize:
         with pytest.raises(MatrixError):
             specialize_variables(x, {1: Var(1)})
 
+    def test_one_byte_codes_of_many_variables_substitute_exactly(self):
+        # codes near +-l index the table without an int8 sum such as c + l
+        l = 100
+        codes = np.random.default_rng(1).integers(-l, l + 1, size=(12, 12)).astype(np.int8)
+        codes[0, :2] = l, -l
+        mapping = {i: Var(l + 1 - i) for i in range(1, l + 1)}
+        out = _substitute_variables(SignedVarMatrix(codes, l), mapping)
+        want = [[0 if c == 0 else int(np.sign(c)) * (l + 1 - abs(int(c))) for c in row] for row in codes]
+        assert out.codes.dtype == np.int8
+        assert out.codes.tolist() == want
+
 
 class TestStructureAndTypes:
+    def test_int8_minimum_is_widened(self):
+        # -(-128) wraps to -128 in int8: kept as given, this symmetric matrix
+        # would read as skew, and the code -128 as no variable at all
+        m = IntMatrix(np.array([[0, -128], [-128, 0]], dtype=np.int8))
+        assert m.entries.dtype == np.int64
+        report = structure_check(m)
+        assert report.symmetric and not report.skew_symmetric
+        x = SignedVarMatrix(np.array([[-128]], dtype=np.int8))
+        assert x.num_vars == 128 and x.codes.dtype == np.int64
+        assert decompose_family(x)[127].entries.tolist() == [[-1]]
+        kept = SignedVarMatrix(np.array([[-127, 0], [0, 127]], dtype=np.int8))
+        assert kept.codes.dtype == np.int8
+
     def test_structure_flags(self):
         assert structure_check(identity(3)) == StructureReport(
             symmetric=True,
