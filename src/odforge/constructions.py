@@ -1,16 +1,18 @@
 """Constructive generators for weighing matrices and orthogonal designs.
 
-Every public constructor returns a :class:`Witness` whose matrix has already
-passed the exact verifiers in :mod:`odforge.matrices`, together with a
-replayable :class:`Trace` recording how it was built.  Every matrix leaves
-through one exit, ``_witness``: it runs the verifier the claim calls for and
-the shape check once, and holds the matrix to any shape its builder promises.
-A composed witness (a direct sum past a combination threshold) holds verified
-blocks instead, and its matrix passes that exit when it is first read.
-``small_od_provider`` tries several methods, verifies each candidate and
-records rejected attempts in the trace notes instead of hiding them; when
-every method fails it raises :class:`UnsupportedParameterError` listing the
-strategies tried, never returning an unverified matrix.
+Every public constructor returns a :class:`Witness` and a replayable
+:class:`Trace` recording how it was built.  A matrix built from scratch
+leaves through one exit, ``_witness``, which runs the exact verifier of
+:mod:`odforge.matrices` and the shape check once.  The finishing steps
+(variables merged or set to 1, E^T S from a (1, k) design, a fresh identity
+variable) keep the design identity exactly, so they derive their claim from
+their verified input's and run no verifier; they check what they assume.  A
+composed witness (a direct sum past a combination threshold) holds verified
+blocks instead, and its matrix passes ``_witness`` when it is first read.
+``small_od_provider`` tries several methods, each built and verified or
+merged from a verified design, and records rejected attempts in the trace
+notes instead of hiding them; when every method fails it raises
+:class:`UnsupportedParameterError` listing the strategies tried.
 
 Nothing searches at run time.  Circulant blocks come from a closed form, or
 from six first rows pinned as data; power-of-two designs come from the
@@ -100,8 +102,8 @@ __all__ = [
     "odd_block_orders",
 ]
 
-_P = np.array([[0, 1], [1, 0]], dtype=np.int64)
-_Q = np.array([[1, 0], [0, -1]], dtype=np.int64)
+_P = np.array([[0, 1], [1, 0]], dtype=np.int8)
+_Q = np.array([[1, 0], [0, -1]], dtype=np.int8)
 _K = _P @ _Q  # [[0, -1], [1, 0]]
 
 
@@ -163,7 +165,7 @@ def _trace(op: str, notes: Iterable[str] = (), subs: Iterable[Trace] = (), **par
 
 @dataclass(frozen=True, eq=False)
 class Witness:
-    """A verified matrix, its claim, its shape report, and its recipe.
+    """A verified or exactly derived matrix, its claim, shape report and recipe.
 
     A composed witness (see ``_composed``) is a direct sum of verified
     weighing blocks.  It holds ``blocks``, its (multiplicity, block witness)
@@ -199,10 +201,10 @@ def _witness(
     trace: Trace,
     shape: str | None = None,
 ) -> Witness:
-    """The one exit of every builder: verify ``matrix`` against ``claim``,
-    its order included (``verify_weighing`` for a weighing claim, ``verify_od``
-    for a design), check its shape once, and require the ``StructureReport``
-    field named by ``shape`` when the builder promises one."""
+    """The one exit of every matrix built from scratch: verify ``matrix``
+    against ``claim``, its order included (``verify_weighing`` for a weighing
+    claim, ``verify_od`` for a design), check its shape once, and require the
+    ``StructureReport`` field named by ``shape`` when the builder promises one."""
     if isinstance(claim, WeighingType):
         rep = verify_weighing(matrix, claim.weight)
         failed = "constructed matrix failed weighing verification"
@@ -331,10 +333,6 @@ def spread_circulant(w: Witness, c: int) -> Witness:
 # ---------------------------------------------------------------------------
 
 
-def _kron_chain(blocks: Sequence[np.ndarray]) -> np.ndarray:
-    return reduce(np.kron, blocks, np.eye(1, dtype=np.int64))
-
-
 def symmetric_od_pow2(k: int) -> Witness:
     """Symmetric orthogonal design of order 2**k and type (1, ..., 1), k ones.
 
@@ -344,15 +342,13 @@ def symmetric_od_pow2(k: int) -> Witness:
     if not isinstance(k, int) or k < 1:
         raise ConstructionError(f"k must be a positive integer, got {k}")
     order = 1 << k
-    codes = np.zeros((order, order), dtype=np.int64)
+    dtype = _code_dtype(k)
+    codes = np.zeros((order, order), dtype=dtype)
+    eye = np.eye(2, dtype=dtype)
     for var in range(1, k + 1):
-        if var == 1:
-            word = _kron_chain([_P] * k)
-        else:
-            blocks = [np.eye(2, dtype=np.int64)] * (var - 2) + [_Q] + [_P] * (k - var + 1)
-            word = _kron_chain(blocks)
-        codes += var * word
-    x = SignedVarMatrix(codes, k)
+        blocks = [_P] * k if var == 1 else [eye] * (var - 2) + [_Q] + [_P] * (k - var + 1)
+        codes += var * reduce(np.kron, blocks, np.eye(1, dtype=dtype))
+    x = SignedVarMatrix._adopt(codes, k)
     return _witness(x, ODType(order, (1,) * k), _trace("symmetric-od-all-ones", k=k), "symmetric")
 
 
@@ -416,7 +412,9 @@ def _merge_plan(source_vars: int, t: ODType) -> dict[int, Union[int, Var]]:
 def _provider_merge_all_ones(
     base: SignedVarMatrix, base_vars: int, t: ODType, trace: Trace
 ) -> Witness:
-    return _witness(_substitute_variables(base, _merge_plan(base_vars, t)), t, trace)
+    """Merge a verified all-ones design into type t; pair sums stay 0."""
+    x = _substitute_variables(base, _merge_plan(base_vars, t))
+    return Witness(x, t, structure_check(x), trace)
 
 
 def _double_with_unit_slot(sub: Witness, t: ODType, unit_slot: int) -> Witness:
@@ -425,8 +423,9 @@ def _double_with_unit_slot(sub: Witness, t: ODType, unit_slot: int) -> Witness:
     variable into position unit_slot so the type equals t exactly."""
     sub_matrix = sub.matrix
     ell = sub_matrix.num_vars
-    codes = np.kron(sub_matrix.codes, _P)
-    codes += (ell + 1) * np.kron(np.eye(sub.order, dtype=np.int64), _Q)
+    dtype = _code_dtype(ell + 1)
+    codes = np.kron(sub_matrix.codes.astype(dtype, copy=False), _P)
+    codes += (ell + 1) * np.kron(np.eye(sub.order, dtype=dtype), _Q)
     doubled = SignedVarMatrix._adopt(codes, ell + 1)
     if unit_slot == ell + 1:
         permuted = doubled
@@ -458,21 +457,22 @@ def _skew_weighing_pow2(order: int, k: int) -> np.ndarray:
         zero = np.zeros_like(s)
         return np.block([[s, zero], [zero, s]])
     s = _skew_weighing_pow2(half, k // 2)
-    eye = (k % 2) * np.eye(half, dtype=np.int64)
+    eye = (k % 2) * np.eye(half, dtype=s.dtype)
     return np.block([[s, s + eye], [s - eye, -s]])
 
 
 def small_od_provider(t: ODType) -> Witness:
-    """Produce a verified design of exactly the requested order and type.
+    """Produce a design of exactly the requested order and type.
 
-    The order must be a power of two.  Strategy chain, all verified:
-    catalog lookup; merging variables of a wider all-ones design of the same
-    order (catalog entry or the symmetric all-ones construction); doubling a
-    symmetric design of half the order when the type has a unit slot; and
-    x*I + y*S for a type (1, k) or (k, 1) with k below the order, S a skew
-    weighing matrix from the doubling lemmas.  Every step is a construction,
-    none a search, so the answer depends on the type alone.  When all of them
-    fail the request is reported unsupported along with the strategy list.
+    The order must be a power of two.  Strategy chain: catalog lookup;
+    merging variables of a wider all-ones design of the same order (catalog
+    entry or the symmetric all-ones construction), exact with no verifier;
+    doubling a symmetric design of half the order when the type has a unit
+    slot; and x*I + y*S for a type (1, k) or (k, 1) with k below the order,
+    S a skew weighing matrix from the doubling lemmas.  Every step is a
+    construction, none a search, so the answer depends on the type alone.
+    When all of them fail the request is reported unsupported along with the
+    strategy list.
     """
     if not isinstance(t, ODType):
         raise ConstructionError("small_od_provider expects an ODType")
@@ -542,14 +542,14 @@ def small_od_provider(t: ODType) -> Witness:
         k = t.type_tuple[2 - unit_slot]
         if k < order:
             codes = (3 - unit_slot) * _skew_weighing_pow2(order, k)
-            codes += unit_slot * np.eye(order, dtype=np.int64)
+            codes += unit_slot * np.eye(order, dtype=codes.dtype)
             trace = _trace(
                 "small-od-provider",
                 notes=("x*I + y*S with S a skew weighing matrix from the doubling lemmas",),
                 order=order,
                 type=t.type_tuple,
             )
-            return _witness(SignedVarMatrix(codes, 2), t, trace)
+            return _witness(SignedVarMatrix._adopt(codes, 2), t, trace)
     strategies.append(
         "skew doubling: needs a type (1, k) or (k, 1) with k below the order"
     )
@@ -581,7 +581,7 @@ def skew_four_exponents(ks: Sequence[int]) -> tuple[int, int]:
 
 
 def _unit_transpose_rows(unit: IntMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """For a signed permutation E, the rows and signs with
+    """For a signed permutation E, the rows and int8 signs with
     (E.T @ Y)[c] = signs[c] * Y[rows[c]]: E.T @ Y is a signed row gather."""
     n = unit.rows
     rows, cols = np.divmod(np.flatnonzero(unit.entries != 0), n)
@@ -589,7 +589,7 @@ def _unit_transpose_rows(unit: IntMatrix) -> tuple[np.ndarray, np.ndarray]:
         raise VerificationInternalError("unit member is not a signed permutation")
     src = np.empty(n, dtype=np.intp)
     src[cols] = rows
-    signs = np.empty(n, dtype=np.int64)
+    signs = np.empty(n, dtype=np.int8)
     signs[cols] = unit.entries[rows, cols]
     return src, signs
 
@@ -601,7 +601,7 @@ def _normalized_unit_family(w: Witness) -> list[IntMatrix]:
     result are skew-symmetric."""
     family = decompose_family(w.matrix)
     src, signs = _unit_transpose_rows(family[0])
-    normalized = [IntMatrix(signs[:, None] * member.entries[src]) for member in family]
+    normalized = [IntMatrix._adopt(signs[:, None] * member.entries[src]) for member in family]
     for i, member in enumerate(normalized[1:], start=2):
         arr = member.entries
         if not np.array_equal(arr.T, -arr):
@@ -625,8 +625,8 @@ def skew_od_pow2_four(k1: int, k2: int, k3: int, k4: int) -> Witness:
     second = small_od_provider(ODType(1 << t2, (1, k3, k4)))
     a_family = _normalized_unit_family(first)
     b_family = _normalized_unit_family(second)
-    eye1 = np.eye(1 << t1, dtype=np.int64)
-    eye2 = np.eye(1 << t2, dtype=np.int64)
+    eye1 = np.eye(1 << t1, dtype=np.int8)
+    eye2 = np.eye(1 << t2, dtype=np.int8)
     summands = (
         np.kron(eye2, np.kron(a_family[1].entries, _P)),
         np.kron(eye2, np.kron(a_family[2].entries, _P)),
@@ -637,7 +637,7 @@ def skew_od_pow2_four(k1: int, k2: int, k3: int, k4: int) -> Witness:
     for var, summand in enumerate(summands, start=1):
         codes += var * summand
     order = 1 << (t1 + t2 + 1)
-    x = SignedVarMatrix(codes, 4)
+    x = SignedVarMatrix._adopt(codes, 4)
     trace = _trace(
         "skew-od-pow2-four",
         subs=(first.trace, second.trace),
@@ -653,7 +653,7 @@ def skew_od_pow2_four(k1: int, k2: int, k3: int, k4: int) -> Witness:
 
 def add_identity_variable(w: Witness) -> Witness:
     """Prepend a fresh weight-1 variable riding the identity to a design
-    whose members are all skew-symmetric."""
+    whose members are all skew: zero-diagonal and anti-amicable with I."""
     matrix, claim = _design(w, "add_identity_variable")
     for i, member in enumerate(decompose_family(matrix), start=1):
         arr = member.entries
@@ -667,7 +667,7 @@ def add_identity_variable(w: Witness) -> Witness:
     codes += np.eye(w.order, dtype=codes.dtype)
     x = SignedVarMatrix._adopt(codes, matrix.num_vars + 1)
     t = ODType(claim.order, (1,) + claim.type_tuple)
-    return _witness(x, t, _trace("add-identity-variable", subs=(w.trace,)))
+    return Witness(x, t, structure_check(x), _trace("add-identity-variable", subs=(w.trace,)))
 
 
 # ---------------------------------------------------------------------------
@@ -1129,21 +1129,21 @@ def rational_family_seed(a: int, b: int, c: int) -> IntMatrix:
 
 
 def od_from_weighing(w: Witness) -> Witness:
-    """Wrap a weighing matrix as a single-variable design (type (k,))."""
+    """A W(n, k) read as the design OD(n; k), sharing its read-only array."""
     if not isinstance(w.claim, WeighingType):
         raise ConstructionError("od_from_weighing expects a weighing-matrix witness")
-    x = SignedVarMatrix(w.matrix.entries.astype(np.int64), 1)
+    x = SignedVarMatrix._adopt(w.matrix.entries, 1)
     t = ODType(w.claim.order, (w.claim.weight,))
-    return _witness(x, t, _trace("od-from-weighing", subs=(w.trace,)))
+    return Witness(x, t, structure_check(x), _trace("od-from-weighing", subs=(w.trace,)))
 
 
 def collapse_od_to_weighing(w: Witness) -> Witness:
     """Set every variable of a design to +1, yielding a weighing matrix of
-    the summed weight."""
+    the summed weight: the design identity holds at x = 1."""
     matrix, claim = _design(w, "collapse_od_to_weighing")
     flat = _substitute_variables(matrix, {i: 1 for i in range(1, matrix.num_vars + 1)})
     claim = WeighingType(claim.order, claim.total_weight)
-    return _witness(flat, claim, _trace("collapse-to-weighing", subs=(w.trace,)))
+    return Witness(flat, claim, structure_check(flat), _trace("collapse-to-weighing", subs=(w.trace,)))
 
 
 def merge_od_variables(
@@ -1153,7 +1153,7 @@ def merge_od_variables(
 
     groups[i] lists the old 1-based variables that become new variable i+1;
     zeros lists old variables to drop.  Groups and zeros must partition the
-    variable set.
+    variable set; merged members' pair sums stay 0.
     """
     matrix, claim = _design(w, "merge_od_variables")
     mapping: dict[int, Union[int, Var]] = {}
@@ -1178,12 +1178,12 @@ def merge_od_variables(
         groups=tuple(tuple(g) for g in groups),
         zeros=tuple(zeros),
     )
-    return _witness(merged, ODType(claim.order, new_type), trace)
+    return Witness(merged, ODType(claim.order, new_type), structure_check(merged), trace)
 
 
 def skew_weighing_from_unit_slot(w: Witness) -> Witness:
     """From a design of type (1, k) with family (E, S), return the skew
-    weighing matrix E.T @ S of weight k."""
+    weighing matrix E.T @ S of weight k (E anti-amicable with S)."""
     matrix, claim = _design(w, "skew_weighing_from_unit_slot")
     if claim.num_vars != 2 or claim.type_tuple[0] != 1:
         raise ConstructionError(
@@ -1191,10 +1191,13 @@ def skew_weighing_from_unit_slot(w: Witness) -> Witness:
         )
     unit, heavy = decompose_family(matrix)
     src, signs = _unit_transpose_rows(unit)
-    skew = IntMatrix(signs[:, None] * heavy.entries[src])
+    skew = IntMatrix._adopt(signs[:, None] * heavy.entries[src])
     claim = WeighingType(claim.order, claim.type_tuple[1])
     trace = _trace("skew-from-unit-slot", subs=(w.trace,))
-    return _witness(skew, claim, trace, "skew_symmetric")
+    structure = structure_check(skew)
+    if not structure.skew_symmetric:
+        raise VerificationInternalError(f"{trace.op} built a matrix that is not skew_symmetric")
+    return Witness(skew, claim, structure, trace)
 
 
 @lru_cache(maxsize=None)
@@ -1216,7 +1219,7 @@ def identity_weighing(n: int) -> Witness:
 def _rotation_block() -> Witness:
     """The skew W(2, 1) K, verified once, held as int8."""
     trace = _trace("skew-weighing-pairs", n=2)
-    return _witness(IntMatrix(_K.astype(np.int8)), WeighingType(2, 1), trace)
+    return _witness(IntMatrix(_K), WeighingType(2, 1), trace)
 
 
 def skew_pairs_weighing(n: int) -> Witness:

@@ -16,11 +16,9 @@ divisor is H.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
-
-import numpy as np
 
 from .arith import (
     decompose_four_nonzero_squares,
@@ -53,7 +51,7 @@ from .constructions import (
     symmetric_od_pow2,
     symmetric_w_square_odd,
 )
-from .matrices import IntMatrix, ODType
+from .matrices import ODType
 
 __all__ = [
     "ExistenceError",
@@ -497,15 +495,8 @@ def bound_N(k: int, family: str, ks: Optional[tuple[int, ...]] = None) -> BoundD
 # Each seed is cached as a pair: the design's claim and recipe, and the
 # weighing matrix a route finishes it into.  Past the threshold
 # combine_finished_seeds assembles the answer from the two finished seeds, not
-# from their order-h*t combination, so the design matrices are not kept.
-
-
-def _compact(finished: Witness) -> Witness:
-    """A finished seed with its weighing matrix held as int8, exact for its
-    entries 0 and +-1: the caches keep an eighth of the int64 bytes.  A
-    collapsed design is int8 already and keeps its array."""
-    entries = finished.matrix.entries.astype(np.int8, copy=False)
-    return replace(finished, _matrix=IntMatrix._adopt(entries))
+# from their order-h*t combination, so the design matrices are not kept.  The
+# finishing steps build the weighing matrices in int8, exact for 0 and +-1.
 
 
 @lru_cache(maxsize=64)
@@ -515,8 +506,8 @@ def _sym_square_seeds(k: int) -> tuple[tuple[SeedRecipe, Witness], tuple[SeedRec
     odd = od_from_weighing(symmetric_w_square_odd(k))
     pow2 = od_from_weighing(collapse_od_to_weighing(symmetric_od_pow2(k)))
     return (
-        (SeedRecipe.of(odd), _compact(collapse_od_to_weighing(odd))),
-        (SeedRecipe.of(pow2), _compact(collapse_od_to_weighing(pow2))),
+        (SeedRecipe.of(odd), collapse_od_to_weighing(odd)),
+        (SeedRecipe.of(pow2), collapse_od_to_weighing(pow2)),
     )
 
 
@@ -568,7 +559,7 @@ def _skew_seed(bound: BoundDerivation, pow2: bool) -> tuple[SeedRecipe, Witness]
             base = add_identity_variable(base)
             weights = _with_unit(weights)
         design = _drop_padded_zeros(base, weights)
-    return SeedRecipe.of(design), _compact(_skew_finish(design))
+    return SeedRecipe.of(design), _skew_finish(design)
 
 
 # ---------------------------------------------------------------------------

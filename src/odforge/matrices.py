@@ -213,10 +213,10 @@ class SignedVarMatrix:
 
     @classmethod
     def _adopt(cls, grid: np.ndarray, num_vars: int) -> "SignedVarMatrix":
-        """Wrap a square signed-int code array the caller allocated and hands
-        over, without the copy ``__init__`` makes; the array becomes
-        read-only.  The library's grids are ``_code_dtype(num_vars)``, one
-        byte per cell for up to 127 variables."""
+        """Wrap a square signed-int code array the caller hands over or
+        shares read-only, without the copy ``__init__`` makes; the array
+        becomes read-only.  The library's grids are ``_code_dtype(num_vars)``,
+        one byte per cell for up to 127 variables."""
         out = cls.__new__(cls)
         out._own(grid, num_vars)
         return out

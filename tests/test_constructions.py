@@ -1,8 +1,10 @@
 """Constructive builders: every routine's output is re-checked here against
 definition-level oracles, and every recipe replays to the same matrix."""
 
+import ast
 import hashlib
 import importlib.util
+import inspect
 import time
 from pathlib import Path
 from unittest import mock
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from odforge import constructions
+from odforge import constructions, matrices
 from odforge.constructions import (
     ConstructionError,
     Trace,
@@ -21,7 +23,9 @@ from odforge.constructions import (
     _block_array,
     _composed,
     _cw_block,
+    _double_with_unit_slot,
     _normalized_unit_family,
+    _provider_merge_all_ones,
     _skew_weighing_pow2,
     _witness,
     add_identity_variable,
@@ -460,16 +464,14 @@ class TestSkewBuilders:
     def test_add_identity_variable_widens_past_int8(self):
         # No design has 127 variables at a buildable order (Radon-Hurwitz),
         # so a skew family of 127 weight-1 members, each +j at (0, j) and
-        # -j at (j, 0), goes through the step with the verifying exit
-        # replaced: the shifted codes reach 128 and must not wrap.
+        # -j at (j, 0), goes through the step, which runs no verifier: the
+        # shifted codes reach 128 and must not wrap.
         codes = np.zeros((128, 128), dtype=np.int8)
         j = np.arange(1, 128)
         codes[0, j], codes[j, 0] = j, -j
         claim = ODType(128, (1,) * 127)
         w = Witness(SignedVarMatrix(codes, 127), claim, None, identity_weighing(1).trace)
-        unverified = lambda matrix, claim, trace, shape=None: Witness(matrix, claim, None, trace)
-        with mock.patch.object(constructions, "_witness", unverified):
-            out = add_identity_variable(w).matrix
+        out = add_identity_variable(w).matrix
         wide = codes.astype(np.int64)
         assert out.num_vars == 128 and out.codes.dtype == np.int16
         assert np.array_equal(out.codes, wide + np.sign(wide) + np.eye(128, dtype=np.int64))
@@ -596,6 +598,204 @@ class TestAdapters:
             merge_od_variables(base, [(1, 2)], zeros=())  # 3 unaccounted
         with pytest.raises(ConstructionError):
             merge_od_variables(base, [(1, 2), (2, 3)], zeros=())  # 2 twice
+
+
+# The finishing steps: each derives a witness from a verified one by a step
+# that keeps the design identity, and runs no verifier.
+_DERIVED_STEPS = (
+    "od_from_weighing",
+    "collapse_od_to_weighing",
+    "merge_od_variables",
+    "skew_weighing_from_unit_slot",
+    "add_identity_variable",
+    "_provider_merge_all_ones",
+)
+
+
+def _callers(tree: ast.AST) -> dict[str, set[str]]:
+    """Name called -> the innermost functions that call it ("<module>" for
+    calls outside any function)."""
+    found: dict[str, set[str]] = {}
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name):
+                found.setdefault(child.func.id, set()).add(owner)
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return found
+
+
+# Designs up to order 1,000 from every builder the finishing steps meet.
+_ORACLE_DESIGNS = {
+    "two-square-1-1": lambda: two_square_od(1, 1),
+    "two-square-1-2": lambda: two_square_od(1, 2),
+    "two-square-3-4": lambda: two_square_od(3, 4),  # order 546
+    "gs-1-1-1-1": lambda: goethals_seidel_od(1, 1, 1, 1),
+    "gs-0-1-2-4": lambda: goethals_seidel_od(0, 1, 2, 4),
+    "eight-1-1-1-1": lambda: eight_block_od(1, 1, 1, 1),
+    "eight-0-0-1-3": lambda: eight_block_od(0, 0, 1, 3),  # order 312
+    **{f"sym-all-ones-{k}": (lambda k=k: symmetric_od_pow2(k)) for k in range(1, 6)},
+    "skew-four-1-1-1-1": lambda: skew_od_pow2_four(1, 1, 1, 1),
+    "skew-four-1-2-1-2": lambda: skew_od_pow2_four(1, 2, 1, 2),
+    "skew-four-1-4-1-1": lambda: skew_od_pow2_four(1, 4, 1, 1),
+    **{
+        f"provider-{t.order}-{'-'.join(map(str, t.type_tuple))}": (lambda t=t: small_od_provider(t))
+        for t in (
+            ODType(4, (1, 3)),
+            ODType(8, (1, 2, 5)),
+            ODType(16, (1, 1, 7)),
+            ODType(16, (1, 15)),
+            ODType(32, (1, 2, 2)),
+            ODType(32, (1, 31)),
+        )
+    },
+    **{f"catalog-{i}": (lambda i=i: load_catalog()[i].witness) for i in range(4)},
+}
+
+
+def _finishing_steps(design: Witness) -> list[tuple[str, Witness]]:
+    """Every finishing step that fits ``design``, applied to it or to the
+    design one merge makes of it."""
+    claim = design.claim
+    l = claim.num_vars
+    flat = collapse_od_to_weighing(design)
+    out = [("collapse", flat), ("od-from-weighing", od_from_weighing(flat))]
+    if l > 1:
+        head_and_rest = merge_od_variables(design, [(1,), tuple(range(2, l + 1))])
+        out += [
+            ("merge-all", merge_od_variables(design, [tuple(range(1, l + 1))])),
+            ("merge-head-and-rest", head_and_rest),
+            ("zero-all-but-last", merge_od_variables(design, [(l,)], tuple(range(1, l)))),
+        ]
+        if claim.type_tuple[0] == 1:
+            out.append(("skew-from-unit-slot", skew_weighing_from_unit_slot(head_and_rest)))
+    if design.structure.skew_symmetric:
+        out.append(("add-identity", add_identity_variable(design)))
+    return out
+
+
+class TestDerivedSteps:
+    """The finishing steps inherit their input's proof: no verifier runs in
+    them, so this oracle checks what the verifier used to check on every
+    result they give."""
+
+    def test_verifiers_run_only_in_the_exit(self):
+        callers = _callers(ast.parse(inspect.getsource(constructions)))
+        assert callers["verify_weighing"] == {"_witness"}
+        assert callers["verify_od"] == {"_witness"}
+        for verifier in ("_family_report", "specialize_variables"):
+            assert verifier not in callers
+        assert not callers["_witness"] & set(_DERIVED_STEPS)
+
+    @pytest.mark.parametrize("build", _ORACLE_DESIGNS.values(), ids=_ORACLE_DESIGNS.keys())
+    def test_results_pass_the_dense_oracle_and_replay(self, monkeypatch, build):
+        design = build()
+        reports = []
+        original = matrices._family_report
+        monkeypatch.setattr(
+            matrices, "_family_report", lambda *a, **k: reports.append(a) or original(*a, **k)
+        )
+        results = _finishing_steps(design)
+        assert reports == []
+        monkeypatch.undo()
+        for label, w in results:
+            claim, m = w.claim, w.matrix
+            assert m.rows == claim.order, label
+            if w.is_od:
+                assert m.num_vars == claim.num_vars, label
+                assert dense_od_report(m.codes, claim.type_tuple) == (True, None, None), label
+            else:
+                assert dense_weighing_report(m.entries, claim.weight) == (True, None, None), label
+            assert w.structure == structure_check(m), label
+            assert replay(w.trace).matrix == m, label
+
+    @pytest.mark.parametrize(
+        "t",
+        [ODType(4, (1, 3)), ODType(8, (1, 2, 5)), ODType(16, (1, 1, 7)), ODType(32, (1, 2, 2))],
+        ids=str,
+    )
+    def test_provider_merges_pass_the_dense_oracle(self, monkeypatch, t):
+        """The provider merges an all-ones design, a catalog entry or the
+        symmetric construction, into the requested type without a verifier."""
+        exponent = t.order.bit_length() - 1
+        base = next(
+            (e.witness for e in load_catalog() if e.witness.claim.order == t.order),
+            None,
+        ) or symmetric_od_pow2(exponent)
+        reports = []
+        monkeypatch.setattr(matrices, "_family_report", lambda *a, **k: reports.append(a))
+        w = _provider_merge_all_ones(base.matrix, base.claim.num_vars, t, Trace("merge"))
+        assert reports == []
+        monkeypatch.undo()
+        assert w.claim == t
+        assert dense_od_report(w.matrix.codes, t.type_tuple) == (True, None, None)
+        assert w.structure == structure_check(w.matrix)
+        assert w.matrix == small_od_provider(t).matrix
+
+    def test_skew_extraction_keeps_its_shape_promise(self, monkeypatch):
+        """A result that is not skew is refused, from the shape report the
+        step computes anyway."""
+        design = small_od_provider(ODType(4, (1, 3)))
+        symmetric = symmetric_od_pow2(1).structure
+        monkeypatch.setattr(constructions, "structure_check", lambda m: symmetric)
+        with pytest.raises(VerificationInternalError, match="not skew_symmetric"):
+            skew_weighing_from_unit_slot(design)
+
+
+class TestPow2DesignCodes:
+    """The power-of-two designs assemble in ``_code_dtype`` of their variable
+    count, one byte per cell, as the block arrays do."""
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_symmetric_all_ones_is_one_byte_and_exact(self, k):
+        p, q, i = np.array([[0, 1], [1, 0]]), np.array([[1, 0], [0, -1]]), np.eye(2, dtype=np.int64)
+        want = np.zeros((1 << k, 1 << k), dtype=np.int64)
+        for var in range(1, k + 1):
+            blocks = [p] * k if var == 1 else [i] * (var - 2) + [q] + [p] * (k - var + 1)
+            word = np.eye(1, dtype=np.int64)
+            for block in blocks:
+                word = np.kron(word, block)
+            want += var * word
+        codes = symmetric_od_pow2(k).matrix.codes
+        assert codes.dtype == np.int8
+        assert np.array_equal(codes, want)
+
+    def test_skew_and_provider_designs_are_one_byte(self):
+        for w in (
+            skew_od_pow2_four(1, 1, 1, 1),
+            skew_od_pow2_four(1, 4, 1, 1),
+            small_od_provider(ODType(32, (1, 31))),
+            _double_with_unit_slot(symmetric_od_pow2(2), ODType(8, (1, 1, 1)), 3),
+            _double_with_unit_slot(symmetric_od_pow2(2), ODType(8, (1, 1, 1)), 1),
+        ):
+            assert w.matrix.codes.dtype == np.int8, w.trace.op
+        # E.T @ S is a gather of int8 signs and rows
+        skew = skew_weighing_from_unit_slot(small_od_provider(ODType(16, (1, 15))))
+        assert skew.matrix.entries.dtype == np.int8
+
+    @pytest.mark.parametrize("ell, dtype", [(126, np.int8), (127, np.int16)])
+    def test_doubling_is_exact_at_and_past_the_int8_limit(self, ell, dtype):
+        # A symmetric family of ell weight-1 members, +j at (0, j) and
+        # (j, 0), doubled with the verifying exit replaced (no design of
+        # 127 variables can be built): the new variable ell + 1 must not wrap.
+        codes = np.zeros((ell + 1, ell + 1), dtype=np.int8)
+        j = np.arange(1, ell + 1)
+        codes[0, j] = codes[j, 0] = j
+        sub = Witness(SignedVarMatrix(codes, ell), ODType(ell + 1, (1,) * ell), None, Trace("sub"))
+        unverified = lambda matrix, claim, trace, shape=None: Witness(matrix, claim, None, trace)
+        with mock.patch.object(constructions, "_witness", unverified):
+            out = _double_with_unit_slot(sub, None, ell + 1).matrix
+        wide = codes.astype(np.int64)
+        p, q = np.array([[0, 1], [1, 0]]), np.array([[1, 0], [0, -1]])
+        want = np.kron(wide, p) + (ell + 1) * np.kron(np.eye(ell + 1, dtype=np.int64), q)
+        assert out.num_vars == ell + 1 and out.codes.dtype == dtype
+        assert np.array_equal(out.codes, want)
+        assert out.codes.max() == ell + 1 and out.codes.min() == -(ell + 1)
 
 
 class TestReplay:

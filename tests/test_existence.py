@@ -1,7 +1,12 @@
 """Existence engine: obstruction rules, threshold derivations, dispatch."""
 
+import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -233,11 +238,72 @@ class TestBudgetIndependentBounds:
 
 
 
+# Run in a fresh interpreter, so every seed cache is cold: answer one query
+# and print the order of every family check it ran, as JSON.
+_COLD_CHECKS = """
+import json, sys
+from odforge import matrices
+from odforge.existence import Query, exists_query
+orders = []
+original = matrices._family_report
+def counted(codes, *args, **kwargs):
+    orders.append(codes.shape[0])
+    return original(codes, *args, **kwargs)
+matrices._family_report = counted
+exists_query(Query(*json.loads(sys.argv[1])))
+print(json.dumps(orders))
+"""
+
+
 class TestVerifyOnce:
-    """Past the threshold the route composes the witness of verified,
-    finished seeds.  With the seed caches warm, answering checks no matrix
-    at all; the order-n matrix is built and checked once, when it is first
-    read."""
+    """One check per answer, cold as well as warm.  Each matrix an answer
+    builds from scratch is checked once, where it is built; the finishing
+    steps derive the rest from it and check nothing.  Past the threshold the
+    route composes the witness of verified, finished seeds: with the seed
+    caches warm, answering checks no matrix at all, and the order-n matrix
+    is built and checked once, when it is first read."""
+
+    @pytest.mark.parametrize(
+        "query, checks, at_order_n",
+        [
+            (Query(3276, 92), 17, 1),
+            (Query(1000, 4, "symmetric"), 3, 0),
+            (Query(1600, 4, "skew"), 9, 0),
+            (Query(1360, 7, "skew"), 14, 0),
+        ],
+        ids=lambda v: f"{v.structure}-k{v.k}-n{v.n}" if isinstance(v, Query) else None,
+    )
+    def test_cold_answer_checks_each_built_matrix_once(self, query, checks, at_order_n):
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", _COLD_CHECKS, json.dumps([query.n, query.k, query.structure])],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=300,
+            check=True,
+        )
+        orders = json.loads(done.stdout)
+        assert len(orders) == checks, orders
+        assert orders.count(query.n) == at_order_n, orders
+
+    def test_replay_checks_order_n_once(self, monkeypatch):
+        """Replaying a past-threshold recipe builds the combined design at
+        order n, checks it once, and finishes it without another check."""
+        query = Query(1600, 4, "skew")
+        witness = exists_query(query).witness
+        orders = []
+        original = matrices._family_report
+
+        def counted(codes, *args, **kwargs):
+            orders.append(codes.shape[0])
+            return original(codes, *args, **kwargs)
+
+        monkeypatch.setattr(matrices, "_family_report", counted)
+        again = replay(witness.trace)
+        assert orders.count(query.n) == 1, orders
+        monkeypatch.undo()
+        assert again.matrix == witness.matrix
 
     @pytest.mark.parametrize(
         "query",
