@@ -3,7 +3,10 @@
 Every public constructor returns a :class:`Witness` and a replayable
 :class:`Trace` recording how it was built.  A matrix built from scratch
 leaves through one exit, ``_witness``, which runs the exact verifier of
-:mod:`odforge.matrices` and the shape check once.  The finishing steps
+:mod:`odforge.matrices` and the shape check once.  Its ingredients are not
+witnesses: the circulant levels of the block arrays and of
+``symmetric_w_square_odd`` are int8 arrays built from cached first rows, and
+only the matrix assembled from them is verified.  The finishing steps
 (variables merged or set to 1, E^T S from a (1, k) design, a fresh identity
 variable) keep the design identity exactly, so they derive their claim from
 their verified input's and run no verifier; they check what they assume.  A
@@ -59,8 +62,6 @@ from .matrices import (
     _substitute_variables,
     decompose_family,
     circulant,
-    identity,
-    kronecker,
     mat_mul,
     structure_check,
     transpose,
@@ -204,7 +205,9 @@ def _witness(
     """The one exit of every matrix built from scratch: verify ``matrix``
     against ``claim``, its order included (``verify_weighing`` for a weighing
     claim, ``verify_od`` for a design), check its shape once, and require the
-    ``StructureReport`` field named by ``shape`` when the builder promises one."""
+    ``StructureReport`` field named by ``shape`` when the builder promises one.
+    What a builder assembles the matrix from (a block array's circulant
+    levels) passes no check of its own: the matrix is the one verified."""
     if isinstance(claim, WeighingType):
         rep = verify_weighing(matrix, claim.weight)
         failed = "constructed matrix failed weighing verification"
@@ -265,13 +268,11 @@ def _pinned_row(q: int) -> tuple[list[int], tuple[str, ...]]:
     return [_SIGN_VALUES[c] for c in text], notes
 
 
-@lru_cache(maxsize=None)
-def _closed_form_row(q: int) -> tuple[tuple[int, ...], tuple[str, ...]]:
+def _closed_form_row(q: int) -> tuple[list[int], tuple[str, ...]]:
     """Signs on the points x = g**i of GF(q**3)/GF(q)*, zeros where Tr x = 0.
 
     Odd q: chi_q(Tr x) * (-1)**i, where (-1)**i is the quadratic character
     of GF(q**3) at x.  Even q: (-1)**Tr_{GF(q)/GF(2)}(s2(x) / Tr(x)**2).
-    Cached: the pure-Python field walk costs milliseconds already at q = 4.
     """
     singer = singer_zero_set(q)
     field = singer.field
@@ -289,7 +290,23 @@ def _closed_form_row(q: int) -> tuple[tuple[int, ...], tuple[str, ...]]:
         note = "signs: closed form chi_q(Tr x) * (-1)**i at x = g**i"
     else:
         note = "signs: closed form (-1)**Tr_{GF(q)/GF(2)}(s2(x) / Tr(x)**2)"
-    return tuple(row), (note,)
+    return row, (note,)
+
+
+@lru_cache(maxsize=None)
+def _cw_row(q: int) -> tuple[np.ndarray, Trace]:
+    """First row, read-only int8, and recipe of the circulant weighing
+    matrix of order q**2 + q + 1 and weight q**2 for a prime power q; q = 1
+    is the order-3 convention (1, 0, 0), which keeps every block order odd.
+    Cached: the pure-Python field walk costs milliseconds already at q = 4."""
+    if q == 1:
+        row, trace = [1, 0, 0], _trace("circulant-weighing-trivial", n=3)
+    else:
+        row, notes = _pinned_row(q) if q in _PINNED_ROWS else _closed_form_row(q)
+        trace = _trace("circulant-weighing", notes=notes, q=q)
+    arr = np.array(row, dtype=np.int8)
+    arr.setflags(write=False)
+    return arr, trace
 
 
 def circulant_cw(q: int) -> Witness:
@@ -302,8 +319,7 @@ def circulant_cw(q: int) -> Witness:
     """
     if is_prime_power(q) is None:
         raise ConstructionError(f"q must be a prime power, got {q}")
-    row, notes = _pinned_row(q) if q in _PINNED_ROWS else _closed_form_row(q)
-    trace = _trace("circulant-weighing", notes=notes, q=q)
+    row, trace = _cw_row(q)
     return _witness(circulant(row), WeighingType(q * q + q + 1, q * q), trace, "circulant")
 
 
@@ -842,52 +858,49 @@ def combine_finished_seeds(
 # ---------------------------------------------------------------------------
 
 
-def _cw_block(q: int) -> Witness:
-    """Circulant weighing block of weight q**2; q = 1 uses the order-3
-    convention circulant((1, 0, 0)) so the block order is always odd."""
-    if q == 1:
-        trace = _trace("circulant-weighing-trivial", n=3)
-        return _witness(circulant((1, 0, 0)), WeighingType(3, 1), trace)
-    return circulant_cw(q)
+def _odd_block(
+    qs: Sequence[int], orders: Sequence[int], reflect: bool
+) -> tuple[np.ndarray, list[Trace]]:
+    """The Kronecker product, in int8, of the circulant levels of weights
+    q**2 for q in qs, each spread to its order in orders, with the recipe
+    ``spread_circulant`` would record for each level.
+
+    A level is built from its cached first row: entry i moves to position
+    c*i.  With ``reflect`` every level is multiplied on the right by the
+    back-diagonal permutation, which reverses its columns and makes it
+    back-circulant (symmetric).
+    """
+    levels = []
+    recipes = []
+    for q, order in zip(qs, orders):
+        row, recipe = _cw_row(q)
+        c = order // row.size
+        first = np.zeros(order, dtype=np.int8)
+        first[::c] = row
+        # row r of a circulant is the first row shifted right by r
+        level = np.lib.stride_tricks.sliding_window_view(np.tile(first, 2), order)[order:0:-1]
+        levels.append(level[:, ::-1] if reflect else level)
+        recipes.append(_trace("spread", subs=(recipe,), c=c))
+    return reduce(np.kron, levels, np.ones((1, 1), dtype=np.int8)), recipes
 
 
 def symmetric_w_square_odd(k: int) -> Witness:
     """Symmetric weighing matrix of square weight k on an odd order.
 
-    Each prime-power factor q of sqrt(k) contributes a circulant block of
-    weight q**2 made symmetric by the back-diagonal reflection; the result
-    is the Kronecker product of the blocks, of odd order prod(q**2 + q + 1).
+    Each prime-power factor q of sqrt(k) gives a circulant level of weight
+    q**2 made symmetric by the back-diagonal reflection.  The levels are
+    ingredients; the matrix verified is their Kronecker product, of odd
+    order prod(q**2 + q + 1).
     """
-    fact = prime_power_square_factorize(k)
-    blocks = []
-    sub_traces = []
-    for q in fact.factors:
-        cw = _cw_block(q)
-        sub_traces.append(cw.trace)
-        # the reflection C @ back_diagonal reverses C's columns
-        blocks.append(IntMatrix(cw.matrix.entries[:, ::-1]))
-    product = reduce(kronecker, blocks)
-    order = int(np.prod([b.rows for b in blocks]))
-    assert order % 2 == 1
+    qs = prime_power_square_factorize(k).factors
+    block, recipes = _odd_block(qs, [q * q + q + 1 for q in qs], reflect=True)
     trace = _trace(
         "symmetric-weighing-square",
-        subs=tuple(sub_traces),
+        subs=tuple(spread.subs[0] for spread in recipes),  # every level has c = 1
         k=k,
-        q_list=fact.factors,
+        q_list=qs,
     )
-    return _witness(product, WeighingType(order, k), trace, "symmetric")
-
-
-@dataclass(frozen=True)
-class _OddBlockPlan:
-    """Shared scaffolding for the 2-, 4-, and 8-block arrays: per-variable
-    coefficient blocks of common odd order q, plus the trace data."""
-
-    blocks: tuple[IntMatrix | None, ...]
-    q: int
-    b_list: tuple[int, ...]
-    q_lists: tuple[tuple[int, ...], ...]
-    sub_traces: tuple[Trace, ...]
+    return _witness(IntMatrix._adopt(block), WeighingType(block.shape[0], k), trace, "symmetric")
 
 
 def _odd_block_arith(ks: Sequence[int]) -> tuple[dict[int, list[int]], list[int]]:
@@ -915,49 +928,7 @@ def odd_block_orders(ks: Sequence[int]) -> tuple[tuple[int, ...], int]:
     return tuple(b_list), int(np.prod(b_list))
 
 
-def _odd_block_plan(ks: Sequence[int]) -> _OddBlockPlan:
-    """Build the circulant Kronecker blocks for weights ks (zeros allowed).
-
-    Every nonzero k_j is factored into prime powers q_{1j}, ..., q_{mj}
-    (padded with 1s at the end to a common length m); level i uses the
-    common order b_i = lcm_j(q_{ij}**2 + q_{ij} + 1), each block spread to
-    that order.  Block 1 is reflected level-wise to back-circulant form.
-    """
-    nonzero = [j for j, k in enumerate(ks) if k != 0]
-    lists, b_list = _odd_block_arith(ks)
-    m = len(b_list)
-    sub_traces: list[Trace] = []
-    blocks: list[IntMatrix | None] = []
-    for j, k in enumerate(ks):
-        if k == 0:
-            blocks.append(None)
-            continue
-        levels = []
-        for i in range(m):
-            q_ij = lists[j][i]
-            base = _cw_block(q_ij)
-            spread = spread_circulant(base, b_list[i] // base.order)
-            sub_traces.append(spread.trace)
-            level = spread.matrix
-            # Only the block in the arrays' diagonal slot is reflected to
-            # back-circulant (symmetric) form; the off-diagonal slots need
-            # plain circulants for their transpose identities.  Multiplying
-            # by the back-diagonal permutation on the right reverses columns.
-            if j == 0:
-                level = IntMatrix(level.entries[:, ::-1])
-            levels.append(level)
-        blocks.append(reduce(kronecker, levels))
-    q = int(np.prod(b_list))
-    return _OddBlockPlan(
-        blocks=tuple(blocks),
-        q=q,
-        b_list=tuple(b_list),
-        q_lists=tuple(tuple(lists[j]) for j in nonzero),
-        sub_traces=tuple(sub_traces),
-    )
-
-
-_Cell = tuple[int, int, Union[IntMatrix, None]]
+_Cell = tuple[int, int, Union[np.ndarray, None]]
 
 
 def _block_array(layout: Sequence[Sequence[_Cell]], q: int, num_vars: int) -> SignedVarMatrix:
@@ -973,12 +944,14 @@ def _block_array(layout: Sequence[Sequence[_Cell]], q: int, num_vars: int) -> Si
         for j, (var, sign, block) in enumerate(row):
             if var != 0 and block is not None:
                 cell = grid[i * q : (i + 1) * q, j * q : (j + 1) * q]
-                np.multiply(block.entries, var * sign, out=cell)
+                # a grid-dtype factor: an int8 block times a Python int past
+                # 127 would overflow instead of widening
+                np.multiply(block, grid.dtype.type(var * sign), out=cell)
     return SignedVarMatrix._adopt(grid, num_vars)
 
 
-def _transposed(block: IntMatrix | None) -> IntMatrix | None:
-    return None if block is None else transpose(block)
+def _transposed(block: np.ndarray | None) -> np.ndarray | None:
+    return None if block is None else block.T
 
 
 def _two_block_layout(blocks: Sequence, variables: Sequence[int], q: int) -> list[list[_Cell]]:
@@ -1011,7 +984,7 @@ def _eight_block_layout(blocks: Sequence, variables: Sequence[int], q: int) -> l
     for i, row in enumerate(lower):
         var, sign, block = row[i]
         row[i] = (var, -sign, block)
-    eye = identity(q)
+    eye = np.eye(q, dtype=np.int8)
     unit = [[(1, 1, eye) if i == j else (0, 1, None) for j in range(4)] for i in range(4)]
     return [g + u for g, u in zip(upper, unit)] + [u + g for u, g in zip(unit, lower)]
 
@@ -1045,21 +1018,35 @@ def _variable_assignment(ks: Sequence[int], start: int) -> tuple[list[int], tupl
 def _block_design(h: int, roots: Sequence[int], **trace_params) -> Witness:
     """The h-block array of ``_BLOCK_ARRAYS`` on the odd blocks of roots:
     order h*q, type (1,)*units + the nonzero roots squared.  Zero roots drop
-    their variable; their zero blocks stay in the array."""
+    their variable; their zero blocks stay in the array.
+
+    Every nonzero root k_j is factored into prime powers q_{1j}, ..., q_{mj}
+    (padded with 1s at the end to a common length m); level i uses the
+    common order b_i = lcm_j(q_{ij}**2 + q_{ij} + 1).  Only the block in the
+    arrays' diagonal slot is reflected to back-circulant (symmetric) form;
+    the off-diagonal slots need plain circulants for their transpose
+    identities.
+    """
     op, layout, units = _BLOCK_ARRAYS[h]
-    plan = _odd_block_plan(roots)
+    lists, b_list = _odd_block_arith(roots)
+    q = int(np.prod(b_list))
+    blocks: list[np.ndarray | None] = [None] * len(roots)
+    sub_traces: list[Trace] = []
+    for j, qs in lists.items():
+        blocks[j], recipes = _odd_block(qs, b_list, reflect=j == 0)
+        sub_traces.extend(recipes)
     variables, squared = _variable_assignment(roots, start=1 + units)
     type_tuple = (1,) * units + squared
-    x = _block_array(layout(plan.blocks, variables, plan.q), plan.q, len(type_tuple))
+    x = _block_array(layout(blocks, variables, q), q, len(type_tuple))
     trace = _trace(
         op,
-        subs=plan.sub_traces,
+        subs=sub_traces,
         **trace_params,
-        b_list=plan.b_list,
-        q_lists=plan.q_lists,
-        q=plan.q,
+        b_list=tuple(b_list),
+        q_lists=tuple(tuple(qs) for qs in lists.values()),
+        q=q,
     )
-    return _witness(x, ODType(h * plan.q, type_tuple), trace)
+    return _witness(x, ODType(h * q, type_tuple), trace)
 
 
 def two_square_od(k1: int, k2: int) -> Witness:
@@ -1256,7 +1243,7 @@ def _replay_doubled(trace: Trace) -> Witness:
 # when a recipe replays, not bound here.
 _REPLAY = {
     "circulant-weighing": lambda t: circulant_cw(t.param("q")),
-    "circulant-weighing-trivial": lambda t: _cw_block(1),
+    "circulant-weighing-trivial": lambda t: _witness(circulant(_cw_row(1)[0]), WeighingType(3, 1), t),
     "spread": lambda t: spread_circulant(_replay_sub(t), t.param("c")),
     "symmetric-od-all-ones": lambda t: symmetric_od_pow2(t.param("k")),
     "od-catalog": _replay_provider,

@@ -63,7 +63,6 @@ __all__ = [
     "CheckReport",
     "Var",
     "identity",
-    "kronecker",
     "mat_mul",
     "transpose",
     "circulant",
@@ -355,14 +354,6 @@ def identity(n: int) -> IntMatrix:
 
 def _payload(m: Matrix) -> np.ndarray:
     return m.entries if isinstance(m, IntMatrix) else m.codes
-
-
-def kronecker(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    """Kronecker product of two integer matrices."""
-    ea, eb = a.entries, b.entries
-    if _max_abs(ea) * _max_abs(eb) > _INT64_SAFE:
-        raise MatrixError("Kronecker product entries would pass 64-bit integers")
-    return IntMatrix(np.kron(ea.astype(np.int64), eb.astype(np.int64)))
 
 
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -927,7 +918,13 @@ def _substitute_variables(
         img = renumber[tgt.index] if isinstance(tgt, Var) else int(tgt)
         table[i] = img
         table[-i] = -img
-    out = table.take(x.codes, mode="wrap")
+    # ``take`` first turns the codes into an 8-byte index array, so it runs
+    # on row blocks of ``_SCAN_CELLS`` cells to keep that copy small.
+    codes = x.codes
+    out = np.empty(codes.shape, dtype=table.dtype)
+    step = max(1, _SCAN_CELLS // codes.shape[0])
+    for r in range(0, codes.shape[0], step):
+        table.take(codes[r : r + step], mode="wrap", out=out[r : r + step])
     if kept:
         return SignedVarMatrix._adopt(out, len(kept))
     return IntMatrix._adopt(out)

@@ -22,7 +22,7 @@ from odforge.constructions import (
     Witness,
     _block_array,
     _composed,
-    _cw_block,
+    _cw_row,
     _double_with_unit_slot,
     _normalized_unit_family,
     _provider_merge_all_ones,
@@ -126,7 +126,9 @@ class TestCirculantWeighing:
             circulant_cw(6)
 
     def test_trivial_block_convention(self):
-        w = _cw_block(1)
+        row, recipe = _cw_row(1)
+        assert row.tolist() == [1, 0, 0]
+        w = replay(recipe)
         assert w.claim.order == 3 and w.claim.weight == 1
         assert w.structure.circulant
 
@@ -380,16 +382,34 @@ class TestBlockArrays:
 class TestBlockArrayCodes:
     @pytest.mark.parametrize("num_vars, dtype", [(127, np.int8), (128, np.int16)])
     def test_grid_is_exact_at_and_past_the_int8_limit(self, num_vars, dtype):
-        a = circulant_cw(2).matrix
-        b = IntMatrix(a.entries.astype(np.int8))
+        a = circulant_cw(2).matrix.entries.astype(np.int8)
+        b = a.T
         layout = [[(num_vars, 1, a), (num_vars - 1, -1, b)], [(1, -1, b), (num_vars, -1, a)]]
         grid = _block_array(layout, 7, num_vars)
         assert grid.codes.dtype == dtype
         want = np.block(
-            [[var * sign * block.entries.astype(np.int64) for var, sign, block in row] for row in layout]
+            [[var * sign * block.astype(np.int64) for var, sign, block in row] for row in layout]
         )
         assert np.array_equal(grid.codes, want)
         assert grid.codes.max() == num_vars and grid.codes.min() == -num_vars
+
+
+class TestBlockRecipes:
+    """Block levels are built from their first rows, not through
+    ``spread_circulant``; each spread recipe an array records must still
+    replay to the level in its grid."""
+
+    @pytest.mark.parametrize("ks", [(2, 5), (1, 8)])
+    def test_spread_recipes_replay_to_the_blocks(self, ks):
+        w = two_square_od(*ks)
+        q = w.trace.param("q")
+        for j, spread in enumerate(w.trace.subs):
+            assert spread.op == "spread"
+            level = replay(spread).matrix.entries
+            # [[A, B], [B, -A]] with variables 1 and 2; A is reflected
+            block = w.matrix.codes[:q, j * q : (j + 1) * q] // (j + 1)
+            want = level[:, ::-1] if j == 0 else level
+            assert np.array_equal(block, want)
 
 
 class TestSymmetricSquareWeighing:

@@ -266,10 +266,10 @@ class TestVerifyOnce:
     @pytest.mark.parametrize(
         "query, checks, at_order_n",
         [
-            (Query(3276, 92), 17, 1),
-            (Query(1000, 4, "symmetric"), 3, 0),
-            (Query(1600, 4, "skew"), 9, 0),
-            (Query(1360, 7, "skew"), 14, 0),
+            (Query(3276, 92), 1, 1),
+            (Query(1000, 4, "symmetric"), 2, 0),
+            (Query(1600, 4, "skew"), 5, 0),
+            (Query(1360, 7, "skew"), 6, 0),
         ],
         ids=lambda v: f"{v.structure}-k{v.k}-n{v.n}" if isinstance(v, Query) else None,
     )
@@ -286,6 +286,29 @@ class TestVerifyOnce:
         orders = json.loads(done.stdout)
         assert len(orders) == checks, orders
         assert orders.count(query.n) == at_order_n, orders
+
+    @pytest.mark.parametrize(
+        "build, args",
+        [
+            ("two_square_od", (3, 8)),
+            ("eight_block_od", (2, 2, 2, 3)),
+            ("goethals_seidel_od", (2, 4, 6, 6)),
+            ("symmetric_w_square_odd", (36,)),
+        ],
+    )
+    def test_odd_block_builder_checks_only_its_matrix(self, monkeypatch, build, args):
+        """The circulant levels are ingredients: only the matrix built from
+        them is checked."""
+        orders = []
+        original = matrices._family_report
+
+        def counted(codes, *args, **kwargs):
+            orders.append(codes.shape[0])
+            return original(codes, *args, **kwargs)
+
+        monkeypatch.setattr(matrices, "_family_report", counted)
+        witness = getattr(constructions, build)(*args)
+        assert orders == [witness.order]
 
     def test_replay_checks_order_n_once(self, monkeypatch):
         """Replaying a past-threshold recipe builds the combined design at

@@ -18,7 +18,6 @@ from odforge.matrices import (
     circulant,
     decompose_family,
     identity,
-    kronecker,
     mat_mul,
     specialize_variables,
     structure_check,
@@ -75,8 +74,6 @@ class TestExactProducts:
         a = IntMatrix([[big, big], [big, -big]])
         with pytest.raises(MatrixError):
             mat_mul(a, transpose(a))
-        with pytest.raises(MatrixError):
-            kronecker(a, a)
 
     def test_float_boundary_exactness(self):
         # products just above 2**53 must not round
@@ -85,16 +82,6 @@ class TestExactProducts:
         a = IntMatrix(np.full((n, n), v, dtype=np.int64))
         got = mat_mul(a, a).entries
         assert all(int(x) == n * v * v for x in np.ravel(got))
-
-    @given(sign_rows)
-    def test_kronecker_against_definition(self, rows):
-        a = IntMatrix(rows)
-        b = IntMatrix([[1, -1], [0, 1]])
-        k = kronecker(a, b).entries
-        n = len(rows)
-        for i in range(2 * n):
-            for j in range(2 * n):
-                assert k[i][j] == rows[i // 2][j // 2] * b.entries[i % 2][j % 2]
 
 
 class TestVerifyWeighing:
