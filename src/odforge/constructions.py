@@ -326,8 +326,9 @@ def circulant_cw(q: int) -> Witness:
 def spread_circulant(w: Witness, c: int) -> Witness:
     """Stretch a circulant weighing matrix to c times its order.
 
-    Entry i of the first row moves to position c*i; all new positions are
-    zero.  Order and weight become (c*n, k).
+    Entry i of the first row moves to position c*i of a row of the input's
+    dtype, zero elsewhere, which ``circulant`` lays out in 2cn entries.
+    Order and weight become (c*n, k).
     """
     if not isinstance(w.claim, WeighingType):
         raise ConstructionError("spread_circulant needs a weighing-matrix witness")
@@ -337,9 +338,8 @@ def spread_circulant(w: Witness, c: int) -> Witness:
         raise ConstructionError(f"spread factor must be a positive integer, got {c}")
     n, k = w.claim.order, w.claim.weight
     first = w.matrix.entries[0]
-    row = [0] * (c * n)
-    for i in range(n):
-        row[c * i] = int(first[i])
+    row = np.zeros(c * n, dtype=first.dtype)
+    row[::c] = first
     trace = _trace("spread", subs=(w.trace,), c=c)
     return _witness(circulant(row), WeighingType(c * n, k), trace, "circulant")
 
@@ -865,10 +865,10 @@ def _odd_block(
     q**2 for q in qs, each spread to its order in orders, with the recipe
     ``spread_circulant`` would record for each level.
 
-    A level is built from its cached first row: entry i moves to position
-    c*i.  With ``reflect`` every level is multiplied on the right by the
-    back-diagonal permutation, which reverses its columns and makes it
-    back-circulant (symmetric).
+    A level is ``circulant`` of its cached first row with entry i moved to
+    position c*i, a view of 2 * order entries.  With ``reflect`` every level
+    is multiplied on the right by the back-diagonal permutation, which
+    reverses its columns and makes it back-circulant (symmetric).
     """
     levels = []
     recipes = []
@@ -877,8 +877,7 @@ def _odd_block(
         c = order // row.size
         first = np.zeros(order, dtype=np.int8)
         first[::c] = row
-        # row r of a circulant is the first row shifted right by r
-        level = np.lib.stride_tricks.sliding_window_view(np.tile(first, 2), order)[order:0:-1]
+        level = circulant(first).entries
         levels.append(level[:, ::-1] if reflect else level)
         recipes.append(_trace("spread", subs=(recipe,), c=c))
     return reduce(np.kron, levels, np.ones((1, 1), dtype=np.int8)), recipes

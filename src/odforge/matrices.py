@@ -62,7 +62,6 @@ __all__ = [
     "StructureReport",
     "CheckReport",
     "Var",
-    "identity",
     "mat_mul",
     "transpose",
     "circulant",
@@ -346,12 +345,6 @@ class CheckReport:
         return f"{self.condition} at {self.where}"
 
 
-def identity(n: int) -> IntMatrix:
-    if not _is_int(n) or n < 1:
-        raise MatrixError("identity order must be >= 1")
-    return IntMatrix(np.eye(n, dtype=np.int64))
-
-
 def _payload(m: Matrix) -> np.ndarray:
     return m.entries if isinstance(m, IntMatrix) else m.codes
 
@@ -371,11 +364,13 @@ def transpose(m: Matrix) -> Matrix:
 
 
 def circulant(first_row: Sequence[int]) -> IntMatrix:
-    """Circulant matrix: row i is ``first_row`` cyclically right-shifted by i."""
-    arr = _as_exact_array([list(first_row)])[0]
-    n = arr.shape[0]
-    idx = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
-    return IntMatrix(arr[idx])
+    """Circulant matrix: row i is ``first_row`` cyclically right-shifted by i,
+    held as a read-only view of the row written twice (2n entries).  A signed
+    integer array keeps its dtype; any other row is checked into int64."""
+    as_is = isinstance(first_row, np.ndarray) and first_row.dtype in _SIGNED_INT_DTYPES
+    row = _as_exact_array(first_row[None] if as_is and first_row.size else [list(first_row)])[0]
+    n = row.shape[0]
+    return IntMatrix._adopt(np.lib.stride_tricks.sliding_window_view(np.tile(row, 2), n)[n:0:-1])
 
 
 # Rows per block of the exact comparisons below: their temporaries are a few
@@ -628,20 +623,24 @@ def _first_row_sums(
     of row 0 of block (k, j) of A_b add the product of their signs to place
     x - y of the block's circulant part when both blocks have one type, and
     of its back-circulant part when not; y - x instead when block (k, j) is
-    back-circulant."""
+    back-circulant.  Each of a's nonzeros meets s_b of b's, so a's are taken
+    ``_BLOCK_TERMS // s_b`` at a time, however many one block row holds."""
     h = back.shape[0]
     cells = (i1 - i0) * h * 2 * q
     counts = np.zeros(2 * cells, dtype=np.int64)
     for a, b in products:
-        lo, hi = i0 * a.by_col.shape[1], i1 * a.by_col.shape[1]
-        i, j, x = a.i[lo:hi, None], a.j[lo:hi, None], a.x[lo:hi, None]
-        partner = b.by_col[a.j[lo:hi]]  # b's nonzeros in the same block column
-        k, y = b.i[partner], b.x[partner]
-        turned = back[k, j]
-        place = np.where(turned, y - x, x - y) % q
-        cell = (((i - i0) * h + k) * 2 + (back[i, j] != turned)) * q + place
-        sign = a.neg[lo:hi, None] ^ b.neg[partner]
-        counts += np.bincount((2 * cell + sign).ravel(), minlength=2 * cells)
+        step = max(1, _BLOCK_TERMS // b.by_col.shape[1])
+        end = i1 * a.by_col.shape[1]
+        for lo in range(i0 * a.by_col.shape[1], end, step):
+            hi = min(end, lo + step)
+            i, j, x = a.i[lo:hi, None], a.j[lo:hi, None], a.x[lo:hi, None]
+            partner = b.by_col[a.j[lo:hi]]  # b's nonzeros in the same block column
+            k, y = b.i[partner], b.x[partner]
+            turned = back[k, j]
+            place = np.where(turned, y - x, x - y) % q
+            cell = (((i - i0) * h + k) * 2 + (back[i, j] != turned)) * q + place
+            sign = a.neg[lo:hi, None] ^ b.neg[partner]
+            counts += np.bincount((2 * cell + sign).ravel(), minlength=2 * cells)
     counts = counts.reshape(i1 - i0, h, 2, q, 2)
     return counts[..., 0] - counts[..., 1]
 

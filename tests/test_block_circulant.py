@@ -19,13 +19,14 @@ from hypothesis import strategies as st
 
 from odforge import matrices
 from odforge.constructions import (
+    _cw_row,
     circulant_cw,
     eight_block_od,
     goethals_seidel_od,
     spread_circulant,
     two_square_od,
 )
-from odforge.matrices import ODType, SignedVarMatrix
+from odforge.matrices import ODType, SignedVarMatrix, circulant
 from conftest import dense_od_report
 
 
@@ -157,6 +158,21 @@ def test_structure_check_memory_is_bounded_by_a_row_block(rng):
     assert not proven
     # an n x n temporary of bools alone would take n * n bytes
     assert peak < 2 * matrices._COMPARE_ROWS * n * grid.itemsize < n * n
+
+
+def test_pass_memory_is_bounded_by_its_term_blocks():
+    # W(2451, 2401) has one block row of 2401**2 terms, eleven times
+    # _BLOCK_TERMS; the pass takes them in blocks of at most _BLOCK_TERMS
+    row, _ = _cw_row(49)
+    codes = circulant(row).entries
+    tracemalloc.start()
+    try:
+        proven = matrices._block_circulant_proof(codes, (2401,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert proven
+    assert peak < 12 * 8 * matrices._BLOCK_TERMS
 
 
 def test_late_violation_falls_back_to_the_kernels():

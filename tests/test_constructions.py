@@ -144,6 +144,19 @@ class TestSpread:
         assert wide.structure.circulant
         assert is_weighing_oracle(wide.matrix.entries.tolist(), q * q)
 
+    @pytest.mark.parametrize("c", [1, 2, 3])
+    @pytest.mark.parametrize("make", [lambda: circulant_cw(2), lambda: identity_weighing(3)])
+    def test_spread_matches_the_definition(self, make, c):
+        # C[i][j] = a[(j - i) mod cn], with a[c*t] the input's first-row
+        # entry t and 0 elsewhere
+        base = make()
+        first = base.matrix.entries[0].tolist()
+        n = c * len(first)
+        a = [first[t // c] if t % c == 0 else 0 for t in range(n)]
+        wide = spread_circulant(base, c).matrix.entries
+        assert wide.dtype == base.matrix.entries.dtype
+        assert wide.tolist() == [[a[(j - i) % n] for j in range(n)] for i in range(n)]
+
     def test_spread_by_one_keeps_the_matrix(self):
         base = circulant_cw(2)
         same = spread_circulant(base, 1)

@@ -414,6 +414,19 @@ class TestVerifyOnce:
         assert verdict.witness.blocks, "not a composed witness"
         assert peak < 1 << 20, peak
 
+    def test_spread_circulant_answer_allocates_under_n_squared_bytes(self):
+        """A circulant is a view of its first row written twice: answering
+        W(3500, 4) verifies it in row blocks and builds no n x n grid."""
+        n = 3500
+        tracemalloc.start()
+        try:
+            verdict = exists_query(Query(n, 4, "circulant"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert verdict.kind == "exists" and verdict.witness.structure.circulant
+        assert peak < n * n, peak
+
 
 def _steps(first: int, step: int, top: int = 1000) -> list[int]:
     """The first four orders of a ladder, then orders near a quarter, half

@@ -17,7 +17,6 @@ from odforge.matrices import (
     _substitute_variables,
     circulant,
     decompose_family,
-    identity,
     mat_mul,
     specialize_variables,
     structure_check,
@@ -40,11 +39,38 @@ class TestConstructors:
     def test_circulant_rows_are_cyclic_shifts(self):
         row = [3, 1, 4, 1, 5]
         c = circulant(row).entries
+        assert c.dtype == np.int64
         for i in range(5):
             assert list(c[i]) == [row[(j - i) % 5] for j in range(5)]
 
-    def test_identity_and_zero(self):
-        assert np.array_equal(identity(3).entries, np.eye(3, dtype=np.int64))
+    def test_signed_array_row_is_viewed_in_its_dtype(self):
+        row = np.array([1, 0, -1, 1, 0, 0, 1], dtype=np.int8)
+        c = circulant(row).entries
+        assert c.dtype == np.int8 and not c.flags.writeable
+        # ``np.byte_bounds`` moved to ``np.lib.array_utils`` in numpy 2
+        byte_bounds = getattr(np, "byte_bounds", None) or np.lib.array_utils.byte_bounds
+        lo, hi = byte_bounds(c)
+        n = row.size
+        # within the row written twice: all 2n entries but the first
+        assert hi - lo == (2 * n - 1) * c.itemsize
+        assert c.tolist() == [[int(row[(j - i) % n]) for j in range(n)] for i in range(n)]
+
+    def test_int8_row_holding_its_minimum_widens(self):
+        c = circulant(np.array([-128, 1, 0], dtype=np.int8)).entries
+        assert c.dtype == np.int64 and c[1].tolist() == [0, -128, 1]
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ([True, False], "non-integer entry True"),
+            ([], "matrix needs at least one column"),
+            (np.array([], dtype=np.int8), "matrix needs at least one column"),
+            ([1, 2**63], f"entry {2**63} does not fit a 64-bit integer"),
+        ],
+    )
+    def test_bad_rows_are_refused(self, row, message):
+        with pytest.raises(MatrixError, match=message):
+            circulant(row)
 
     def test_reflection_of_circulant_is_back_circulant(self):
         row = [1, 0, -1, 1]
@@ -233,7 +259,7 @@ class TestStructureAndTypes:
         assert kept.codes.dtype == np.int8
 
     def test_structure_flags(self):
-        assert structure_check(identity(3)) == StructureReport(
+        assert structure_check(IntMatrix(np.eye(3, dtype=np.int64))) == StructureReport(
             symmetric=True,
             skew_symmetric=False,
             circulant=True,
