@@ -411,50 +411,15 @@ def load_catalog() -> tuple[CatalogEntry, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _merge_plan(source_vars: int, t: ODType) -> dict[int, Union[int, Var]]:
-    """Mapping that merges an all-ones design's variables into type t and
-    zeroes the leftovers."""
-    mapping: dict[int, Union[int, Var]] = {}
-    nxt = 1
-    for slot, weight in enumerate(t.type_tuple, start=1):
-        for _ in range(weight):
-            mapping[nxt] = Var(slot)
-            nxt += 1
-    for leftover in range(nxt, source_vars + 1):
-        mapping[leftover] = 0
-    return mapping
-
-
-def _provider_merge_all_ones(
-    base: SignedVarMatrix, base_vars: int, t: ODType, trace: Trace
-) -> Witness:
-    """Merge a verified all-ones design into type t; pair sums stay 0."""
-    x = _substitute_variables(base, _merge_plan(base_vars, t))
-    return Witness(x, t, structure_check(x), trace)
-
-
-def _double_with_unit_slot(sub: Witness, t: ODType, unit_slot: int) -> Witness:
-    """From a symmetric design X of type s on order n, build the order-2n
-    design {A_i x P} + {I x Q} of type s + (1,), then permute the new unit
-    variable into position unit_slot so the type equals t exactly."""
-    sub_matrix = sub.matrix
-    ell = sub_matrix.num_vars
-    dtype = _code_dtype(ell + 1)
-    codes = np.kron(sub_matrix.codes.astype(dtype, copy=False), _P)
-    codes += (ell + 1) * np.kron(np.eye(sub.order, dtype=dtype), _Q)
-    doubled = SignedVarMatrix._adopt(codes, ell + 1)
-    if unit_slot == ell + 1:
-        permuted = doubled
-    else:
-        mapping: dict[int, Union[int, Var]] = {}
-        for old in range(1, ell + 1):
-            mapping[old] = Var(old if old < unit_slot else old + 1)
-        mapping[ell + 1] = Var(unit_slot)
-        permuted = _substitute_variables(doubled, mapping)
-    trace = _trace(
-        "double-symmetric-design", subs=(sub.trace,), unit_slot=unit_slot
-    )
-    return _witness(permuted, t, trace)
+def _merge_all_ones(base: Witness, t: ODType, trace: Trace) -> Witness:
+    """Merge a verified all-ones design's leading variables into type t, zero
+    the rest, and record the result under the provider's recipe."""
+    groups, start = [], 1
+    for weight in t.type_tuple:
+        groups.append(range(start, start + weight))
+        start += weight
+    zeros = range(start, base.claim.num_vars + 1)
+    return replace(merge_od_variables(base, groups, zeros), trace=trace)
 
 
 def _skew_weighing_pow2(order: int, k: int) -> np.ndarray:
@@ -483,8 +448,7 @@ def small_od_provider(t: ODType) -> Witness:
     The order must be a power of two.  Strategy chain: catalog lookup;
     merging variables of a wider all-ones design of the same order (catalog
     entry or the symmetric all-ones construction), exact with no verifier;
-    doubling a symmetric design of half the order when the type has a unit
-    slot; and x*I + y*S for a type (1, k) or (k, 1) with k below the order,
+    and x*I + y*S for a type (1, k) or (k, 1) with k below the order,
     S a skew weighing matrix from the doubling lemmas.  Every step is a
     construction, none a search, so the answer depends on the type alone.
     When all of them fail the request is reported unsupported along with the
@@ -514,7 +478,7 @@ def small_od_provider(t: ODType) -> Witness:
                 order=order,
                 type=t.type_tuple,
             )
-            return _provider_merge_all_ones(entry.witness.matrix, claim.num_vars, t, trace)
+            return _merge_all_ones(entry.witness, t, trace)
     strategies.append("merge: no all-ones catalog entry wide enough")
 
     exponent = order.bit_length() - 1
@@ -527,31 +491,10 @@ def small_od_provider(t: ODType) -> Witness:
             order=order,
             type=t.type_tuple,
         )
-        return _provider_merge_all_ones(base_witness.matrix, exponent, t, trace)
+        return _merge_all_ones(base_witness, t, trace)
     strategies.append(
         "merge: symmetric all-ones construction carries too little weight"
     )
-
-    if 1 in t.type_tuple and order >= 4:
-        unit_slot = (
-            len(t.type_tuple) - tuple(reversed(t.type_tuple)).index(1)
-        )  # last unit slot, 1-based
-        sub_type_tuple = (
-            t.type_tuple[: unit_slot - 1] + t.type_tuple[unit_slot:]
-        )
-        if sub_type_tuple and sum(sub_type_tuple) <= order // 2:
-            try:
-                sub = small_od_provider(ODType(order // 2, sub_type_tuple))
-            except UnsupportedParameterError as err:
-                strategies.append(f"doubling: half-order design unavailable ({err})")
-            else:
-                if sub.structure.symmetric:
-                    return _double_with_unit_slot(sub, t, unit_slot)
-                strategies.append("doubling: half-order design is not symmetric")
-        else:
-            strategies.append("doubling: no room for the remaining type")
-    else:
-        strategies.append("doubling: no unit slot in the type, or order below 4")
 
     if t.num_vars == 2 and 1 in t.type_tuple:
         unit_slot = t.type_tuple.index(1) + 1
@@ -711,20 +654,16 @@ def _composed(blocks: Sequence[tuple[int, Witness]], trace: Trace) -> Witness:
 
     The claim and shape report follow from the blocks.  The sum is symmetric,
     skew or zero-diagonal iff every block is, and a single copy is its block.
-    With two or more copies, a circulant sum is c*I and a back-circulant one
-    is symmetric of weight 1 (its first row has a single nonzero), so neither
-    holds at weight k >= 2 or when the sum is not symmetric.  The sum of c
-    copies of one 1x1 block [x] is x*I_c: circulant, and back-circulant only
-    for c <= 2.
+    With two or more copies, a circulant sum is c*I, symmetric of weight 1,
+    so it is not circulant at weight k >= 2 or when the sum is not symmetric.
+    The sum of c copies of one 1x1 block [x] is x*I_c, which keeps its
+    block's report.
     """
     blocks = tuple((count, block) for count, block in blocks if count)
     k = blocks[0][1].claim.weight
     reports = [block.structure for _, block in blocks]
-    copies = sum(count for count, _ in blocks)
-    if copies == 1:
+    if len(blocks) == 1 and (blocks[0][0] == 1 or blocks[0][1].order == 1):
         structure = reports[0]
-    elif len(blocks) == 1 and blocks[0][1].order == 1:
-        structure = replace(reports[0], back_circulant=copies <= 2)
     else:
         symmetric = all(r.symmetric for r in reports)
         if k == 1 and symmetric:
@@ -733,7 +672,6 @@ def _composed(blocks: Sequence[tuple[int, Witness]], trace: Trace) -> Witness:
             symmetric=symmetric,
             skew_symmetric=all(r.skew_symmetric for r in reports),
             circulant=False,
-            back_circulant=False,
             zero_diagonal=all(r.zero_diagonal for r in reports),
         )
     order = sum(count * block.order for count, block in blocks)
@@ -1229,15 +1167,6 @@ def _replay_provider(trace: Trace) -> Witness:
     return small_od_provider(ODType(trace.param("order"), tuple(trace.param("type"))))
 
 
-def _replay_doubled(trace: Trace) -> Witness:
-    """A provider doubling step: twice the sub-design's order, with a unit
-    weight inserted at the recorded slot."""
-    claim = _replay_sub(trace).claim
-    type_tuple = list(claim.type_tuple)
-    type_tuple.insert(trace.param("unit_slot") - 1, 1)
-    return small_od_provider(ODType(2 * claim.order, tuple(type_tuple)))
-
-
 # Trace operation -> builder that re-runs it.  Builders are looked up by name
 # when a recipe replays, not bound here.
 _REPLAY = {
@@ -1247,7 +1176,6 @@ _REPLAY = {
     "symmetric-od-all-ones": lambda t: symmetric_od_pow2(t.param("k")),
     "od-catalog": _replay_provider,
     "small-od-provider": _replay_provider,
-    "double-symmetric-design": _replay_doubled,
     "skew-od-pow2-four": lambda t: skew_od_pow2_four(*(t.param(k) for k in ("k1", "k2", "k3", "k4"))),
     "add-identity-variable": lambda t: add_identity_variable(_replay_sub(t)),
     "combine-coprime": lambda t: combine_coprime(_replay_sub(t), _replay_sub(t, 1), t.param("t")),

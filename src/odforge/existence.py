@@ -499,18 +499,6 @@ def bound_N(k: int, family: str, ks: Optional[tuple[int, ...]] = None) -> BoundD
 # finishing steps build the weighing matrices in int8, exact for 0 and +-1.
 
 
-@lru_cache(maxsize=64)
-def _sym_square_seeds(k: int) -> tuple[tuple[SeedRecipe, Witness], tuple[SeedRecipe, Witness]]:
-    """The sym-square seed designs of type (k,), odd order first, each with
-    the weighing matrix it collapses to."""
-    odd = od_from_weighing(symmetric_w_square_odd(k))
-    pow2 = od_from_weighing(collapse_od_to_weighing(symmetric_od_pow2(k)))
-    return (
-        (SeedRecipe.of(odd), collapse_od_to_weighing(odd)),
-        (SeedRecipe.of(pow2), collapse_od_to_weighing(pow2)),
-    )
-
-
 def _seed_order(bound: BoundDerivation) -> int:
     """Order of the odd seed the family's builder makes for this derivation:
     the planned odd order, unless the builder takes other roots (skew-8n)."""
@@ -542,10 +530,17 @@ def _skew_finish(witness: Witness) -> Witness:
 
 
 @lru_cache(maxsize=256)
-def _skew_seed(bound: BoundDerivation, pow2: bool) -> tuple[SeedRecipe, Witness]:
-    """The recipe of the odd-order seed of a skew family's derivation, or
-    with ``pow2`` of its power-of-two seed, of type (1, ...) summing to
-    1 + k; with the skew weighing matrix the seed finishes to."""
+def _seed(bound: BoundDerivation, pow2: bool) -> tuple[SeedRecipe, Witness]:
+    """The recipe of the odd-order seed of a family's derivation, or with
+    ``pow2`` of its power-of-two seed, with the weighing matrix the seed
+    finishes to: a sym-square seed of type (k,) collapses, a skew family's
+    seed of type (1, ...) summing to 1 + k gives up its skew part."""
+    if bound.h == 1:
+        if pow2:
+            design = od_from_weighing(collapse_od_to_weighing(symmetric_od_pow2(bound.k)))
+        else:
+            design = od_from_weighing(symmetric_w_square_odd(bound.k))
+        return SeedRecipe.of(design), collapse_od_to_weighing(design)
     spec = FAMILIES[bound.family]
     weights = spec.pow2_weights(bound.ks)
     if not pow2:
@@ -560,6 +555,23 @@ def _skew_seed(bound: BoundDerivation, pow2: bool) -> tuple[SeedRecipe, Witness]
             weights = _with_unit(weights)
         design = _drop_padded_zeros(base, weights)
     return SeedRecipe.of(design), _skew_finish(design)
+
+
+def _seed_answer(bound: BoundDerivation, n: int) -> Optional[Verdict]:
+    """The answer the family's seeds give at order n: a finished seed at its
+    own order, the two combined at every multiple h*t with t >= N; None at
+    any other order."""
+    if n == _seed_order(bound):
+        return Verdict.exists(_seed(bound, False)[1])
+    if n == bound.pow2_order and bound.materializable:
+        return Verdict.exists(_seed(bound, True)[1])
+    if n % bound.h == 0 and n // bound.h >= bound.N:
+        if not bound.materializable:
+            return Verdict.unknown("the power-of-two seed is beyond desk scale", bound)
+        return Verdict.exists(
+            combine_finished_seeds(_seed(bound, False), _seed(bound, True), n // bound.h)
+        )
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -602,15 +614,9 @@ def _symmetric_route(query: Query) -> Verdict:
     bound = bound_N(k, "sym-square")
     if n == bound.odd_order:
         return Verdict.exists(symmetric_w_square_odd(k))
-    if bound.materializable and n == bound.pow2_order:
-        _, (_, pow2) = _sym_square_seeds(k)
-        return Verdict.exists(pow2)
-    if n >= bound.N:
-        if not bound.materializable:
-            return Verdict.unknown(
-                "the power-of-two seed is beyond desk scale", bound
-            )
-        return Verdict.exists(combine_finished_seeds(*_sym_square_seeds(k), n))
+    answer = _seed_answer(bound, n)
+    if answer is not None:
+        return answer
     return Verdict.unknown(
         f"order {n} is below the combination threshold {bound.N}", bound
     )
@@ -630,20 +636,10 @@ def _skew_route(query: Query) -> Verdict:
         except ExistenceError:
             continue  # the family does not take this weight
         bound = bound_N(k, family)
+        answer = _seed_answer(bound, n)
+        if answer is not None:
+            return answer
         h = bound.h
-        seed_order = _seed_order(bound)
-        if n == seed_order:
-            return Verdict.exists(_skew_seed(bound, False)[1])
-        if n == bound.pow2_order and bound.materializable:
-            return Verdict.exists(_skew_seed(bound, True)[1])
-        if n % h == 0 and n // h >= bound.N:
-            if not bound.materializable:
-                return Verdict.unknown(
-                    "the power-of-two seed is beyond desk scale", bound
-                )
-            return Verdict.exists(combine_finished_seeds(
-                _skew_seed(bound, False), _skew_seed(bound, True), n // h
-            ))
         if n == bound.pow2_order:
             attempts.append(
                 f"{family}: the power-of-two seed of order {n} was not built "
@@ -651,7 +647,7 @@ def _skew_route(query: Query) -> Verdict:
             )
         else:
             attempts.append(
-                f"{family}: order must be {seed_order}, {bound.pow2_order}, "
+                f"{family}: order must be {_seed_order(bound)}, {bound.pow2_order}, "
                 f"or a multiple of {h} at least {h * bound.N}"
             )
     return Verdict.unknown("; ".join(attempts), bound)

@@ -322,7 +322,6 @@ class StructureReport:
     symmetric: bool
     skew_symmetric: bool
     circulant: bool
-    back_circulant: bool
     zero_diagonal: bool
 
 
@@ -398,19 +397,14 @@ def structure_check(m: Matrix) -> StructureReport:
     skew = _equal_by_rows(arr, arr.T, negate=True)
     zero_diag = not bool(np.any(np.diagonal(arr)))
     # Circulant: each row is the one above shifted right by one, the last
-    # entry wrapping to the front.  Back-circulant: shifted left, the first
-    # entry wrapping to the back.
+    # entry wrapping to the front.
     circ = np.array_equal(arr[1:, 0], arr[:-1, -1]) and _equal_by_rows(
         arr[1:, 1:], arr[:-1, :-1]
-    )
-    bcirc = np.array_equal(arr[1:, -1], arr[:-1, 0]) and _equal_by_rows(
-        arr[1:, :-1], arr[:-1, 1:]
     )
     return StructureReport(
         symmetric=symmetric,
         skew_symmetric=skew,
         circulant=circ,
-        back_circulant=bcirc,
         zero_diagonal=zero_diag,
     )
 

@@ -54,6 +54,17 @@ class TestExitCodes:
         shown = ks.replace(",", ", ")
         assert err == f"error: all four weights must be positive integers, got ({shown})\n"
 
+    def test_skew4_unbuilt_seed_lists_the_strategies(self, capsys):
+        code, out, err = run(capsys, "construct", "od", "--method", "skew4", "--ks", "4,5,1,1")
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err == (
+            "unsupported parameters: no strategy produced OD(order=16, type=(1, 4, 5))\n"
+            "strategies tried: catalog: no entry of this exact order and type; "
+            "merge: no all-ones catalog entry wide enough; "
+            "merge: symmetric all-ones construction carries too little weight; "
+            "skew doubling: needs a type (1, k) or (k, 1) with k below the order\n"
+        )
+
     def test_not_exists_is_two(self, capsys):
         code, out, err = run(capsys, "exists", "--n", "9", "--k", "4", "--structure", "skew")
         assert code == EXIT_NEGATIVE

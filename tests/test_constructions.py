@@ -7,7 +7,6 @@ import importlib.util
 import inspect
 import time
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,9 +22,8 @@ from odforge.constructions import (
     _block_array,
     _composed,
     _cw_row,
-    _double_with_unit_slot,
+    _merge_all_ones,
     _normalized_unit_family,
-    _provider_merge_all_ones,
     _skew_weighing_pow2,
     _witness,
     add_identity_variable,
@@ -318,6 +316,53 @@ class TestProvider:
 _PROVIDER_TWO_VARIABLE_DIGEST = (
     "1320ab9e28d235b4dbd1510995529ef4e54dda771152b77c6e844ddf40e34f1b"
 )
+
+
+# sha256 over every request ``_provider_requests`` makes, in order: for a
+# built design its codes (little-endian int64), rendered trace and symmetric,
+# skew, circulant and zero-diagonal flags, for a refused one the message of
+# its UnsupportedParameterError.  Recorded while the chain still held a
+# doubling step for symmetric half-order designs, which this pins as
+# unreachable.
+_PROVIDER_CHAIN_DIGEST = (
+    "5f3b3243fd80cce48772f5e45352df2918ff5b841299ae4ae7ad1d4fe9f5d1e3"
+)
+
+
+def _compositions(total):
+    if total == 0:
+        yield ()
+        return
+    for first in range(1, total + 1):
+        for rest in _compositions(total - first):
+            yield (first,) + rest
+
+
+def _provider_requests():
+    """At each order 2..64: every composition of total <= 10, every (1, k)
+    and (k, 1), and every (1, a, b) the order holds (5,921 requests)."""
+    for order in (2, 4, 8, 16, 32, 64):
+        types = [c for total in range(1, min(order, 10) + 1) for c in _compositions(total)]
+        types += [(1, k) for k in range(1, order)] + [(k, 1) for k in range(1, order)]
+        types += [(1, a, b) for a in range(1, order) for b in range(1, order - a)]
+        for type_tuple in dict.fromkeys(types):
+            yield ODType(order, type_tuple)
+
+
+class TestProviderChain:
+    def test_every_small_request_keeps_its_answer(self):
+        digest = hashlib.sha256()
+        for t in _provider_requests():
+            try:
+                w = small_od_provider(t)
+            except UnsupportedParameterError as err:
+                digest.update(str(err).encode())
+                continue
+            s = w.structure
+            digest.update(w.matrix.codes.astype("<i8").tobytes())
+            digest.update(w.trace.render().encode())
+            digest.update(bytes([s.symmetric, s.skew_symmetric, s.circulant, s.zero_diagonal]))
+        assert digest.hexdigest() == _PROVIDER_CHAIN_DIGEST
 
 
 class TestSkewDoublingSeeds:
@@ -641,7 +686,7 @@ _DERIVED_STEPS = (
     "merge_od_variables",
     "skew_weighing_from_unit_slot",
     "add_identity_variable",
-    "_provider_merge_all_ones",
+    "_merge_all_ones",
 )
 
 
@@ -762,7 +807,7 @@ class TestDerivedSteps:
         ) or symmetric_od_pow2(exponent)
         reports = []
         monkeypatch.setattr(matrices, "_family_report", lambda *a, **k: reports.append(a))
-        w = _provider_merge_all_ones(base.matrix, base.claim.num_vars, t, Trace("merge"))
+        w = _merge_all_ones(base, t, Trace("merge"))
         assert reports == []
         monkeypatch.undo()
         assert w.claim == t
@@ -803,32 +848,11 @@ class TestPow2DesignCodes:
             skew_od_pow2_four(1, 1, 1, 1),
             skew_od_pow2_four(1, 4, 1, 1),
             small_od_provider(ODType(32, (1, 31))),
-            _double_with_unit_slot(symmetric_od_pow2(2), ODType(8, (1, 1, 1)), 3),
-            _double_with_unit_slot(symmetric_od_pow2(2), ODType(8, (1, 1, 1)), 1),
         ):
             assert w.matrix.codes.dtype == np.int8, w.trace.op
         # E.T @ S is a gather of int8 signs and rows
         skew = skew_weighing_from_unit_slot(small_od_provider(ODType(16, (1, 15))))
         assert skew.matrix.entries.dtype == np.int8
-
-    @pytest.mark.parametrize("ell, dtype", [(126, np.int8), (127, np.int16)])
-    def test_doubling_is_exact_at_and_past_the_int8_limit(self, ell, dtype):
-        # A symmetric family of ell weight-1 members, +j at (0, j) and
-        # (j, 0), doubled with the verifying exit replaced (no design of
-        # 127 variables can be built): the new variable ell + 1 must not wrap.
-        codes = np.zeros((ell + 1, ell + 1), dtype=np.int8)
-        j = np.arange(1, ell + 1)
-        codes[0, j] = codes[j, 0] = j
-        sub = Witness(SignedVarMatrix(codes, ell), ODType(ell + 1, (1,) * ell), None, Trace("sub"))
-        unverified = lambda matrix, claim, trace, shape=None: Witness(matrix, claim, None, trace)
-        with mock.patch.object(constructions, "_witness", unverified):
-            out = _double_with_unit_slot(sub, None, ell + 1).matrix
-        wide = codes.astype(np.int64)
-        p, q = np.array([[0, 1], [1, 0]]), np.array([[1, 0], [0, -1]])
-        want = np.kron(wide, p) + (ell + 1) * np.kron(np.eye(ell + 1, dtype=np.int64), q)
-        assert out.num_vars == ell + 1 and out.codes.dtype == dtype
-        assert np.array_equal(out.codes, want)
-        assert out.codes.max() == ell + 1 and out.codes.min() == -(ell + 1)
 
 
 class TestReplay:
