@@ -46,7 +46,9 @@ permutation R has ones exactly where i + j = n - 1 (0-based), which is the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -562,81 +564,134 @@ def _support_mismatch(
     return None
 
 
-def _block_types(codes: np.ndarray, h: int, q: int) -> np.ndarray | None:
-    """For ``codes`` read as an h x h grid of q x q blocks: an (h, h) bool
-    array marking the back-circulant blocks, when every block is circulant
-    (row t + 1 is row t turned right) or back-circulant (turned left); else
-    None.  A block that is both is constant and counts as circulant.
-
-    Rows 0 and 1 of the blocks give their types; every later row of a block
-    row is then compared with the row above it turned, ``_COMPARE_ROWS`` rows
-    at a time, and the first block of rows that differs ends the check."""
-    n = h * q
-    cols = np.arange(n)
-    start = cols - cols % q
-    right = start + (cols - 1) % q  # row t + 1 of a circulant block, read from row t
-    left = start + (cols + 1) % q  # the same for a back-circulant block
-    tops, belows = codes[::q], codes[1::q]  # rows 0 and 1 of every block row
-    circ = (belows == tops[:, right]).reshape(h, h, q).all(axis=2)
-    if not (circ | (belows == tops[:, left]).reshape(h, h, q).all(axis=2)).all():
-        return None
-    turns = np.where(np.repeat(circ, q, axis=1), right, left)
-    for top, turn in zip(range(0, n, q), turns):
-        for r in range(top + 1, top + q - 1, _COMPARE_ROWS):
-            stop = min(r + _COMPARE_ROWS, top + q - 1)
-            if not np.array_equal(codes[r + 1 : stop + 1], codes[r:stop].take(turn, axis=1)):
-                return None
-    return ~circ
+def _divisors(q: int) -> list[int]:
+    """The divisors d > 1 of q, largest first."""
+    low = [d for d in range(1, math.isqrt(q) + 1) if q % d == 0]
+    return sorted({d for e in low for d in (e, q // e)} - {1}, reverse=True)
 
 
-class _FirstRows(NamedTuple):
-    """The nonzeros of one member in row 0 of every block, s of them in each
-    block row and in each block column: nonzero e lies in block (i[e], j[e])
-    at place x[e], negative where neg[e]; sorted by block row, and listed by
-    block column in ``by_col``, an (h, s) array of indices e."""
-
-    i: np.ndarray
-    j: np.ndarray
-    x: np.ndarray
-    neg: np.ndarray
-    by_col: np.ndarray
+def _turns(new: np.ndarray, old: np.ndarray) -> np.ndarray:
+    """For probe rows shaped (h, h, outer, level, stride), one row per block:
+    an (h, h) bool array marking the blocks whose ``new`` row is the ``old``
+    one turned right by one place of the level's digit (axis 3)."""
+    return (new[..., 1:, :] == old[..., :-1, :]).all(axis=(2, 3, 4)) & (
+        new[..., 0, :] == old[..., -1, :]
+    ).all(axis=(2, 3))
 
 
-def _first_row_sums(
-    products: Sequence[tuple[_FirstRows, _FirstRows]],
-    back: np.ndarray,
-    q: int,
-    i0: int,
-    i1: int,
-) -> np.ndarray:
-    """Blocks (i, k), i0 <= i < i1, of sum_(a,b) A_a A_b^T for block-circulant
-    members: an array (i1 - i0, h, 2, q) holding u and w, where block (i, k)
-    is circ(u) + back(w).
+def _is_turned(new: np.ndarray, old: np.ndarray) -> bool:
+    """Whether ``new`` is ``old`` turned right by one place along axis -2."""
+    return np.array_equal(new[..., 1:, :], old[..., :-1, :]) and np.array_equal(
+        new[..., :1, :], old[..., -1:, :]
+    )
 
-    A nonzero at place x of row 0 of block (i, j) of A_a and one at place y
-    of row 0 of block (k, j) of A_b add the product of their signs to place
-    x - y of the block's circulant part when both blocks have one type, and
-    of its back-circulant part when not; y - x instead when block (k, j) is
-    back-circulant.  Each of a's nonzeros meets s_b of b's, so a's are taken
-    ``_BLOCK_TERMS // s_b`` at a time, however many one block row holds."""
-    h = back.shape[0]
-    cells = (i1 - i0) * h * 2 * q
-    counts = np.zeros(2 * cells, dtype=np.int64)
-    for a, b in products:
-        step = max(1, _BLOCK_TERMS // b.by_col.shape[1])
-        end = i1 * a.by_col.shape[1]
-        for lo in range(i0 * a.by_col.shape[1], end, step):
-            hi = min(end, lo + step)
-            i, j, x = a.i[lo:hi, None], a.j[lo:hi, None], a.x[lo:hi, None]
-            partner = b.by_col[a.j[lo:hi]]  # b's nonzeros in the same block column
-            k, y = b.i[partner], b.x[partner]
-            turned = back[k, j]
-            place = np.where(turned, y - x, x - y) % q
-            cell = (((i - i0) * h + k) * 2 + (back[i, j] != turned)) * q + place
-            sign = a.neg[lo:hi, None] ^ b.neg[partner]
-            counts += np.bincount((2 * cell + sign).ravel(), minlength=2 * cells)
-    counts = counts.reshape(i1 - i0, h, 2, q, 2)
-    return counts[..., 0] - counts[..., 1]
+
+def _rows_turned(
+    codes: np.ndarray, h: int, q: int, level: int, stride: int, back: np.ndarray
+) -> bool:
+    """Whether, in every block, each row whose last nonzero digit is the
+    digit of this level (place value ``stride``) is the row one lower in
+    that digit turned by one place of it: right in a developed block, left
+    in a back-developed one (``back``).  Rows are compared on views of the
+    block row, ``_COMPARE_ROWS`` rows and one run of block columns of one
+    type at a time, and the first block of rows that differs ends the
+    check."""
+    outer = q // (level * stride)
+    step_p = max(1, _COMPARE_ROWS // (level - 1))
+    step_d = min(level - 1, _COMPARE_ROWS)
+    for i in range(h):
+        # rows (p, d, 0) of block row i: digit d at this level, the later digits 0
+        rows = codes[i * q : (i + 1) * q].reshape(outer, level, stride, h, outer, level, stride)[:, :, 0]
+        cuts = [0, *(np.flatnonzero(np.diff(back[i])) + 1), h]
+        for p in range(0, outer, step_p):
+            for d in range(1, level, step_d):
+                e = min(level, d + step_d)
+                new, old = rows[p : p + step_p, d:e], rows[p : p + step_p, d - 1 : e - 1]
+                for j0, j1 in zip(cuts, cuts[1:]):
+                    a, b = new[:, :, j0:j1], old[:, :, j0:j1]
+                    if not (_is_turned(b, a) if back[i, j0] else _is_turned(a, b)):
+                        return False
+    return True
+
+
+def _block_types(codes: np.ndarray, h: int, q: int) -> tuple[tuple[int, ...], np.ndarray] | None:
+    """For ``codes`` read as an h x h grid of q x q blocks: the levels
+    (q_1, ..., q_r) of a group G = Z_q1 x ... x Z_qr of order q over which
+    every block is developed or back-developed, and an (h, h) bool array
+    marking the back-developed blocks; else None.
+
+    Place t of a block is the element of G whose digits, q_r last, write t
+    in mixed radix (row-major), and e_i is the element with digit i one and
+    the others zero.  A block developed over G has B[g, x] = u(x - g), so
+    row g + e_i is row g turned right by one place of digit i; a
+    back-developed one has B[g, x] = w(g + x) and turns left.  A block that
+    is both is constant and counts as developed.  Z_q is the one-level
+    split (q,).
+
+    Splits are built from the last level up, each level's order a divisor
+    of what is left, largest first, so a block circulant over Z_q is tried
+    as such first.  Rows 0 and e_i of every block must show one type for
+    every level (``_turns``), which rejects most candidates from 2 * h
+    rows.  A split that passes has its other rows read one level at a time
+    (``_rows_turned``); a level is read at most once for one set of types,
+    however many splits share it, and most wrong splits stop at their first
+    rows.
+    """
+    tops = codes[::q]
+    probes: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+    read: dict[tuple[int, int, bytes], bool] = {}
+
+    def probe(level: int, stride: int) -> tuple[np.ndarray, np.ndarray]:
+        if (level, stride) not in probes:
+            shape = (h, h, q // (level * stride), level, stride)
+            top, row = tops.reshape(shape), codes[stride::q].reshape(shape)
+            probes[level, stride] = _turns(row, top), _turns(top, row)
+        return probes[level, stride]
+
+    def splits(stride: int, developed: np.ndarray, back: np.ndarray):
+        """(level, stride) steps, most significant first, and the developed
+        blocks, of each split of q // stride whose probes pass."""
+        if stride == q:
+            yield (), developed
+            return
+        for level in _divisors(q // stride):
+            right, left = probe(level, stride)
+            right, left = developed & right, back & left
+            if (right | left).all():
+                for steps, types in splits(stride * level, right, left):
+                    yield steps + ((level, stride),), types
+
+    def turned(level: int, stride: int, back: np.ndarray) -> bool:
+        key = (level, stride, back.tobytes())
+        if key not in read:
+            read[key] = _rows_turned(codes, h, q, level, stride, back)
+        return read[key]
+
+    everywhere = np.ones((h, h), dtype=bool)
+    for steps, developed in splits(1, everywhere, everywhere):
+        if all(turned(level, stride, ~developed) for level, stride in steps):
+            return tuple(level for level, _ in steps), ~developed
+    return None
+
+
+def _differences(levels: Sequence[int]) -> tuple[np.ndarray, int, np.ndarray]:
+    """Digit-wise differences in G = Z_q1 x ... x Z_qr without carries.
+
+    Place t is spread to ``spread[t]``, whose digit i has room for 2 * q_i
+    values; for places x and y, spread[x] - spread[y] + offset (every digit
+    of offset is q_i) lies in [0, 2**r * q), and ``table[0]`` turns it into
+    the place of x - y, ``table[1]`` into that of y - x."""
+    spread = np.zeros(1, dtype=np.int64)
+    minus = np.zeros(1, dtype=np.int64)
+    negated = np.zeros(1, dtype=np.int64)
+    offset = 0
+    for level in levels:
+        digits = np.arange(level)
+        spread = (spread[:, None] * (2 * level) + digits).ravel()
+        minus = (minus[:, None] * level + np.arange(2 * level) % level).ravel()
+        negated = (negated[:, None] * level + -digits % level).ravel()
+        offset = offset * 2 * level + level
+    return spread, offset, np.stack((minus, negated[minus]))
 
 
 def _block_circulant_proof(codes: np.ndarray, weights: Sequence[int]) -> bool:
@@ -645,57 +700,102 @@ def _block_circulant_proof(codes: np.ndarray, weights: Sequence[int]) -> bool:
     their blocks; False when that is not proven, and the kernels decide.
 
     With n = h * q, h the 2-part of n and q >= 3 odd, the proof applies when
-    every q x q block of the h x h grid is circulant or back-circulant, as in
-    the 2-, 4- and 8-block arrays of circulant weighing blocks.  Then each
-    member has s nonzeros in every row and column exactly when its row 0 of
-    every block has s in each block row and each block column, and each
-    block of a Gram matrix or pair sum is circ(u) + back(w), with u and w
-    summed from the first rows only (``_first_row_sums``), in h * s_i * s_j
-    integer terms per product.  Because q is odd, (r, c) -> (c - r, c + r)
-    is a bijection, so circ(u) + back(w) = circ(t) exactly when w is
-    constant and u + w[0] = t; the target t is s * e_0 on the diagonal
-    blocks of a Gram matrix and 0 everywhere else.
+    every q x q block of the h x h grid is developed or back-developed over
+    one group G = Z_q1 x ... x Z_qr of order q (``_block_types``), as in the
+    2-, 4- and 8-block arrays of circulant weighing blocks and their
+    Kronecker products.  Then each member has s nonzeros in every row and
+    column exactly when its row 0 of every block has s in each block row and
+    each block column, and each block of a Gram matrix or pair sum is
+    circ(u) + back(w) over G, summed from the first rows only.  A nonzero at
+    place x of row 0 of block (i, j) of A_a and one at place y of row 0 of
+    block (k, j) of A_b add the product of their signs to place x - y of
+    block (i, k)'s developed part when both blocks have one type, and of its
+    back-developed part when not; y - x instead when block (k, j) is
+    back-developed.  Because |G| is odd, (g, g') -> (g' - g, g' + g) is a
+    bijection, so circ(u) + back(w) = circ(t) exactly when w is constant and
+    u + w[0] = t; the target t is s * e_0 on the diagonal blocks of a Gram
+    matrix and 0 everywhere else.
+
+    Every Gram matrix and pair sum is counted at once: the nonzeros of all
+    members, listed by block column (each block column holds
+    S = s_1 + ... + s_l of them), meet every nonzero of their block column,
+    h * S**2 terms in all, and one bincount per chunk of block rows puts
+    each term in its cell (product slot, block (i, k), part, place, sign)
+    through two lookup tables.  Terms are taken at most ``_BLOCK_TERMS`` at
+    a time, and block rows so that a count holds about that many cells.
     """
     n = codes.shape[0]
     h = n & -n
     q = n // h
     if q < 3:
         return False
-    back = _block_types(codes, h, q)
-    if back is None:
+    found = _block_types(codes, h, q)
+    if found is None:
         return False
-    first = codes[::q].reshape(h, h, q).astype(np.int64)  # row 0 of block (i, j)
-    mag = np.abs(first)
-    if mag.max() > len(weights):
+    levels, back = found
+    l = len(weights)
+    first = codes[::q].reshape(h, h, q)  # row 0 of block (i, j)
+    i, j, x = np.nonzero(first)
+    code = first[i, j, x].astype(np.int64)
+    member = np.abs(code) - 1
+    if member.size and member.max() >= l:
         return False
-    members = []
-    for v, s in enumerate(weights, start=1):
-        hit = mag == v
-        per_block = np.count_nonzero(hit, axis=2)  # in every row and column of the block
-        if (per_block.sum(axis=1) != s).any() or (per_block.sum(axis=0) != s).any():
+    want = np.repeat(np.asarray(weights, dtype=np.int64), h)
+    for block in (i, j):  # a block's rows and columns all hold its row 0's nonzeros
+        if not np.array_equal(np.bincount(member * h + block, minlength=l * h), want):
             return False
-        i, j, x = np.nonzero(hit)
-        by_col = np.argsort(j, kind="stable").reshape(h, s)
-        members.append(_FirstRows(i, j, x, first[i, j, x] < 0, by_col))
-    checks = [([(m, m)], s, s * s) for m, s in zip(members, weights)] + [
-        ([(a, b), (b, a)], 0, 2 * weights[p] * weights[r])
-        for p, a in enumerate(members)
-        for r, b in enumerate(members)
-        if p < r
-    ]
-    for products, diag, terms in checks:
-        # block rows per step keep both the terms and the cells within a block
-        step = max(1, _BLOCK_TERMS // max(terms, 4 * n))
-        for i0 in range(0, h, step):
-            i1 = min(h, i0 + step)
-            sums = _first_row_sums(products, back, q, i0, i1)
-            u, w = sums[:, :, 0], sums[:, :, 1]
-            if (w != w[..., :1]).any():
-                return False
-            u += w[..., :1]
-            u[np.arange(i1 - i0), np.arange(i0, i1), 0] -= diag
-            if u.any():
-                return False
+    s = int(want.sum()) // h
+    if s == 0:
+        return True
+    by_col = np.argsort(j, kind="stable").reshape(h, s)  # block rows ascending
+    spread, offset, table = _differences(levels)
+    size = table.shape[1]
+    typ = back[i, j].astype(np.int64)
+    neg = (code < 0).astype(np.int64)
+    # (type_a, type_b, sign_a, sign_b, spread difference) -> (part, place, sign)
+    ta, tb = np.arange(2).reshape(2, 1, 1, 1, 1), np.arange(2).reshape(2, 1, 1, 1)
+    na, nb = np.arange(2).reshape(2, 1, 1), np.arange(2).reshape(2, 1)
+    cell_of = (((ta ^ tb) * q + table[:, None, None, :]) * 2 + (na ^ nb)).ravel()
+    a_cell = (spread[x] + size * (8 * typ + 2 * neg))[by_col]
+    b_cell = (offset - spread[x] + size * (4 * typ + neg))[by_col]
+    # (member_a, block row i, member_b, block row k) -> the first cell of
+    # block (i, k) of their product's slot: Gram matrices first, then pairs
+    slot = np.zeros((l, l), dtype=np.int64)
+    upper = np.triu_indices(l, 1)
+    slot[upper] = slot.T[upper] = l + np.arange(upper[0].size)
+    slot[np.diag_indices(l)] = np.arange(l)
+    slots = l + upper[0].size
+    if 4 * n * slots > max(_BLOCK_TERMS, n * n):  # so many members that one block row's cells pass both
+        return False
+    b_block = (member * h + i)[by_col]
+    a_block = b_block * (l * h)
+    col_step = max(1, _BLOCK_TERMS // (s * s))
+    a_step = max(1, min(s, _BLOCK_TERMS // s))
+    rows = max(1, _BLOCK_TERMS // (slots * 4 * n))
+    block = np.arange(h)
+    for i0 in range(0, h, rows):
+        i1 = min(h, i0 + rows)
+        cells = slots * (i1 - i0) * 4 * n
+        start = ((slot[:, None, :, None] * (i1 - i0) + block[:, None, None] - i0) * h + block) * 4 * q
+        start[:, (block < i0) | (block >= i1)] = cells  # other block rows' terms go past the end
+        start = start.ravel()
+
+        def count(c0: int, a0: int) -> np.ndarray:
+            cols, a = slice(c0, c0 + col_step), slice(a0, a0 + a_step)
+            key = cell_of.take(a_cell[cols, a, None] + b_cell[cols, None])
+            key += start.take(a_block[cols, a, None] + b_block[cols, None])
+            return np.bincount(key.ravel(), minlength=cells + 4 * q)
+
+        counts = reduce(np.add, (count(c0, a0) for c0 in range(0, h, col_step) for a0 in range(0, s, a_step)))
+        counts = counts[:cells].reshape(slots, i1 - i0, h, 2, q, 2)
+        sums = counts[..., 0] - counts[..., 1]
+        u, w = sums[:, :, :, 0], sums[:, :, :, 1]
+        if (w != w[..., :1]).any():
+            return False
+        u += w[..., :1]
+        u[np.arange(l)[:, None], np.arange(i1 - i0), np.arange(i0, i1), 0] -= want[::h, None]
+        if u.any():
+            return False
     return True
 
 

@@ -1,16 +1,23 @@
 """The block-circulant pass of the verifiers against the dense reference.
 
 ``odforge.matrices._block_circulant_proof`` proves a family from the first
-rows of the q x q blocks of a code grid whose blocks are all circulant or
-back-circulant.  Here designs from the block arrays and circulant weighing
-blocks are corrupted in ways that keep every block circulant or
-back-circulant (first-row entries changed, negated, swapped or moved to
-another block of the block row, a block re-rolled as the other type, a wrong weight claimed), so the pass always
-reaches its arithmetic.  There it decides exactly: it returns True when, and
-only when, the dense reference in conftest says ok.
+rows of the q x q blocks of a code grid whose blocks are all developed or
+back-developed over one group Z_q1 x ... x Z_qr of order q (circulant or
+back-circulant when r = 1).  Here designs from the block arrays, circulant
+weighing blocks and Kronecker products of circulant levels are corrupted in
+ways that keep every block developed or back-developed over the design's
+group (first-row entries changed, negated, swapped or moved to another block
+of the block row, a block re-developed as the other type, a wrong weight
+claimed), so the pass always reaches its arithmetic.  There it decides
+exactly: it returns True when, and only when, the dense reference in
+conftest says ok.
 """
 
+import importlib.util
+import sys
 import tracemalloc
+from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,14 +27,16 @@ from hypothesis import strategies as st
 from odforge import matrices
 from odforge.constructions import (
     _cw_row,
+    block_array_od,
     circulant_cw,
     eight_block_od,
     goethals_seidel_od,
     spread_circulant,
+    symmetric_w_square_odd,
     two_square_od,
 )
-from odforge.matrices import ODType, SignedVarMatrix, circulant
-from conftest import dense_od_report
+from odforge.matrices import IntMatrix, ODType, SignedVarMatrix, circulant
+from conftest import dense_od_report, dense_weighing_report
 
 
 def _codes(w):
@@ -39,6 +48,36 @@ def _weights(w):
     claim = w.claim
     return claim.type_tuple if isinstance(claim, ODType) else (claim.weight,)
 
+
+def _develop(first: np.ndarray, back: bool, levels) -> np.ndarray:
+    """The block developed over Z_q1 x ... x Z_qr (``levels``, places in
+    row-major digits) from its first row: B[g, x] = first[x - g], or
+    first[g + x] when back-developed."""
+    digits = np.unravel_index(np.arange(first.shape[0]), levels)
+    sign = 1 if back else -1
+    place = np.ravel_multi_index(
+        tuple((d[None, :] + sign * d[:, None]) % q for d, q in zip(digits, levels)), levels
+    )
+    return first[place]
+
+
+def _roll(first: np.ndarray, back: bool) -> np.ndarray:
+    """The q x q circulant (back-circulant) block with this first row."""
+    return _develop(first, back, first.shape)
+
+
+def _kronecker_two_block(rows_a, rows_b) -> np.ndarray:
+    """[[A, B], [B, -A]] with A the Kronecker product of the back-circulant
+    levels on rows_a (variable 1) and B that of the circulant levels on
+    rows_b (variable 2): blocks developed over Z_q1 x ... x Z_qr, A's
+    back-developed."""
+    a = reduce(np.kron, (_develop(np.asarray(r), True, (len(r),)) for r in rows_a))
+    b = reduce(np.kron, (_develop(np.asarray(r), False, (len(r),)) for r in rows_b))
+    return np.block([[a, 2 * b], [2 * b, -a]]).astype(np.int8)
+
+
+W74 = _cw_row(2)[0]
+UNIT3, UNIT5, UNIT7 = ([1] + [0] * (q - 1) for q in (3, 5, 7))
 
 BLOCK_ARRAYS = [
     two_square_od(1, 2),
@@ -55,25 +94,31 @@ CIRCULANT_BLOCKS = [
     circulant_cw(3),
     circulant_cw(4),
     spread_circulant(circulant_cw(2), 3),
+    # back-developed over Z_7 x Z_13
+    symmetric_w_square_odd(36),
 ]
-POOL = [(np.asarray(_codes(w)), tuple(_weights(w))) for w in BLOCK_ARRAYS + CIRCULANT_BLOCKS]
-
-
-def _roll(first: np.ndarray, back: bool) -> np.ndarray:
-    """The q x q circulant (back-circulant) block with this first row."""
-    q = first.shape[0]
-    r, c = np.arange(q)[:, None], np.arange(q)[None, :]
-    return first[(c + r) % q] if back else first[(c - r) % q]
+# OD(42; 4, 1) over Z_3 x Z_7 and OD(210; 4, 4) over Z_3 x Z_5 x Z_7
+KRONECKER_ARRAYS = [
+    (_kronecker_two_block([UNIT3, W74], [UNIT3, UNIT7]), (4, 1)),
+    (_kronecker_two_block([UNIT3, UNIT5, W74], [UNIT3, UNIT5, W74]), (4, 4)),
+]
+POOL = [
+    (np.asarray(_codes(w)), tuple(_weights(w))) for w in BLOCK_ARRAYS + CIRCULANT_BLOCKS
+] + KRONECKER_ARRAYS
+# OD(546; 4, 36) and OD(546; 36, 4) over Z_7 x Z_39, whose dense reference
+# takes about 0.4 s each: drawn by a test of their own
+LARGE_POOL = [(np.asarray(_codes(w)), tuple(_weights(w))) for w in (two_square_od(2, 6), two_square_od(6, 2))]
+MULTI_LEVEL = LARGE_POOL + [(np.asarray(_codes(symmetric_w_square_odd(36))), (36,))] + KRONECKER_ARRAYS
 
 
 @st.composite
-def _structured_corruption(draw):
-    codes, weights = POOL[draw(st.integers(0, len(POOL) - 1))]
+def _structured_corruption(draw, pool=POOL):
+    codes, weights = pool[draw(st.integers(0, len(pool) - 1))]
     codes = np.array(codes, dtype=np.int64)
     n = codes.shape[0]
     h = n & -n
     q = n // h
-    back = matrices._block_types(codes, h, q)
+    levels, back = matrices._block_types(codes, h, q)
     top = len(weights)
 
     def block(i, j):
@@ -92,10 +137,10 @@ def _structured_corruption(draw):
             first[[x, y]] = first[[y, x]]
         elif kind == "move":  # to another block of the block row: same row weights
             other[y], first[x] = first[x], other[y]
-            block(i, j2)[:] = _roll(other, bool(back[i, j2]))
+            block(i, j2)[:] = _develop(other, bool(back[i, j2]), levels)
         else:
             back[i, j] = not back[i, j]
-        block(i, j)[:] = _roll(first, bool(back[i, j]))
+        block(i, j)[:] = _develop(first, bool(back[i, j]), levels)
     weights = list(weights)
     if draw(st.integers(0, 9)) == 0:
         weights[draw(st.integers(0, len(weights) - 1))] += draw(st.sampled_from((-1, 1)))
@@ -110,9 +155,17 @@ def test_proof_agrees_with_dense_reference(case):
     assert proven == dense_od_report(codes, weights)[0]
 
 
-@pytest.mark.parametrize("index", range(len(POOL)))
+@settings(max_examples=12)
+@given(_structured_corruption(LARGE_POOL))
+def test_proof_agrees_with_dense_reference_on_two_levels_of_order_546(case):
+    codes, weights = case
+    proven = matrices._block_circulant_proof(codes, weights)
+    assert proven == dense_od_report(codes, weights)[0]
+
+
+@pytest.mark.parametrize("index", range(len(POOL + LARGE_POOL)))
 def test_proves_every_uncorrupted_design(index):
-    codes, weights = POOL[index]
+    codes, weights = (POOL + LARGE_POOL)[index]
     assert matrices._block_circulant_proof(codes, weights)
 
 
@@ -127,6 +180,55 @@ def test_skips_orders_with_odd_part_below_three(n):
     # q = 1 for powers of two; n = 12 and 40 have q = 3 and 5
     codes = np.eye(n, dtype=np.int64)
     assert matrices._block_circulant_proof(codes, (1,)) == (n // (n & -n) >= 3)
+
+
+def _block_configs():
+    """Every (method, ks) of the benchmark's block-io workload."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module.block_configs()
+
+
+def test_proves_every_block_io_design():
+    # a design the pass does not prove falls back to the kernels, several
+    # times slower on these orders
+    blocks = {"two": 2, "gs": 4, "eight": 8}
+    unproven = []
+    for method, ks in _block_configs():
+        w = block_array_od(blocks[method], ks)
+        if not matrices._block_circulant_proof(w.matrix.codes, w.claim.type_tuple):
+            unproven.append((method, ks))
+    assert unproven == []
+
+
+@pytest.mark.parametrize("k, levels", [(36, (7, 13)), (100, (7, 31)), (144, (13, 21))])
+def test_proves_symmetric_square_weights_over_their_levels(k, levels):
+    codes = symmetric_w_square_odd(k).matrix.entries
+    n = codes.shape[0]
+    assert matrices._block_types(codes, 1, n)[0] == levels
+    assert matrices._block_circulant_proof(codes, (k,))
+
+
+@pytest.mark.parametrize("index", range(len(MULTI_LEVEL)))
+def test_one_flip_of_a_multi_level_design_falls_back_to_the_kernels(index, rng):
+    codes, weights = MULTI_LEVEL[index]
+    n = codes.shape[0]
+    assert len(matrices._block_types(codes, n & -n, n // (n & -n))[0]) >= 2
+    for _ in range(3):
+        r, c = (int(v) for v in rng.integers(0, n, size=2))
+        flipped = np.array(codes, dtype=np.int64)
+        flipped[r, c] = -flipped[r, c] if flipped[r, c] else 1
+        assert not matrices._block_circulant_proof(flipped, weights)
+        if len(weights) == 1:
+            report = matrices.verify_weighing(IntMatrix(flipped), weights[0])
+            expected = dense_weighing_report(flipped, weights[0])
+        else:
+            report = matrices.verify_od(SignedVarMatrix(flipped, len(weights)), ODType(n, weights))
+            expected = dense_od_report(flipped, weights)
+        assert (report.ok, report.condition, report.where) == expected
 
 
 def test_code_past_the_claimed_variables_is_not_proven():
@@ -158,6 +260,28 @@ def test_structure_check_memory_is_bounded_by_a_row_block(rng):
     assert not proven
     # an n x n temporary of bools alone would take n * n bytes
     assert peak < 2 * matrices._COMPARE_ROWS * n * grid.itemsize < n * n
+
+
+@pytest.mark.parametrize("kind", ["random", "late"])
+def test_rejected_splits_never_take_a_grid_sized_temporary(kind, rng):
+    # q = 819 = 3**2 * 7 * 13 has eleven divisors and many ordered splits.
+    # A random sign grid fails every split's probe rows; the identity with
+    # its last row changed passes every probe (I is developed over any
+    # group) and is read level by level, each level at most once
+    n = 2 * 819
+    if kind == "random":
+        grid = rng.choice(np.array([-1, 1], dtype=np.int8), size=(n, n))
+    else:
+        grid = np.eye(n, dtype=np.int8)
+        grid[-1, 0] = 1
+    tracemalloc.start()
+    try:
+        proven = matrices._block_circulant_proof(grid, (1,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not proven
+    assert peak < 2 * matrices._COMPARE_ROWS * n < n * n
 
 
 def test_pass_memory_is_bounded_by_its_term_blocks():
