@@ -31,10 +31,12 @@ pair); a fixed cost rule on n, s_i and s_j picks the kernel per product.  Both
 kernels report the same first violation.  Before either runs, except on
 small families the support kernel checks faster, a block-circulant pass tries
 to prove the family from far fewer terms: when n = h * q with h the 2-part of
-n and q >= 3, and every q x q block of the codes is circulant or
-back-circulant, each block of a Gram matrix or pair sum follows from the
-first rows of the blocks alone.  A family the pass does not prove goes to the
-kernels, so every report is theirs.
+n and q >= 3, and every q x q block of the codes is developed or
+back-developed over one group Z_q1 x ... x Z_qr of order q (circulant or
+back-circulant when r = 1, Kronecker products of such when r > 1), each
+block of a Gram matrix or pair sum follows from the first rows of the blocks
+alone.  A family the pass does not prove goes to the kernels, so every report
+is theirs.
 
 Indexing convention: storage is 0-based throughout.  Classical 1-based matrix
 descriptions are converted here, in one place, as follows: a circulant has
@@ -581,8 +583,8 @@ def _turns(new: np.ndarray, old: np.ndarray) -> np.ndarray:
 
 def _is_turned(new: np.ndarray, old: np.ndarray) -> bool:
     """Whether ``new`` is ``old`` turned right by one place along axis -2."""
-    return np.array_equal(new[..., 1:, :], old[..., :-1, :]) and np.array_equal(
-        new[..., :1, :], old[..., -1:, :]
+    return bool((new[..., 1:, :] == old[..., :-1, :]).all()) and bool(
+        (new[..., :1, :] == old[..., -1:, :]).all()
     )
 
 
@@ -599,19 +601,35 @@ def _rows_turned(
     outer = q // (level * stride)
     step_p = max(1, _COMPARE_ROWS // (level - 1))
     step_d = min(level - 1, _COMPARE_ROWS)
-    for i in range(h):
+    for i, types in enumerate(back.tolist()):
         # rows (p, d, 0) of block row i: digit d at this level, the later digits 0
         rows = codes[i * q : (i + 1) * q].reshape(outer, level, stride, h, outer, level, stride)[:, :, 0]
-        cuts = [0, *(np.flatnonzero(np.diff(back[i])) + 1), h]
+        cuts = [0, *(j for j in range(1, h) if types[j] != types[j - 1]), h]
         for p in range(0, outer, step_p):
             for d in range(1, level, step_d):
                 e = min(level, d + step_d)
                 new, old = rows[p : p + step_p, d:e], rows[p : p + step_p, d - 1 : e - 1]
                 for j0, j1 in zip(cuts, cuts[1:]):
                     a, b = new[:, :, j0:j1], old[:, :, j0:j1]
-                    if not (_is_turned(b, a) if back[i, j0] else _is_turned(a, b)):
+                    if not (_is_turned(b, a) if types[j0] else _is_turned(a, b)):
                         return False
     return True
+
+
+def _splits(probe, q: int, stride: int, developed: np.ndarray, back: np.ndarray):
+    """The splits of q // stride into levels above place value ``stride``
+    whose probes pass: their (level, stride) steps, most significant first,
+    and the blocks still developed.  ``probe(level, stride)`` gives the
+    (developed, back-developed) blocks of one level from its probe rows."""
+    if stride == q:
+        yield (), developed
+        return
+    for level in _divisors(q // stride):
+        right, left = probe(level, stride)
+        right, left = developed & right, back & left
+        if (right | left).all():
+            for steps, types in _splits(probe, q, stride * level, right, left):
+                yield steps + ((level, stride),), types
 
 
 def _block_types(codes: np.ndarray, h: int, q: int) -> tuple[tuple[int, ...], np.ndarray] | None:
@@ -648,19 +666,6 @@ def _block_types(codes: np.ndarray, h: int, q: int) -> tuple[tuple[int, ...], np
             probes[level, stride] = _turns(row, top), _turns(top, row)
         return probes[level, stride]
 
-    def splits(stride: int, developed: np.ndarray, back: np.ndarray):
-        """(level, stride) steps, most significant first, and the developed
-        blocks, of each split of q // stride whose probes pass."""
-        if stride == q:
-            yield (), developed
-            return
-        for level in _divisors(q // stride):
-            right, left = probe(level, stride)
-            right, left = developed & right, back & left
-            if (right | left).all():
-                for steps, types in splits(stride * level, right, left):
-                    yield steps + ((level, stride),), types
-
     def turned(level: int, stride: int, back: np.ndarray) -> bool:
         key = (level, stride, back.tobytes())
         if key not in read:
@@ -668,30 +673,30 @@ def _block_types(codes: np.ndarray, h: int, q: int) -> tuple[tuple[int, ...], np
         return read[key]
 
     everywhere = np.ones((h, h), dtype=bool)
-    for steps, developed in splits(1, everywhere, everywhere):
+    for steps, developed in _splits(probe, q, 1, everywhere, everywhere):
         if all(turned(level, stride, ~developed) for level, stride in steps):
             return tuple(level for level, _ in steps), ~developed
     return None
 
 
-def _differences(levels: Sequence[int]) -> tuple[np.ndarray, int, np.ndarray]:
+def _differences(levels: Sequence[int]) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
     """Digit-wise differences in G = Z_q1 x ... x Z_qr without carries.
 
     Place t is spread to ``spread[t]``, whose digit i has room for 2 * q_i
-    values; for places x and y, spread[x] - spread[y] + offset (every digit
-    of offset is q_i) lies in [0, 2**r * q), and ``table[0]`` turns it into
-    the place of x - y, ``table[1]`` into that of y - x."""
+    values, so for places x and y, v = spread[x] - spread[y] + offset (every
+    digit of offset is q_i) lies in [0, 2**r * q); ``right[v]`` is the place
+    of x - y and ``left[v]`` that of y - x."""
     spread = np.zeros(1, dtype=np.int64)
-    minus = np.zeros(1, dtype=np.int64)
+    right = np.zeros(1, dtype=np.int64)
     negated = np.zeros(1, dtype=np.int64)
     offset = 0
     for level in levels:
         digits = np.arange(level)
         spread = (spread[:, None] * (2 * level) + digits).ravel()
-        minus = (minus[:, None] * level + np.arange(2 * level) % level).ravel()
+        right = (right[:, None] * level + np.arange(2 * level) % level).ravel()
         negated = (negated[:, None] * level + -digits % level).ravel()
         offset = offset * 2 * level + level
-    return spread, offset, np.stack((minus, negated[minus]))
+    return spread, offset, right, negated[right]
 
 
 def _block_circulant_proof(codes: np.ndarray, weights: Sequence[int]) -> bool:
@@ -700,29 +705,31 @@ def _block_circulant_proof(codes: np.ndarray, weights: Sequence[int]) -> bool:
     their blocks; False when that is not proven, and the kernels decide.
 
     With n = h * q, h the 2-part of n and q >= 3 odd, the proof applies when
-    every q x q block of the h x h grid is developed or back-developed over
-    one group G = Z_q1 x ... x Z_qr of order q (``_block_types``), as in the
-    2-, 4- and 8-block arrays of circulant weighing blocks and their
-    Kronecker products.  Then each member has s nonzeros in every row and
-    column exactly when its row 0 of every block has s in each block row and
-    each block column, and each block of a Gram matrix or pair sum is
-    circ(u) + back(w) over G, summed from the first rows only.  A nonzero at
-    place x of row 0 of block (i, j) of A_a and one at place y of row 0 of
-    block (k, j) of A_b add the product of their signs to place x - y of
-    block (i, k)'s developed part when both blocks have one type, and of its
-    back-developed part when not; y - x instead when block (k, j) is
-    back-developed.  Because |G| is odd, (g, g') -> (g' - g, g' + g) is a
-    bijection, so circ(u) + back(w) = circ(t) exactly when w is constant and
+    every q x q block of the h x h grid is developed over Z_q1 x ... x Z_qr
+    or back-developed over it, one group G of order q for the whole grid
+    (``_block_types``), as in the 2-, 4- and 8-block arrays of circulant
+    weighing blocks and of their Kronecker products.  Then each member has
+    s nonzeros in every row and column exactly when its row 0 of every
+    block has s in each block row and each block column, and each block of
+    a Gram matrix or pair sum is circ(u) + back(w) over G, summed from the
+    first rows only.  A nonzero at place x of row 0 of block (i, j) of A_a
+    and one at place y of row 0 of block (k, j) of A_b add the product of
+    their signs to place x - y of block (i, k) of A_a A_b^T, in its
+    developed part when both blocks have one type and its back-developed
+    part when not; y - x instead when block (k, j) is back-developed.
+    Because |G| is odd, (g, g') -> (g' - g, g' + g) is a bijection, so
+    circ(u) + back(w) = circ(t) exactly when w is constant and
     u + w[0] = t; the target t is s * e_0 on the diagonal blocks of a Gram
     matrix and 0 everywhere else.
 
-    Every Gram matrix and pair sum is counted at once: the nonzeros of all
+    Every product A_a A_b^T is counted at once: the nonzeros of all
     members, listed by block column (each block column holds
     S = s_1 + ... + s_l of them), meet every nonzero of their block column,
-    h * S**2 terms in all, and one bincount per chunk of block rows puts
-    each term in its cell (product slot, block (i, k), part, place, sign)
-    through two lookup tables.  Terms are taken at most ``_BLOCK_TERMS`` at
-    a time, and block rows so that a count holds about that many cells.
+    h * S**2 terms in all, and one signed bincount per chunk of block rows
+    puts each term in its cell (part, a, b, block (i, k), place).  A pair
+    sum is then cells (a, b) plus cells (b, a), and a Gram matrix is half
+    of cells (a, a) doubled.  Terms are taken at most ``_BLOCK_TERMS`` at a
+    time, and block rows so that a count holds about that many cells.
     """
     n = codes.shape[0]
     h = n & -n
@@ -736,64 +743,59 @@ def _block_circulant_proof(codes: np.ndarray, weights: Sequence[int]) -> bool:
     l = len(weights)
     first = codes[::q].reshape(h, h, q)  # row 0 of block (i, j)
     i, j, x = np.nonzero(first)
-    code = first[i, j, x].astype(np.int64)
-    member = np.abs(code) - 1
+    code = first[i, j, x]
+    member = np.abs(code.astype(np.int64)) - 1
     if member.size and member.max() >= l:
         return False
     want = np.repeat(np.asarray(weights, dtype=np.int64), h)
     for block in (i, j):  # a block's rows and columns all hold its row 0's nonzeros
-        if not np.array_equal(np.bincount(member * h + block, minlength=l * h), want):
+        if (np.bincount(member * h + block, minlength=l * h) != want).any():
             return False
     s = int(want.sum()) // h
     if s == 0:
         return True
     by_col = np.argsort(j, kind="stable").reshape(h, s)  # block rows ascending
-    spread, offset, table = _differences(levels)
-    size = table.shape[1]
-    typ = back[i, j].astype(np.int64)
-    neg = (code < 0).astype(np.int64)
-    # (type_a, type_b, sign_a, sign_b, spread difference) -> (part, place, sign)
-    ta, tb = np.arange(2).reshape(2, 1, 1, 1, 1), np.arange(2).reshape(2, 1, 1, 1)
-    na, nb = np.arange(2).reshape(2, 1, 1), np.arange(2).reshape(2, 1)
-    cell_of = (((ta ^ tb) * q + table[:, None, None, :]) * 2 + (na ^ nb)).ravel()
-    a_cell = (spread[x] + size * (8 * typ + 2 * neg))[by_col]
-    b_cell = (offset - spread[x] + size * (4 * typ + neg))[by_col]
-    # (member_a, block row i, member_b, block row k) -> the first cell of
-    # block (i, k) of their product's slot: Gram matrices first, then pairs
-    slot = np.zeros((l, l), dtype=np.int64)
-    upper = np.triu_indices(l, 1)
-    slot[upper] = slot.T[upper] = l + np.arange(upper[0].size)
-    slot[np.diag_indices(l)] = np.arange(l)
-    slots = l + upper[0].size
-    if 4 * n * slots > max(_BLOCK_TERMS, n * n):  # so many members that one block row's cells pass both
-        return False
-    b_block = (member * h + i)[by_col]
-    a_block = b_block * (l * h)
+    spread, offset, right, left = _differences(levels)
+    # index of the place table: (type_a * 2 + type_b) * size + v
+    typ = back[i, j] * right.size
+    a_cell = (spread[x] + 2 * typ)[by_col]
+    b_cell = (offset - spread[x] + typ)[by_col]
+    sign = np.where(code < 0, -1.0, 1.0)[by_col]
+    member, i = member[by_col], i[by_col]
     col_step = max(1, _BLOCK_TERMS // (s * s))
     a_step = max(1, min(s, _BLOCK_TERMS // s))
-    rows = max(1, _BLOCK_TERMS // (slots * 4 * n))
-    block = np.arange(h)
+    rows = max(1, _BLOCK_TERMS // (l * l * 2 * n))
+    target = 2 * np.asarray(weights)  # cells (a, a) hold the Gram matrix twice
     for i0 in range(0, h, rows):
         i1 = min(h, i0 + rows)
-        cells = slots * (i1 - i0) * 4 * n
-        start = ((slot[:, None, :, None] * (i1 - i0) + block[:, None, None] - i0) * h + block) * 4 * q
-        start[:, (block < i0) | (block >= i1)] = cells  # other block rows' terms go past the end
-        start = start.ravel()
+        # cell of a term: part * half + (((a * l + b) * rows + i - i0) * h + k) * q + place
+        half = l * l * (i1 - i0) * n
+        table = np.concatenate((right, left + half, right + half, left))
+        a_key = (member * (l * (i1 - i0)) + i - i0) * n
+        b_key = (member * (i1 - i0) * h + i) * q
+        mine = (i >= i0) & (i < i1)
 
         def count(c0: int, a0: int) -> np.ndarray:
             cols, a = slice(c0, c0 + col_step), slice(a0, a0 + a_step)
-            key = cell_of.take(a_cell[cols, a, None] + b_cell[cols, None])
-            key += start.take(a_block[cols, a, None] + b_block[cols, None])
-            return np.bincount(key.ravel(), minlength=cells + 4 * q)
+            key = table.take(a_cell[cols, a, None] + b_cell[cols, None])
+            key += a_key[cols, a, None] + b_key[cols, None]
+            signs = sign[cols, a, None] * sign[cols, None]
+            if i1 - i0 < h:  # terms of this chunk's block rows only
+                keep = np.broadcast_to(mine[cols, a, None], key.shape)
+                key, signs = key[keep], signs[keep]
+            return np.bincount(key.ravel(), signs.ravel(), minlength=2 * half)
 
-        counts = reduce(np.add, (count(c0, a0) for c0 in range(0, h, col_step) for a0 in range(0, s, a_step)))
-        counts = counts[:cells].reshape(slots, i1 - i0, h, 2, q, 2)
-        sums = counts[..., 0] - counts[..., 1]
-        u, w = sums[:, :, :, 0], sums[:, :, :, 1]
-        if (w != w[..., :1]).any():
+        sums = reduce(np.add, (count(c0, a0) for c0 in range(0, h, col_step) for a0 in range(0, s, a_step)))
+        sums = sums.reshape(2, l, l, half // (l * l))
+        sums = sums + sums.transpose(0, 2, 1, 3)
+        u, w = sums[0].ravel(), sums[1].ravel()
+        changes = w[1:] != w[:-1]
+        changes[q - 1 :: q] = False  # w may change from one block to the next
+        if changes.any():
             return False
-        u += w[..., :1]
-        u[np.arange(l)[:, None], np.arange(i1 - i0), np.arange(i0, i1), 0] -= want[::h, None]
+        u += w  # w is constant on each block: u + w[0]
+        diagonal, r = np.arange(l)[:, None], np.arange(i1 - i0)
+        u.reshape(l, l, i1 - i0, h, q)[diagonal, diagonal, r, r + i0, 0] -= target[:, None]
         if u.any():
             return False
     return True
@@ -801,12 +803,17 @@ def _block_circulant_proof(codes: np.ndarray, weights: Sequence[int]) -> bool:
 
 # The block-circulant pass is skipped on families of at most this many
 # support-kernel terms, n * (s_1 + ... + s_l)**2, whose products all go to the
-# support kernel.  On small orders the pass costs 0.1-0.2 ms per Gram matrix
-# and pair sum, about a hundred numpy calls.  Timed on the designs the
-# constructions build (2-core x86-64, numpy 2.4.6, OpenBLAS 0.3.31), the
-# support kernel is as fast or faster below about 2**14 terms (W(24, 1): 0.12
-# against 0.19 ms; OD(168; 1, 1, 1, 1, 4), 10,752 terms: 1.3 against 1.7 ms),
-# and the pass wins from about 3 * 10**4 (OD(182; 4, 9): 0.4 against 0.9 ms).
+# support kernel.  With every product in one count, the pass costs a fixed
+# number of numpy calls per level and block row, about 0.1-0.3 ms on small
+# orders, and on the block arrays it wins from a few hundred terms.  Timed
+# against the kernels (2-core x86-64, numpy 2.4.6, OpenBLAS 0.3.31, best of 7
+# x 50 calls in a warm process): OD(84; 1, 1, 1, 4), 4,116 terms, 0.26
+# against 0.58 ms; OD(168; 1, 1, 1, 1, 4), 10,752 terms, 0.55-0.76 against
+# 0.95-1.18 ms; OD(182; 4, 9), 30,758 terms, 0.22 against 0.79 ms.  But its
+# structure check and its count grow with the number h of block rows, and the
+# low-weight families below the bound are the ones with many: W(24, 1) = I_24
+# (h = 8) takes 0.23 against 0.07 ms, and I_768 (h = 256) 12.5 against 0.37
+# ms.  So the bound stays where the support kernel never loses by much.
 # A family with a dense product keeps the pass: for about a second after a
 # process's first multithreaded BLAS product, an 84 x 84 product takes about
 # 8 ms instead of 0.03 ms, and a CLI process is that young.
@@ -830,9 +837,10 @@ def _family_report(
     First, unless the family has at most ``_PASS_MIN_TERMS`` support terms
     and no dense product, the block-circulant pass,
     ``_block_circulant_proof``: when n has an odd part q >= 3 and every
-    q x q block of the code grid is circulant or back-circulant, it checks every condition from the first rows of the
-    blocks, in O(h * s_i * s_j) terms per product, and a family it proves is
-    ok.  Otherwise (the pass proves nothing, or finds a violation) each
+    q x q block of the code grid is developed or back-developed over one
+    group Z_q1 x ... x Z_qr of order q, it checks every condition from the
+    first rows of the blocks, in O(h * s_i * s_j) terms per product, all
+    products in one count, and a family it proves is ok.  Otherwise (the pass proves nothing, or finds a violation) each
     product is computed by whichever kernel ``use_support(n, terms_per_row)``
     picks: the support kernel, O(n * s_i * s_j), or the dense BLAS product
     through ``_exact_matmul``, O(n**3).  Both are exact and report the same
@@ -902,9 +910,11 @@ def verify_weighing(w: IntMatrix, k: int) -> CheckReport:
     W * W^T = k * I computed exactly.
 
     When n = h * q (h the 2-part of n, q >= 3) and every q x q block of
-    ``w`` is circulant or back-circulant, the block-circulant pass proves a
-    valid matrix from the first rows of its blocks in O(h * k**2) terms; it
-    is skipped where the support kernel is cheaper (``_PASS_MIN_TERMS``).
+    ``w`` is developed or back-developed over one group Z_q1 x ... x Z_qr of
+    order q (circulant or back-circulant when r = 1), the block-circulant
+    pass proves a valid matrix from the first rows of its blocks in
+    O(h * k**2) terms; it is skipped where the support kernel is cheaper
+    (``_PASS_MIN_TERMS``).
     Otherwise, and for every matrix with a violation, the product is checked
     by the support kernel, from the k nonzeros of each row and column in
     O(n * k**2), when that costs less than the dense BLAS product's n**3 by
@@ -950,12 +960,14 @@ def verify_od(x: SignedVarMatrix, t: ODType) -> CheckReport:
     each variable j in turn its row weights, column weights and
     A_j A_j^T = s_j I, then each pair i < j in turn.  A design of order
     h * q (h the 2-part of the order, q >= 3) whose q x q blocks are all
-    circulant or back-circulant, such as the 2-, 4- and 8-block arrays, is
-    proven by the block-circulant pass from the first rows of its blocks, in
-    O(h * s_i * s_j) terms per product, except where the support kernel is
-    cheaper (``_PASS_MIN_TERMS``).  Otherwise, and for every design
-    with a violation, each Gram matrix and each pair sum
-    A_i A_j^T + A_j A_i^T is computed by one of two exact kernels: the support kernel, from the s_i nonzeros of each row of A_i and
+    developed or back-developed over one group Z_q1 x ... x Z_qr of order q,
+    such as the 2-, 4- and 8-block arrays on circulant blocks and on their
+    Kronecker products, is proven by the block-circulant pass from the first
+    rows of its blocks, in O(h * s_i * s_j) terms per product, except where
+    the support kernel is cheaper (``_PASS_MIN_TERMS``).  Otherwise, and for
+    every design with a violation, each Gram matrix and each pair sum
+    A_i A_j^T + A_j A_i^T is computed by one of two exact kernels: the
+    support kernel, from the s_i nonzeros of each row of A_i and
     the s_j of each column of A_j in O(n * s_i * s_j), or the dense BLAS
     product through ``_exact_matmul`` in O(n**3), one product per pair.  The
     fixed rule ``_support_is_cheaper`` picks, per product, whichever costs

@@ -85,6 +85,14 @@ def test_block_circulant_differential_tests_in_small_blocks(differential, rows, 
     differential()
 
 
+@pytest.mark.parametrize("terms", KERNEL_BLOCK_TERMS)
+def test_block_circulant_differential_test_in_small_term_blocks(terms, monkeypatch):
+    # 1 counts one term at a time, one block row per count; 96 takes a few
+    # terms and block rows per count
+    monkeypatch.setattr(matrices, "_BLOCK_TERMS", terms)
+    test_block_circulant.test_proof_agrees_with_dense_reference()
+
+
 @pytest.mark.parametrize("rows", COMPARE_ROWS)
 def test_structure_check_finds_a_flip_in_every_row(rows, monkeypatch):
     # one sign flipped in row r breaks its q x q block (q = 21) whatever r
