@@ -94,21 +94,23 @@ CIRCULANT_BLOCKS = [
     circulant_cw(3),
     circulant_cw(4),
     spread_circulant(circulant_cw(2), 3),
-    # back-developed over Z_7 x Z_13
-    symmetric_w_square_odd(36),
 ]
-# OD(42; 4, 1) over Z_3 x Z_7 and OD(210; 4, 4) over Z_3 x Z_5 x Z_7
-KRONECKER_ARRAYS = [
+# W(91, 36) back-developed over Z_7 x Z_13, OD(42; 4, 1) over Z_3 x Z_7 and
+# OD(210; 4, 4) over Z_3 x Z_5 x Z_7
+SMALL_MULTI_LEVEL = [
+    (np.asarray(symmetric_w_square_odd(36).matrix.entries), (36,)),
     (_kronecker_two_block([UNIT3, W74], [UNIT3, UNIT7]), (4, 1)),
     (_kronecker_two_block([UNIT3, UNIT5, W74], [UNIT3, UNIT5, W74]), (4, 4)),
 ]
 POOL = [
     (np.asarray(_codes(w)), tuple(_weights(w))) for w in BLOCK_ARRAYS + CIRCULANT_BLOCKS
-] + KRONECKER_ARRAYS
+] + SMALL_MULTI_LEVEL
 # OD(546; 4, 36) and OD(546; 36, 4) over Z_7 x Z_39, whose dense reference
 # takes about 0.4 s each: drawn by a test of their own
-LARGE_POOL = [(np.asarray(_codes(w)), tuple(_weights(w))) for w in (two_square_od(2, 6), two_square_od(6, 2))]
-MULTI_LEVEL = LARGE_POOL + [(np.asarray(_codes(symmetric_w_square_odd(36))), (36,))] + KRONECKER_ARRAYS
+LARGE_POOL = [
+    (np.asarray(_codes(w)), tuple(_weights(w))) for w in (two_square_od(2, 6), two_square_od(6, 2))
+]
+MULTI_LEVEL = LARGE_POOL + SMALL_MULTI_LEVEL
 
 
 @st.composite
@@ -172,6 +174,14 @@ def test_proves_every_uncorrupted_design(index):
 def test_proves_a_large_two_block_design():
     # the largest block-io design: 10.1 M support-kernel terms, here 10.6 k
     w = two_square_od(3, 8)
+    assert matrices._block_circulant_proof(w.matrix.codes, w.claim.type_tuple)
+
+
+def test_proves_the_design_of_exists_3276_over_two_levels():
+    # OD(3276; 4, 16, 36, 36): blocks Kronecker products of circulants of
+    # orders 21 and 39, which are not circulant over Z_819
+    w = goethals_seidel_od(2, 4, 6, 6)
+    assert matrices._block_types(w.matrix.codes, 4, 819)[0] == (21, 39)
     assert matrices._block_circulant_proof(w.matrix.codes, w.claim.type_tuple)
 
 
