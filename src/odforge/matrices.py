@@ -725,8 +725,9 @@ def _block_circulant_proof(codes: np.ndarray, weights: Sequence[int]) -> bool:
     Every product A_a A_b^T is counted at once: the nonzeros of all
     members, listed by block column (each block column holds
     S = s_1 + ... + s_l of them), meet every nonzero of their block column,
-    h * S**2 terms in all, and one signed bincount per chunk of block rows
-    puts each term in its cell (part, a, b, block (i, k), place).  A pair
+    h * S**2 terms in all, and one bincount per chunk of block rows, weighted
+    by the terms' signs (float64, exact below 2**53), puts each term in its
+    cell (part, a, b, block (i, k), place).  A pair
     sum is then cells (a, b) plus cells (b, a), and a Gram matrix is half
     of cells (a, a) doubled.  Terms are taken at most ``_BLOCK_TERMS`` at a
     time, and block rows so that a count holds about that many cells.
@@ -752,7 +753,7 @@ def _block_circulant_proof(codes: np.ndarray, weights: Sequence[int]) -> bool:
         if (np.bincount(member * h + block, minlength=l * h) != want).any():
             return False
     s = int(want.sum()) // h
-    if s == 0:
+    if s == 0:  # no nonzeros: the zero matrix, W(n, 0)
         return True
     by_col = np.argsort(j, kind="stable").reshape(h, s)  # block rows ascending
     spread, offset, right, left = _differences(levels)
@@ -768,7 +769,7 @@ def _block_circulant_proof(codes: np.ndarray, weights: Sequence[int]) -> bool:
     target = 2 * np.asarray(weights)  # cells (a, a) hold the Gram matrix twice
     for i0 in range(0, h, rows):
         i1 = min(h, i0 + rows)
-        # cell of a term: part * half + (((a * l + b) * rows + i - i0) * h + k) * q + place
+        # cell of a term: part * half + (((a * l + b) * (i1 - i0) + i - i0) * h + k) * q + place
         half = l * l * (i1 - i0) * n
         table = np.concatenate((right, left + half, right + half, left))
         a_key = (member * (l * (i1 - i0)) + i - i0) * n
