@@ -603,7 +603,8 @@ def _rows_turned(
     step_d = min(level - 1, _COMPARE_ROWS)
     for i, types in enumerate(back.tolist()):
         # rows (p, d, 0) of block row i: digit d at this level, the later digits 0
-        rows = codes[i * q : (i + 1) * q].reshape(outer, level, stride, h, outer, level, stride)[:, :, 0]
+        strip = codes[i * q : (i + 1) * q]
+        rows = strip.reshape(outer, level, stride, h, outer, level, stride)[:, :, 0]
         cuts = [0, *(j for j in range(1, h) if types[j] != types[j - 1]), h]
         for p in range(0, outer, step_p):
             for d in range(1, level, step_d):
@@ -786,7 +787,8 @@ def _block_circulant_proof(codes: np.ndarray, weights: Sequence[int]) -> bool:
                 key, signs = key[keep], signs[keep]
             return np.bincount(key.ravel(), signs.ravel(), minlength=2 * half)
 
-        sums = reduce(np.add, (count(c0, a0) for c0 in range(0, h, col_step) for a0 in range(0, s, a_step)))
+        pieces = (count(c0, a0) for c0 in range(0, h, col_step) for a0 in range(0, s, a_step))
+        sums = reduce(np.add, pieces)
         sums = sums.reshape(2, l, l, half // (l * l))
         sums = sums + sums.transpose(0, 2, 1, 3)
         u, w = sums[0].ravel(), sums[1].ravel()
@@ -813,8 +815,9 @@ def _block_circulant_proof(codes: np.ndarray, weights: Sequence[int]) -> bool:
 # 0.95-1.18 ms; OD(182; 4, 9), 30,758 terms, 0.22 against 0.79 ms.  But its
 # structure check and its count grow with the number h of block rows, and the
 # low-weight families below the bound are the ones with many: W(24, 1) = I_24
-# (h = 8) takes 0.23 against 0.07 ms, and I_768 (h = 256) 12.5 against 0.37
-# ms.  So the bound stays where the support kernel never loses by much.
+# (h = 8) takes 0.23 against 0.07 ms, and I_768 (h = 256) 12.5-12.9 against
+# 0.37-0.39 ms.  So the bound stays where the support kernel never loses by
+# much.
 # A family with a dense product keeps the pass: for about a second after a
 # process's first multithreaded BLAS product, an 84 x 84 product takes about
 # 8 ms instead of 0.03 ms, and a CLI process is that young.
@@ -841,11 +844,12 @@ def _family_report(
     q x q block of the code grid is developed or back-developed over one
     group Z_q1 x ... x Z_qr of order q, it checks every condition from the
     first rows of the blocks, in O(h * s_i * s_j) terms per product, all
-    products in one count, and a family it proves is ok.  Otherwise (the pass proves nothing, or finds a violation) each
-    product is computed by whichever kernel ``use_support(n, terms_per_row)``
-    picks: the support kernel, O(n * s_i * s_j), or the dense BLAS product
-    through ``_exact_matmul``, O(n**3).  Both are exact and report the same
-    first violation.
+    products in one count, and a family it proves is ok.  Otherwise (the
+    pass proves nothing, or finds a violation) each product is computed by
+    whichever kernel ``use_support(n, terms_per_row)`` picks: the support
+    kernel, O(n * s_i * s_j), or the dense BLAS product through
+    ``_exact_matmul``, O(n**3).  Both are exact and report the same first
+    violation.
     """
     n = codes.shape[0]
     l = len(weights)
