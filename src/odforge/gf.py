@@ -1,15 +1,18 @@
-"""Finite-field arithmetic for the circulant constructions.
+"""Finite fields as exp/log tables, for the circulant constructions.
 
-Fields GF(p^m) are represented as polynomials over GF(p) modulo a canonical
-irreducible: the lexicographically smallest monic irreducible of degree m,
-where polynomials are ordered by the integer encoding sum(c_i * p^i) of their
-ascending coefficient vectors.  Elements are coefficient tuples of length m
-(ascending powers).  The same encoding orders elements, which pins down a
-deterministic primitive element: the smallest one of full multiplicative
-order.
+An element of GF(p^m) is an integer: the encoding sum(c_i * p^i) of its
+ascending coefficient vector as a polynomial over GF(p) modulo a canonical
+irreducible, the monic one of degree m with the smallest encoding.  The same
+order pins down the canonical primitive element g: the smallest encoding of
+full multiplicative order.
 
-On top of the arithmetic sit the relative trace to the index-3 subfield, the
-quadratic character of an odd-order subfield, the even-q quadric sign, and the
+A field builds two tables on first use and keeps them: ``exp[i]`` is g**i
+and ``log`` inverts it, both int32.  A product is a sum of logs, and a sum is
+digit-wise mod p.  Every function below takes an encoding or an array of
+encodings and is one array expression over it.
+
+On top sit the relative trace to the index-3 subfield, the quadratic
+character of an odd-order subfield, the even-q quadric sign, and the
 trace-zero position sets in Z_(q^2+q+1) that underlie circulant weighing
 matrices: the positions i with Tr(g^i) = 0 form a planar difference set of
 size q + 1, which is verified explicitly before a result is returned.  The
@@ -21,6 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
+
+import numpy as np
 
 from .arith import ArithmeticError_, is_prime_power, prime_factorization
 
@@ -36,7 +41,9 @@ __all__ = [
     "singer_zero_set",
 ]
 
-Element = tuple[int, ...]
+# Powers computed per block while the exp table doubles; bounds the digit
+# arrays to _BLOCK * m int64 cells.
+_BLOCK = 1 << 14
 
 
 class FieldError(ValueError):
@@ -47,15 +54,6 @@ def _trim(c: list[int]) -> list[int]:
     while c and c[-1] == 0:
         c.pop()
     return c
-
-
-def _poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _trim(out)
 
 
 def _poly_mod(a: list[int], b: list[int], p: int) -> list[int]:
@@ -98,74 +96,75 @@ def _decode_poly(enc: int, p: int, length: int) -> list[int]:
 
 @dataclass(frozen=True)
 class FiniteField:
-    """GF(p^m) with elements as coefficient tuples of length m (ascending)."""
+    """GF(p^m); its elements are the integer encodings in [0, p**m)."""
 
     p: int
     m: int
-    modulus: Element  # length m + 1, monic, ascending coefficients
+    modulus: tuple[int, ...]  # length m + 1, monic, ascending coefficients
 
     @property
     def order(self) -> int:
         return self.p**self.m
 
     @cached_property
-    def zero(self) -> Element:
-        return (0,) * self.m
+    def _place(self) -> np.ndarray:
+        return self.p ** np.arange(self.m, dtype=np.int64)
 
-    @cached_property
-    def one(self) -> Element:
-        if self.m == 0:
-            raise FieldError("degenerate field")
-        return (1,) + (0,) * (self.m - 1)
+    def _digits(self, x) -> np.ndarray:
+        return np.asarray(x)[..., None] // self._place % self.p
 
-    def from_int(self, enc: int) -> Element:
-        if not 0 <= enc < self.order:
-            raise FieldError(f"encoding {enc} out of range")
-        return tuple(_decode_poly(enc, self.p, self.m))
+    def add(self, *xs) -> np.ndarray:
+        """Sum of encodings, or of broadcast arrays of them."""
+        return sum(self._digits(x) for x in xs) % self.p @ self._place
 
-    def to_int(self, x: Element) -> int:
-        out = 0
-        for c in reversed(x):
-            out = out * self.p + c
-        return out
+    def _times(self, x, c: int) -> np.ndarray:
+        """x * c for an encoding, or an array of encodings, x.
 
-    def elements(self):
-        """All elements in ascending integer-encoding order."""
-        for enc in range(self.order):
-            yield self.from_int(enc)
+        Multiplication by c is GF(p)-linear: row j of its matrix holds the
+        digits of x**j * c, each row the one before times x, reduced by the
+        monic modulus.
+        """
+        rows = [_decode_poly(c, self.p, self.m)]
+        for _ in range(1, self.m):
+            top, shifted = rows[-1][-1], [0] + rows[-1][:-1]
+            rows.append([(a - top * b) % self.p for a, b in zip(shifted, self.modulus)])
+        return self._digits(x) @ np.array(rows) % self.p @ self._place
 
-    def add(self, x: Element, y: Element) -> Element:
-        return tuple((a + b) % self.p for a, b in zip(x, y))
-
-    def neg(self, x: Element) -> Element:
-        return tuple((-a) % self.p for a in x)
-
-    def mul(self, x: Element, y: Element) -> Element:
-        prod = _poly_mul(list(x), list(y), self.p)
-        red = _poly_mod(prod, list(self.modulus), self.p)
-        return tuple(red) + (0,) * (self.m - len(red))
-
-    def pow(self, x: Element, e: int) -> Element:
-        if e < 0:
-            raise FieldError("negative exponents not supported here")
-        out = self.one
-        base = x
+    def _power(self, c: int, e: int) -> int:
+        out = 1
         while e:
             if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
+                out = int(self._times(out, c))
+            c = int(self._times(c, c))
             e >>= 1
         return out
 
-    def multiplicative_order(self, x: Element) -> int:
-        if x == self.zero:
-            raise FieldError("zero has no multiplicative order")
+    @cached_property
+    def exp(self) -> np.ndarray:
+        """g**i for i in [0, order - 1), read-only int32.
+
+        The table doubles: the powers g**s .. g**(2s - 1) are the first s
+        powers times g**s, taken _BLOCK at a time.
+        """
+        g = primitive_element(self)
         n = self.order - 1
-        order = n
-        for prime, _ in prime_factorization(n) if n > 1 else []:
-            while order % prime == 0 and self.pow(x, order // prime) == self.one:
-                order //= prime
-        return order
+        out = np.empty(n, dtype=np.int32)
+        out[0] = 1
+        size = 1
+        while size < n:
+            take = min(size, n - size, _BLOCK)
+            out[size : size + take] = self._times(out[:take], int(self._times(out[size - 1], g)))
+            size += take
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def log(self) -> np.ndarray:
+        """log[x] = i with g**i = x for x != 0, and -1 at zero; read-only int32."""
+        out = np.full(self.order, -1, dtype=np.int32)
+        out[self.exp] = np.arange(self.order - 1, dtype=np.int32)
+        out.setflags(write=False)
+        return out
 
 
 @cache
@@ -186,17 +185,26 @@ def field_make(p: int, m: int) -> FiniteField:
 
 
 @cache
-def primitive_element(field: FiniteField) -> Element:
-    """Smallest element (by integer encoding) of full multiplicative order."""
-    target = field.order - 1
-    for enc in range(1, field.order):
-        x = field.from_int(enc)
-        if field.multiplicative_order(x) == target:
-            return x
+def primitive_element(field: FiniteField) -> int:
+    """Smallest encoding of full multiplicative order.
+
+    A candidate c has full order n = p**m - 1 when c**(n/r) != 1 for every
+    prime r dividing n.  For m > 1 the constants (encodings below p) have
+    order dividing p - 1 < n, so the candidates start at x.
+    """
+    n = field.order - 1
+    primes = [r for r, _ in prime_factorization(n)]
+    for c in range(field.p if field.m > 1 else 1, field.order):
+        if all(field._power(c, n // r) != 1 for r in primes):
+            return c
     raise FieldError("no primitive element found (impossible)")
 
 
-def trace_to_subfield(field: FiniteField, x: Element, subfield_order: int) -> Element:
+def _logs(field: FiniteField, x) -> np.ndarray:
+    return field.log[np.asarray(x)].astype(np.int64)
+
+
+def trace_to_subfield(field: FiniteField, x, subfield_order: int) -> np.ndarray:
     """Relative trace x + x^q + x^(q^2) from GF(q^3) down to GF(q).
 
     The field must be a cubic extension of GF(q): order == q^3.
@@ -206,15 +214,14 @@ def trace_to_subfield(field: FiniteField, x: Element, subfield_order: int) -> El
         raise FieldError(
             f"field of order {field.order} is not a cubic extension of GF({q})"
         )
-    xq = field.pow(x, q)
-    xq2 = field.pow(xq, q)
-    tr = field.add(field.add(x, xq), xq2)
-    if field.pow(tr, q) != tr:
+    n, i = field.order - 1, _logs(field, x)
+    tr = np.where(np.asarray(x) == 0, 0, field.add(*(field.exp[i * e % n] for e in (1, q, q * q))))
+    if np.any(field.log[tr[tr != 0]] % (q * q + q + 1)):
         raise FieldError("trace landed outside the subfield (impossible)")
     return tr
 
 
-def binary_quadric_sign(field: FiniteField, x: Element, subfield_order: int) -> int:
+def binary_quadric_sign(field: FiniteField, x, subfield_order: int) -> np.ndarray:
     """(-1) ** Tr_{GF(q)/GF(2)}(s2(x) / Tr(x)**2) for x in GF(q^3), q even,
     where s2(x) = x^(1+q) + x^(1+q^2) + x^(q+q^2) and Tr(x) != 0.
 
@@ -225,68 +232,48 @@ def binary_quadric_sign(field: FiniteField, x: Element, subfield_order: int) -> 
     q = subfield_order
     if q % 2 or field.order != q**3:
         raise FieldError(f"no quadric sign on GF({field.order}) over GF({q})")
-    xq = field.pow(x, q)
-    xq2 = field.pow(xq, q)
-    tr = field.add(field.add(x, xq), xq2)
-    if tr == field.zero:
+    tr = trace_to_subfield(field, x, q)
+    if np.any(tr == 0):
         raise FieldError("the quadric sign is undefined where the trace is zero")
-    s2 = field.add(field.add(field.mul(x, xq), field.mul(x, xq2)), field.mul(xq, xq2))
-    # Tr(x) lies in GF(q)*, so Tr(x)**-2 == Tr(x)**(q-3), reduced mod q - 1.
-    y = field.mul(s2, field.pow(tr, (q - 3) % (q - 1)))
-    absolute = field.zero
-    for _ in range(q.bit_length() - 1):
-        absolute = field.add(absolute, y)
-        y = field.mul(y, y)
-    return 1 if absolute == field.zero else -1
+    n, i = field.order - 1, _logs(field, x)
+    s2 = field.add(*(field.exp[i * e % n] for e in (1 + q, 1 + q * q, q + q * q)))
+    # y = s2 / Tr(x)**2 lies in GF(q); its absolute trace is y + y^2 + ... + y^(q/2).
+    y = (_logs(field, s2) - 2 * _logs(field, tr)) % n
+    absolute = field.add(*(field.exp[(y << j) % n] for j in range(q.bit_length() - 1)))
+    return np.where((s2 == 0) | (absolute == 0), 1, -1)
 
 
-def quadratic_character(
-    field: FiniteField, x: Element, subfield_order: int | None = None
-) -> int:
+def quadratic_character(field: FiniteField, x, subfield_order: int | None = None) -> np.ndarray:
     """Quadratic character of an odd-order (sub)field: 0 at zero, +1 on squares, -1 else.
 
     With ``subfield_order`` q given, x must lie in the embedded GF(q) and the
     character is that of GF(q); otherwise the character of the field itself.
+    GF(q)* is generated by g**step, step = (order - 1) / (q - 1), so the
+    character of g**i is (-1)**(i / step).
     """
     q = field.order if subfield_order is None else subfield_order
-    if q % 2 == 0:
+    if q % 2 == 0 or q < 3:
         raise FieldError("quadratic character needs an odd field order")
-    if x == field.zero:
-        return 0
-    if field.pow(x, q) != x:
+    x = np.asarray(x)
+    step, i = (field.order - 1) // (q - 1), _logs(field, x)
+    if (field.order - 1) % (q - 1) or np.any(i[x != 0] % step):
         raise FieldError("element does not lie in the requested subfield")
-    t = field.pow(x, (q - 1) // 2)
-    if t == field.one:
-        return 1
-    if t == field.neg(field.one):
-        return -1
-    raise FieldError("character value outside {+1,-1} (impossible)")
+    return np.where(x == 0, 0, 1 - 2 * (i // step % 2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SingerZeroSet:
     """Trace-zero positions in Z_n, n = q^2+q+1: a planar difference set.
 
-    ``traces`` caches Tr(g^i) for i in [0, n) so sign rules can reuse the
-    field walk; ``generator`` is the canonical primitive element g.
+    ``traces`` holds Tr(g^i) for i in [0, n), read-only, so sign rules can
+    reuse it; g**i is ``field.exp[i]``.
     """
 
     q: int
     n: int
     positions: tuple[int, ...]
     field: FiniteField
-    generator: Element
-    traces: tuple[Element, ...]
-
-
-def _check_planar_difference_set(positions: tuple[int, ...], n: int) -> None:
-    counts = [0] * n
-    for a in positions:
-        for b in positions:
-            if a != b:
-                counts[(a - b) % n] += 1
-    if any(c != 1 for c in counts[1:]):
-        raise FieldError("trace-zero positions are not a planar difference set")
+    traces: np.ndarray
 
 
 @cache
@@ -301,19 +288,15 @@ def singer_zero_set(q: int) -> SingerZeroSet:
         raise ArithmeticError_(f"q={q} is not a prime power")
     p, e = pp
     field = field_make(p, 3 * e)
-    g = primitive_element(field)
     n = q * q + q + 1
-    traces = []
-    x = field.one
-    for _ in range(n):
-        traces.append(trace_to_subfield(field, x, q))
-        x = field.mul(x, g)
-    positions = tuple(i for i, t in enumerate(traces) if t == field.zero)
-    if len(positions) != q + 1:
+    traces = trace_to_subfield(field, field.exp[:n], q)
+    traces.setflags(write=False)
+    positions = np.flatnonzero(traces == 0)
+    if positions.size != q + 1:
         raise FieldError(
-            f"expected {q + 1} trace-zero positions, found {len(positions)}"
+            f"expected {q + 1} trace-zero positions, found {positions.size}"
         )
-    _check_planar_difference_set(positions, n)
-    return SingerZeroSet(
-        q=q, n=n, positions=positions, field=field, generator=g, traces=tuple(traces)
-    )
+    differences = np.bincount(((positions[:, None] - positions) % n).ravel(), minlength=n)
+    if np.any(differences[1:] != 1):
+        raise FieldError("trace-zero positions are not a planar difference set")
+    return SingerZeroSet(q=q, n=n, positions=tuple(positions.tolist()), field=field, traces=traces)

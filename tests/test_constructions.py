@@ -21,6 +21,7 @@ from odforge.constructions import (
     Witness,
     _block_array,
     _composed,
+    _PINNED_ROWS,
     _cw_row,
     _merge_all_ones,
     _normalized_unit_family,
@@ -49,7 +50,7 @@ from odforge.constructions import (
     symmetric_w_square_odd,
     two_square_od,
 )
-from odforge.gf import singer_zero_set
+from odforge.gf import field_make, primitive_element, singer_zero_set
 from odforge.matfile import emit_matrix_file, parse_matrix_file
 from odforge.matrices import (
     IntMatrix,
@@ -83,14 +84,38 @@ def _entries(witness):
     return m.entries if isinstance(m, IntMatrix) else m.codes
 
 
-# sha256 of repr(first row as a list of ints): q = 7 and 9, the two longest
-# sign searches, recorded while the search still took a time budget; q = 4,
-# recorded from the search, which the closed form reproduces.
+# sha256 of repr(first row as a list of ints).  q = 7 and 9, the two longest
+# sign searches, were recorded while the search still took a time budget.
+# Every other prime power q <= 64 is a closed-form row, recorded from the
+# polynomial-list field arithmetic that the exp/log tables replaced (q = 4
+# first from the search, which the closed form reproduces).
 _FIRST_ROW_SHA256 = {
     4: "cf1af0061f4880928b6d44ae7fc358379d158f5ce003fe4fd7ba29e753915fdf",
     7: "c03b1e07d35661ba9b150dc3d1bfd6e7bda7bb3551a9af63c12bb5163185d83f",
     9: "9634e3b14e2d672bda17177328ad8daef052573c870da9aa677c5726141fbd96",
+    11: "5a7842e0d5ad188029c4ec0d8bbb8903030309d8fbcdb158e0c237c332edb9a5",
+    13: "698c5ee349f71949f3a33e304828cb72fa34b8331820285032e84dfa9c12d41b",
+    16: "75019243bfe9ce8f0cae23302aede722f89d04899b22d33a63564ea670373125",
+    17: "ee8a426536860575a9f986ab0fad7bc87c5e9dd671e7f8e38c2a6f448d3ece49",
+    19: "9b87cbdab964ad5358915e1c233b4a535fa99791bbb845fee6f86be87e272cdb",
+    23: "c35eac73c7462a80146aa987cc19dba19b5e83acb8af63a5866955d6c2604ce7",
+    25: "e10d6d09922c8e137361284501021d2b2c26490f4927dc8dcc15ebd659550274",
+    27: "5022de137d11cc62b916acd86fd29a714ba8243bbd0dd500c89e8220c7872377",
+    29: "30d8fea29638a777d54f4ad9d249da9d6cc5c88e3fa3e47fe8ae614880e4e5fd",
+    31: "8237b748a43a0bcf29a8837c1457cf58c465be293c30b9a16255c6c9b9609223",
+    32: "c87c80076393f72ca0f5a612aa4e67e7f6d5cc5378262d1b7b151c3a8574abad",
+    37: "bb78dea3c551859103caa5924ae04e5da3a691925b42d680b2b3a7d6a068213d",
+    41: "b093e546d4d450d4bc7229dac97324b7870c12731140fb67c303ba7d7e96df87",
+    43: "43bf6183cfdefb5f40c1d549371f385e754547d9e7fdc6c4415e458dbf09d126",
+    47: "6b59d186e734f0421473768216e0861d475bc88c3097f64f163ef33e5c8c3a96",
+    49: "c75d6937ee036e48a6fcce4ff7af330c2150d14bc638e0945b9b12dbbf2e9419",
+    53: "1037559d55a42b2dc1aab905a1003c6d140cffbaa67d520db63afb277ae5c4bc",
+    59: "e6dd66c07865b4fbd0414a526697bb9ded2bc2e20d493fe7637ff02522692301",
+    61: "f157cc1e74c4bf901323dbbc693bd6f54093baa87b4506bfdd3bdba4daebfa9b",
+    64: "75beaa68f2000287e20897c69664d74a3825943b723ca4bf37c23fe5fea450ca",
 }
+_ODD_NOTE = "signs: closed form chi_q(Tr x) * (-1)**i at x = g**i"
+_EVEN_NOTE = "signs: closed form (-1)**Tr_{GF(q)/GF(2)}(s2(x) / Tr(x)**2)"
 
 
 class TestCirculantWeighing:
@@ -114,6 +139,12 @@ class TestCirculantWeighing:
             digest = hashlib.sha256(repr(row.tolist()).encode()).hexdigest()
             assert digest == _FIRST_ROW_SHA256[q]
 
+    @pytest.mark.parametrize("q", sorted(set(_FIRST_ROW_SHA256) - set(_PINNED_ROWS)))
+    def test_closed_form_rows_keep_their_bytes(self, q):
+        row, recipe = _cw_row(q)
+        assert hashlib.sha256(repr(row.tolist()).encode()).hexdigest() == _FIRST_ROW_SHA256[q]
+        assert recipe.notes == (_ODD_NOTE if q % 2 else _EVEN_NOTE,)
+
     def test_deterministic(self):
         first = circulant_cw(3)
         second = circulant_cw(3)
@@ -129,6 +160,25 @@ class TestCirculantWeighing:
         w = replay(recipe)
         assert w.claim.order == 3 and w.claim.weight == 1
         assert w.structure.circulant
+
+
+class TestLargeCirculants:
+    @pytest.mark.parametrize("q", [32, 49, 64, 81])
+    def test_autocorrelation_zero_set_and_replay(self, q):
+        w = circulant_cw(q)
+        n = q * q + q + 1
+        row = w.matrix.entries[0].astype(np.int64)
+        # Exact periodic autocorrelation at every shift, in int64.
+        assert [int(row @ np.roll(row, s)) for s in range(n)] == [q * q] + [0] * (n - 1)
+        assert np.flatnonzero(row == 0).tolist() == list(singer_zero_set(q).positions)
+        assert np.array_equal(replay(w.trace).matrix.entries, w.matrix.entries)
+
+    def test_q64_builds_from_cold_caches_in_seconds(self):
+        for cached in (_cw_row, singer_zero_set, primitive_element, field_make):
+            cached.cache_clear()
+        start = time.perf_counter()
+        circulant_cw(64)
+        assert time.perf_counter() - start < 3
 
 
 class TestSpread:

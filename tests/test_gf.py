@@ -1,9 +1,16 @@
-"""Finite-field arithmetic: axioms, trace, character, trace-zero sets."""
+"""Finite-field arithmetic: axioms, tables, trace, character, trace-zero sets.
 
+Elements are integer encodings.  The independent oracle is a schoolbook
+polynomial multiplication kept here, so the exp/log tables are checked
+against arithmetic that does not use them.
+"""
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from odforge.arith import ArithmeticError_, is_prime_power
 from odforge.gf import (
     FieldError,
     binary_quadric_sign,
@@ -17,112 +24,181 @@ from odforge.gf import (
 SMALL_FIELDS = [(2, 1), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1), (2, 6), (3, 3), (5, 3)]
 
 
-def _field_and_elements(p, m):
-    f = field_make(p, m)
-    return f, list(f.elements())
+def _school_mul(f, x, y):
+    """x * y as polynomials over GF(p), reduced by the field's monic modulus."""
+    p, m = f.p, f.m
+    a = [x // p**i % p for i in range(m)]
+    b = [y // p**i % p for i in range(m)]
+    prod = [0] * (2 * m - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] += ai * bj
+    for top in range(2 * m - 2, m - 1, -1):
+        c = prod[top] % p
+        for k, mk in enumerate(f.modulus):
+            prod[top - m + k] -= c * mk
+    return sum(c % p * p**i for i, c in enumerate(prod[:m]))
+
+
+def _school_pow(f, x, e):
+    out = 1
+    for _ in range(e):
+        out = _school_mul(f, out, x)
+    return out
+
+
+def _school_order(f, x):
+    y, order = x, 1
+    while y != 1:
+        y, order = _school_mul(f, y, x), order + 1
+    return order
+
+
+def _mul(f, x, y):
+    """Table product: a sum of logs, zero where a factor is zero."""
+    x, y = np.asarray(x), np.asarray(y)
+    product = f.exp[(f.log[x].astype(np.int64) + f.log[y]) % (f.order - 1)]
+    return np.where((x == 0) | (y == 0), 0, product)
+
+
+def _cubic_field(q):
+    p, e = is_prime_power(q)
+    return field_make(p, 3 * e)
 
 
 class TestFieldAxioms:
     @pytest.mark.parametrize("p,m", SMALL_FIELDS)
     def test_additive_group(self, p, m):
-        f, elems = _field_and_elements(p, m)
-        assert len(elems) == p**m
-        for x in elems[: min(8, len(elems))]:
-            assert f.add(x, f.zero) == x
-            assert f.add(x, f.neg(x)) == f.zero
+        f = field_make(p, m)
+        xs = np.arange(f.order)
+        table = f.add(xs[:, None], xs[None, :])
+        assert np.array_equal(table[0], xs)  # zero is the identity
+        assert np.array_equal(table, table.T)
+        # every row and column is a permutation: inverses exist and cancel
+        assert all(np.array_equal(np.sort(row), xs) for row in table)
+        assert all(np.array_equal(np.sort(col), xs) for col in table.T)
+        for x, y, z in [(1, 2 % f.order, f.order - 1), (f.order - 1, f.order // 2, 1)]:
+            assert f.add(f.add(x, y), z) == f.add(x, f.add(y, z)) == f.add(x, y, z)
 
-    @pytest.mark.parametrize("p,m", [(2, 3), (3, 2), (5, 1)])
+    @pytest.mark.parametrize("p,m", SMALL_FIELDS)
     def test_multiplicative_group_cyclic(self, p, m):
-        f, elems = _field_and_elements(p, m)
+        f = field_make(p, m)
+        assert f.exp[0] == 1
+        assert np.array_equal(np.sort(f.exp), np.arange(1, f.order))
         g = primitive_element(f)
-        seen = set()
-        x = f.one
-        for _ in range(f.order - 1):
-            seen.add(x)
-            x = f.mul(x, g)
-        assert len(seen) == f.order - 1
-        assert x == f.one  # full cycle
+        assert _school_mul(f, int(f.exp[-1]), g) == 1  # full cycle
 
     @pytest.mark.parametrize("p,m", [(2, 3), (3, 2)])
     def test_distributivity_exhaustive(self, p, m):
-        f, elems = _field_and_elements(p, m)
-        for x in elems:
-            for y in elems:
-                for z in elems[:3]:
-                    lhs = f.mul(x, f.add(y, z))
-                    rhs = f.add(f.mul(x, y), f.mul(x, z))
-                    assert lhs == rhs
+        f = field_make(p, m)
+        xs = np.arange(f.order)
+        x, y, z = xs[:, None, None], xs[None, :, None], xs[None, None, :]
+        assert np.array_equal(_mul(f, x, f.add(y, z)), f.add(_mul(f, x, y), _mul(f, x, z)))
 
     @given(st.integers(min_value=0, max_value=7), st.integers(min_value=0, max_value=7))
     def test_mul_commutes_gf8(self, i, j):
         f = field_make(2, 3)
-        x, y = f.from_int(i), f.from_int(j)
-        assert f.mul(x, y) == f.mul(y, x)
-
-    def test_from_to_int_roundtrip(self):
-        f = field_make(3, 2)
-        for enc in range(9):
-            assert f.to_int(f.from_int(enc)) == enc
+        assert _mul(f, i, j) == _mul(f, j, i)
 
     def test_rejects_composite_p(self):
         with pytest.raises(FieldError):
             field_make(4, 1)  # p must be prime; GF(4) is field_make(2, 2)
 
 
+class TestTables:
+    @pytest.mark.parametrize("p,m", SMALL_FIELDS)
+    def test_tables_match_schoolbook_multiplication(self, p, m):
+        f = field_make(p, m)
+        g = primitive_element(f)
+        for i in range(f.order - 2):
+            assert f.exp[i + 1] == _school_mul(f, int(f.exp[i]), g)
+        assert f.log[0] == -1
+        assert np.array_equal(f.log[f.exp], np.arange(f.order - 1))
+        xs = range(f.order)
+        table = _mul(f, np.arange(f.order)[:, None], np.arange(f.order)[None, :])
+        assert table.tolist() == [[_school_mul(f, x, y) for y in xs] for x in xs]
+
+    @pytest.mark.parametrize("p,m", SMALL_FIELDS + [(2, 4), (3, 4)])
+    def test_primitive_element_is_smallest_of_full_order(self, p, m):
+        f = field_make(p, m)
+        g = primitive_element(f)
+        assert g == f.exp[1 % (f.order - 1)]
+        assert _school_order(f, g) == f.order - 1
+        assert all(_school_order(f, c) < f.order - 1 for c in range(1, g))
+
+    def test_tables_are_read_only(self):
+        f = field_make(3, 2)
+        for table in (f.exp, f.log):
+            with pytest.raises(ValueError):
+                table[0] = 0
+
+
 class TestTrace:
     @pytest.mark.parametrize("q", [2, 3, 4, 5])
     def test_trace_additive_and_subfield_valued(self, q):
-        from odforge.arith import is_prime_power
+        f = _cubic_field(q)
+        xs = np.arange(min(10, f.order))
+        lhs = trace_to_subfield(f, f.add(xs[:, None], xs[None, :]), q)
+        rhs = f.add(trace_to_subfield(f, xs[:, None], q), trace_to_subfield(f, xs[None, :], q))
+        assert np.array_equal(lhs, rhs)
+        # trace is onto the subfield: all q values occur, each fixed by x -> x^q
+        values = np.unique(trace_to_subfield(f, np.arange(f.order), q))
+        assert values.size == q
+        assert all(_school_pow(f, int(t), q) == t for t in values)
 
-        p, e = is_prime_power(q)
-        f = field_make(p, 3 * e)
-        elems = list(f.elements())
-        for x in elems[:10]:
-            for y in elems[:10]:
-                lhs = trace_to_subfield(f, f.add(x, y), q)
-                rhs = f.add(trace_to_subfield(f, x, q), trace_to_subfield(f, y, q))
-                assert lhs == rhs
-        # trace is onto the subfield: all q values occur
-        values = {trace_to_subfield(f, x, q) for x in elems}
-        assert len(values) == q
+    def test_trace_matches_its_definition(self):
+        q = 3
+        f = field_make(3, 3)
+        for x in range(f.order):
+            xq = _school_pow(f, x, q)
+            assert trace_to_subfield(f, x, q) == f.add(x, xq, _school_pow(f, xq, q))
 
     def test_trace_frobenius_invariant(self):
         # Tr(x^p) = Tr(x)^p: the trace-zero set is closed under i -> p*i
         q = 3
         f = field_make(3, 3)
-        for x in f.elements():
-            tx = trace_to_subfield(f, x, q)
-            txp = trace_to_subfield(f, f.pow(x, 3), q)
-            assert txp == f.pow(tx, 3)
+        xs = np.arange(f.order)
+        cubes = [_school_pow(f, x, 3) for x in xs]
+        assert [_school_pow(f, int(t), 3) for t in trace_to_subfield(f, xs, q)] == list(
+            trace_to_subfield(f, cubes, q)
+        )
 
     def test_trace_rejects_non_cubic(self):
         f = field_make(2, 4)
         with pytest.raises(FieldError):
-            trace_to_subfield(f, f.one, 2)
+            trace_to_subfield(f, 1, 2)
 
 
 class TestQuadraticCharacter:
     @pytest.mark.parametrize("p,m", [(3, 1), (5, 1), (7, 1), (3, 2)])
     def test_counts_and_multiplicativity(self, p, m):
-        f, elems = _field_and_elements(p, m)
-        chars = {x: quadratic_character(f, x) for x in elems}
-        assert chars[f.zero] == 0
-        nonzero = [chars[x] for x in elems if x != f.zero]
+        f = field_make(p, m)
+        xs = np.arange(f.order)
+        chars = quadratic_character(f, xs)
+        assert chars[0] == 0
+        nonzero = chars[1:].tolist()
         assert nonzero.count(1) == nonzero.count(-1) == (f.order - 1) // 2
         # squares get +1
-        for x in elems:
-            if x != f.zero:
-                assert chars[f.mul(x, x)] == 1
-        # multiplicative on a sample
-        for x in elems[1:4]:
-            for y in elems[1:4]:
-                if x != f.zero and y != f.zero:
-                    assert chars[f.mul(x, y)] == chars[x] * chars[y]
+        assert np.all(chars[_mul(f, xs[1:], xs[1:])] == 1)
+        # multiplicative on every pair
+        products = chars[_mul(f, xs[:, None], xs[None, :])]
+        assert np.array_equal(products, chars[:, None] * chars[None, :])
+        # Euler's criterion: chi(x) = x^((q-1)/2)
+        euler = [_school_pow(f, x, (f.order - 1) // 2) for x in range(1, f.order)]
+        assert [1 if e == 1 else -1 for e in euler] == nonzero
+
+    def test_subfield_character(self):
+        f = field_make(3, 3)
+        subfield = f.exp[:: (f.order - 1) // 2]  # GF(3)* inside GF(27)
+        assert quadratic_character(f, subfield, 3).tolist() == [1, -1]
+        assert quadratic_character(f, 0, 3) == 0
+        with pytest.raises(FieldError):
+            quadratic_character(f, f.exp[1], 3)
 
     def test_rejects_even_order(self):
         f = field_make(2, 2)
         with pytest.raises(FieldError):
-            quadratic_character(f, f.one)
+            quadratic_character(f, 1)
 
 
 class TestBinaryQuadricSign:
@@ -130,21 +206,32 @@ class TestBinaryQuadricSign:
     def test_constant_on_subfield_cosets(self, q):
         s = singer_zero_set(q)
         f = s.field
-        scalar = f.pow(s.generator, s.n)  # generates GF(q)*
-        x = f.one
-        for i in range(s.n):
-            if i not in s.positions:
-                sign = binary_quadric_sign(f, x, q)
-                assert sign in (1, -1)
-                assert binary_quadric_sign(f, f.mul(x, scalar), q) == sign
-            x = f.mul(x, s.generator)
+        points = np.flatnonzero(s.traces)
+        signs = binary_quadric_sign(f, f.exp[points], q)
+        assert set(signs.tolist()) <= {1, -1}
+        for j in range(1, q - 1):  # g**(n*j) runs over GF(q)*
+            assert np.array_equal(binary_quadric_sign(f, f.exp[points + s.n * j], q), signs)
+
+    def test_matches_its_definition(self):
+        q = 4
+        s = singer_zero_set(q)
+        f = s.field
+        for i in np.flatnonzero(s.traces):
+            x = int(f.exp[i])
+            xq = _school_pow(f, x, q)
+            xq2 = _school_pow(f, xq, q)
+            tr = f.add(x, xq, xq2)
+            s2 = f.add(_school_mul(f, x, xq), _school_mul(f, x, xq2), _school_mul(f, xq, xq2))
+            y = _school_mul(f, int(s2), _school_pow(f, int(tr), (q - 3) % (q - 1)))
+            absolute = f.add(y, _school_mul(f, y, y))
+            assert binary_quadric_sign(f, x, q) == (1 if absolute == 0 else -1)
 
     def test_rejects_odd_q_and_trace_zero(self):
         with pytest.raises(FieldError):
-            binary_quadric_sign(field_make(3, 3), field_make(3, 3).one, 3)
+            binary_quadric_sign(field_make(3, 3), 1, 3)
         s = singer_zero_set(4)
         with pytest.raises(FieldError):
-            binary_quadric_sign(s.field, s.field.pow(s.generator, s.positions[0]), 4)
+            binary_quadric_sign(s.field, s.field.exp[s.positions[0]], 4)
 
 
 class TestSingerZeroSet:
@@ -165,8 +252,6 @@ class TestSingerZeroSet:
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
     def test_closed_under_multiplier_p(self, q):
-        from odforge.arith import is_prime_power
-
         p, _ = is_prime_power(q)
         s = singer_zero_set(q)
         pos = set(s.positions)
@@ -175,13 +260,12 @@ class TestSingerZeroSet:
     def test_traces_consistent(self):
         s = singer_zero_set(3)
         f = s.field
-        x = f.one
+        g = primitive_element(f)
+        x = 1
         for i in range(s.n):
             assert s.traces[i] == trace_to_subfield(f, x, 3)
-            x = f.mul(x, s.generator)
+            x = _school_mul(f, x, g)
 
     def test_rejects_non_prime_power(self):
-        from odforge.arith import ArithmeticError_
-
         with pytest.raises(ArithmeticError_):
             singer_zero_set(6)

@@ -42,3 +42,12 @@ def test_build_catalog_regenerates_the_pinned_circulant_rows():
     lines = run_script("build_catalog.py", "--rows").splitlines()
     rows = {int(q): row for q, row in (line.split() for line in lines)}
     assert rows == {q: row for q, (row, _) in _PINNED_ROWS.items()}
+
+
+def test_census_prints_one_row_per_structure():
+    lines = run_script("census.py", "--max-n", "16").splitlines()
+    assert lines[0].split() == ["structure", "Exists", "NotExists", "Undecided"]
+    labels = [line[:22].strip() for line in lines[1:]]
+    assert labels == ["plain", "symmetric", "skew", "circulant", "symmetric --zero-diag"]
+    # every row counts each of the sum(min(n, 32)) queries once
+    assert all(sum(map(int, line[22:].split())) == 136 for line in lines[1:])
