@@ -55,11 +55,15 @@ def is_sum_of_three_squares(k: int) -> bool:
 def _lex_three(k: int, lo: int) -> tuple[int, int, int] | None:
     """Lexicographically smallest sorted (a, b, c) with lo <= a and
     a^2+b^2+c^2 = k, else None.  A k that is no sum of three squares is
-    answered by the residue test, not by exhausting the search."""
+    answered by the residue test, not by exhausting the search; an a whose
+    remainder k - a^2 has odd part 3 mod 4 is skipped, since that remainder
+    holds a prime 3 mod 4 to an odd power and is no sum of two squares."""
     if not is_sum_of_three_squares(k):
         return None
     for a in range(lo, isqrt(k // 3) + 1):
         rest_a = k - a * a
+        if rest_a and rest_a // (rest_a & -rest_a) % 4 == 3:
+            continue
         b = a
         while 2 * b * b <= rest_a:
             c2 = rest_a - b * b

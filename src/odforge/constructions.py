@@ -855,7 +855,7 @@ def odd_block_orders(ks: Sequence[int]) -> tuple[tuple[int, ...], int]:
     """Level orders b_i and their product q for the block arrays on weights
     ks, without building any matrices."""
     _, b_list = _odd_block_arith(ks)
-    return tuple(b_list), int(np.prod(b_list))
+    return tuple(b_list), math.prod(b_list)
 
 
 _Cell = tuple[int, int, Union[np.ndarray, None]]
@@ -959,7 +959,7 @@ def _block_design(h: int, roots: Sequence[int], **trace_params) -> Witness:
     """
     op, layout, units = _BLOCK_ARRAYS[h]
     lists, b_list = _odd_block_arith(roots)
-    q = int(np.prod(b_list))
+    q = math.prod(b_list)
     blocks: list[np.ndarray | None] = [None] * len(roots)
     sub_traces: list[Trace] = []
     for j, qs in lists.items():

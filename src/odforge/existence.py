@@ -18,7 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from types import MappingProxyType
+from typing import Callable, Mapping, Optional
 
 from .arith import (
     decompose_four_nonzero_squares,
@@ -428,21 +429,41 @@ def bound_N(k: int, family: str, ks: Optional[tuple[int, ...]] = None) -> BoundD
     exponents, the shared factor h, and N = x*y.  The power-of-two exponent
     is k for h = 1 (the order-2**k symmetric design), the smallest order the
     provider builds for h = 2, and d = t1 + t2 + 1 for the skew four-part
-    design of h = 4 and 8.
+    design of h = 4 and 8.  A threshold of more than ``_MAX_N_DIGITS``
+    digits is refused.  Derivations of the default decomposition are cached
+    per (k, family).
     """
     if not isinstance(k, int) or k < 1:
         raise ExistenceError(f"weight must be a positive integer, got {k}")
     if family not in FAMILIES:
         raise ExistenceError(f"family must be one of {BOUND_FAMILIES}, got {family!r}")
-    spec = FAMILIES[family]
     if ks is None:
-        ks = spec.split(k)
-    elif not spec.ks_count:
+        return _default_bound(k, family)
+    spec = FAMILIES[family]
+    if not spec.ks_count:
         raise ExistenceError(f"{family} takes no decomposition override")
-    else:
-        if spec.vet_override:
-            spec.split(k)
-        ks = _validate_ks(k, ks, spec.ks_count, family)
+    if spec.vet_override:
+        spec.split(k)
+    return _derive_bound(k, family, _validate_ks(k, ks, spec.ks_count, family))
+
+
+# Python prints an int of at most 4,300 digits (the default
+# sys.int_max_str_digits), so no threshold past that is returned.
+_MAX_N_DIGITS = 4300
+
+# Entries of each per-weight cache.  One derivation takes under 7 KB even
+# with N at the digit cap (k = 119**2), so a full cache stays under 4 MB.
+_WEIGHT_CACHE_SIZE = 512
+
+
+@lru_cache(maxsize=_WEIGHT_CACHE_SIZE, typed=True)
+def _default_bound(k: int, family: str) -> BoundDerivation:
+    """``bound_N`` on the family's default decomposition of k."""
+    return _derive_bound(k, family, FAMILIES[family].split(k))
+
+
+def _derive_bound(k: int, family: str, ks: tuple[int, ...]) -> BoundDerivation:
+    spec = FAMILIES[family]
     b_list, q = odd_block_orders(spec.odd_plan(ks))
     weights = spec.pow2_weights(ks)
     notes: list[str] = []
@@ -462,13 +483,23 @@ def bound_N(k: int, family: str, ks: Optional[tuple[int, ...]] = None) -> BoundD
                 )
             t1, t2 = skew_four_exponents(padded)
             exponents = (("t1", t1), ("t2", t2), ("d", t1 + t2 + 1))
-        materializable = (1 << exponents[-1][1]) ** 2 <= DEFAULT_CELL_BUDGET
+        # (2**e)**2 <= budget, decided from the exponent e alone
+        materializable = 2 * exponents[-1][1] < DEFAULT_CELL_BUDGET.bit_length()
         if not materializable:
             shown = "k" if spec.h == 1 else exponents[-1][1]
             notes.append(
                 f"power-of-two seed order 2**{shown} is beyond desk scale; threshold is still exact"
             )
-    pow2_order = 1 << exponents[-1][1]
+    e = exponents[-1][1]
+    y_exp = e - spec.h.bit_length() + 1  # y = 2**e / h
+    # More than 4L + 3 bits in q * 2**e puts N past 16**L > 10**L without
+    # building 2**e; below that, N is built and compared exactly.
+    if q.bit_length() + e > 4 * _MAX_N_DIGITS + 3 or q << y_exp >= 10**_MAX_N_DIGITS:
+        raise ExistenceError(
+            f"threshold N = {q} * 2**{y_exp} of {family} at weight {k} has more "
+            f"than {_MAX_N_DIGITS} digits"
+        )
+    pow2_order = 1 << e
     x, y = q, pow2_order // spec.h
     return BoundDerivation(
         family=family,
@@ -499,6 +530,7 @@ def bound_N(k: int, family: str, ks: Optional[tuple[int, ...]] = None) -> BoundD
 # finishing steps build the weighing matrices in int8, exact for 0 and +-1.
 
 
+@lru_cache(maxsize=_WEIGHT_CACHE_SIZE, typed=True)
 def _seed_order(bound: BoundDerivation) -> int:
     """Order of the odd seed the family's builder makes for this derivation:
     the planned odd order, unless the builder takes other roots (skew-8n)."""
@@ -611,7 +643,13 @@ def _symmetric_route(query: Query) -> Verdict:
         return Verdict.unknown(
             "symmetric constructions here need a perfect square weight"
         )
-    bound = bound_N(k, "sym-square")
+    try:
+        bound = bound_N(k, "sym-square")
+    except ExistenceError:
+        # N is too long to state, but the odd seed still answers its order
+        if n != odd_block_orders((root,))[1]:
+            raise
+        return Verdict.exists(symmetric_w_square_odd(k))
     if n == bound.odd_order:
         return Verdict.exists(symmetric_w_square_odd(k))
     answer = _seed_answer(bound, n)
@@ -622,12 +660,11 @@ def _symmetric_route(query: Query) -> Verdict:
     )
 
 
-def _skew_route(query: Query) -> Verdict:
-    n, k = query.n, query.k
-    if k == 1:
-        return Verdict.exists(skew_pairs_weighing(n))
-    attempts: list[str] = []
-    bound: Optional[BoundDerivation] = None
+@lru_cache(maxsize=_WEIGHT_CACHE_SIZE, typed=True)
+def _skew_bounds(k: int) -> tuple[BoundDerivation, ...]:
+    """The derivation of each skew family that takes weight k, in table
+    order."""
+    bounds = []
     for family, spec in FAMILIES.items():
         if not family.startswith("skew-"):
             continue
@@ -635,41 +672,64 @@ def _skew_route(query: Query) -> Verdict:
             spec.split(k)
         except ExistenceError:
             continue  # the family does not take this weight
-        bound = bound_N(k, family)
+        bounds.append(bound_N(k, family))
+    return tuple(bounds)
+
+
+def _skew_route(query: Query) -> Verdict:
+    n, k = query.n, query.k
+    if k == 1:
+        return Verdict.exists(skew_pairs_weighing(n))
+    attempts: list[str] = []
+    bound: Optional[BoundDerivation] = None
+    for bound in _skew_bounds(k):
         answer = _seed_answer(bound, n)
         if answer is not None:
             return answer
         h = bound.h
         if n == bound.pow2_order:
             attempts.append(
-                f"{family}: the power-of-two seed of order {n} was not built "
+                f"{bound.family}: the power-of-two seed of order {n} was not built "
                 f"({'; '.join(bound.notes)})"
             )
         else:
             attempts.append(
-                f"{family}: order must be {_seed_order(bound)}, {bound.pow2_order}, "
+                f"{bound.family}: order must be {_seed_order(bound)}, {bound.pow2_order}, "
                 f"or a multiple of {h} at least {h * bound.N}"
             )
     return Verdict.unknown("; ".join(attempts), bound)
 
 
-def _plain_route(query: Query) -> Verdict:
-    n, k = query.n, query.k
-    if k == 1:
-        return Verdict.exists(identity_weighing(n))
+# Entries of the block-array order cache.  A weight up to _ENUMERATION_CAP
+# maps one order per decomposition it enumerates: at most 856 orders, about
+# 85 KB (k = 9451), so a full cache stays under 6 MB.
+_BLOCK_ORDER_CACHE_SIZE = 64
 
-    # Exact block-array orders, over every matching small decomposition:
-    # two blocks at 2q, four blocks at 4q, doubled four blocks at 8q
-    # (their unit row means quads of weight k - 1 land on weight k).
+
+@lru_cache(maxsize=_BLOCK_ORDER_CACHE_SIZE, typed=True)
+def _block_array_orders(k: int) -> Mapping[int, tuple[int, tuple[int, ...]]]:
+    """Each exact block-array order of weight k mapped to the first
+    (h, roots) over the matching small decompositions that reaches it: two
+    blocks at 2q, four blocks at 4q, doubled four blocks at 8q (their unit
+    row means quads of weight k - 1 land on weight k)."""
+    orders: dict[int, tuple[int, tuple[int, ...]]] = {}
     for h, candidates, weight in (
         (2, _two_square_candidates, k),
         (4, _four_square_candidates, k),
         (8, _four_square_candidates, k - 1),
     ):
         for roots in candidates(weight):
-            if n == h * odd_block_orders(roots)[1]:
-                od = block_array_od(h, roots)
-                return Verdict.exists(collapse_od_to_weighing(od))
+            orders.setdefault(h * odd_block_orders(roots)[1], (h, roots))
+    return MappingProxyType(orders)
+
+
+def _plain_route(query: Query) -> Verdict:
+    n, k = query.n, query.k
+    if k == 1:
+        return Verdict.exists(identity_weighing(n))
+    block_array = _block_array_orders(k).get(n)
+    if block_array is not None:
+        return Verdict.exists(collapse_od_to_weighing(block_array_od(*block_array)))
 
     # Any symmetric witness answers a plain query.
     sym = _symmetric_route(Query(n, k, "symmetric", query.zero_diagonal))
@@ -688,6 +748,9 @@ _ROUTES = {
     "skew": _skew_route,
     "circulant": _circulant_route,
 }
+
+# The per-weight caches; tests empty them between cases.
+_WEIGHT_CACHES = (_default_bound, _skew_bounds, _block_array_orders, _seed_order)
 
 
 def exists_query(query: Query, *, cell_budget: int = DEFAULT_CELL_BUDGET) -> Verdict:

@@ -247,12 +247,13 @@ def three_squares_oracle(k):
     return False
 
 
-def reference_three_squares(k):
-    """Lexicographically smallest sorted (a, b, c) with squares summing to k,
-    else None: the full search the library ran before its residue test."""
+def reference_three_squares(k, lo=0):
+    """Lexicographically smallest sorted (a, b, c) with lo <= a and squares
+    summing to k, else None: the full search the library ran before its
+    residue test and its two-squares pruning."""
     from math import isqrt
 
-    for a in range(isqrt(k // 3) + 1):
+    for a in range(lo, isqrt(k // 3) + 1):
         rest_a = k - a * a
         b = a
         while 2 * b * b <= rest_a:
@@ -298,6 +299,16 @@ def paf_oracle(row, shift):
     """Periodic autocorrelation of a first row at a given shift."""
     n = len(row)
     return sum(int(row[i]) * int(row[(i + shift) % n]) for i in range(n))
+
+
+@pytest.fixture(autouse=True)
+def _fresh_weight_caches():
+    """Empty the per-weight caches before each test, so a test that
+    monkeypatches a builder or a split sees no other test's entries."""
+    from odforge.existence import _WEIGHT_CACHES
+
+    for cache in _WEIGHT_CACHES:
+        cache.cache_clear()
 
 
 @pytest.fixture

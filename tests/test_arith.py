@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from odforge.arith import (
     ArithmeticError_,
     FrobeniusWitness,
+    _lex_three,
     decompose_four_nonzero_squares,
     decompose_four_squares,
     decompose_three_squares,
@@ -89,6 +90,12 @@ class TestFourSquares:
         for k in range(5001):
             assert decompose_three_squares(k) == reference_three_squares(k), k
             assert decompose_four_nonzero_squares(k) == reference_four_squares(k, True), k
+
+    def test_pruned_three_square_search_matches_the_full_search(self):
+        # remainders k - a**2 with odd part 3 mod 4 are the ones it skips
+        for lo in (0, 1, 3):
+            for k in range(20000):
+                assert _lex_three(k, lo) == reference_three_squares(k, lo), (k, lo)
 
     def test_matches_reference_loops_on_a_seeded_sample(self):
         rng = random.Random(20261018)

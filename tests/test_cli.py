@@ -652,6 +652,44 @@ class TestBound:
         assert code == EXIT_ERROR
         assert "error:" in err
 
+    def test_level_orders_multiply_past_int64(self, capsys):
+        code, out, err = run(
+            capsys, "bound", "--k", "999972000094001428002602", "--family", "two-square-2n",
+            "--trace",
+        )
+        assert code == EXIT_OK
+        assert out.startswith("N = 1813341581414717859088190085970633370240796327936\n")
+        # q = 2999901000819 * 1000007000013
+        assert "odd part q = 2999922000165004446010647\n" in out
+
+    def test_block_array_order_past_int64_is_refused_exactly(self, capsys):
+        code, out, err = run(capsys, "construct", "od", "--method", "two", "--ks", "999985999949,1")
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err.startswith("refusing to materialize order 5999844000330008892021294 (")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "bound --k 14400 --family sym-square",
+            "exists --n 20000 --k 14400 --structure symmetric --force",
+            "bound --k 999972000094001428002601 --family sym-square",
+        ],
+    )
+    def test_unprintable_threshold_is_one_error_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv.split())
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err.startswith("error: threshold N = ") and err.count("\n") == 1
+        assert err.endswith("has more than 4300 digits\n")
+
+    def test_printable_threshold_keeps_its_bytes(self, capsys):
+        code, out, err = run(capsys, "bound", "--k", "12100", "--family", "sym-square")
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "85f77ae8496bebdea6fbf90ef9ac977edbf0ff0d885e372f9bd20bf940a0189c"
+        )
+
 
 class TestDecompose:
     def test_three_squares_success(self, capsys):

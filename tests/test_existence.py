@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from odforge import constructions, matrices
+from odforge import constructions, existence, matrices
 from odforge.arith import is_sum_of_three_squares
 from odforge.existence import (
     BOUND_FAMILIES,
@@ -24,7 +24,7 @@ from odforge.existence import (
     exists_query,
     nonexistence_check,
 )
-from odforge.constructions import replay
+from odforge.constructions import odd_block_orders, replay
 from odforge.matrices import IntMatrix, ODType, WeighingType, structure_check, verify_weighing
 from conftest import dense_weighing_report, is_weighing_oracle, three_squares_oracle
 
@@ -253,6 +253,85 @@ matrices._family_report = counted
 exists_query(Query(*json.loads(sys.argv[1])))
 print(json.dumps(orders))
 """
+
+
+def _block_array_candidates(k):
+    """(h, roots) in the order the plain route tried them before its
+    per-weight table."""
+    for h, candidates, weight in (
+        (2, existence._two_square_candidates, k),
+        (4, existence._four_square_candidates, k),
+        (8, existence._four_square_candidates, k - 1),
+    ):
+        for roots in candidates(weight):
+            yield h, roots
+
+
+def _first_block_array(n, k):
+    """The plain route's loop before its per-weight table: the first
+    (h, roots) whose exact order is n, else None."""
+    for h, roots in _block_array_candidates(k):
+        if n == h * odd_block_orders(roots)[1]:
+            return h, roots
+    return None
+
+
+class TestWeightCaches:
+    def test_block_array_table_matches_the_first_match_loop(self):
+        for k in range(2, 201):
+            reached = {h * odd_block_orders(roots)[1] for h, roots in _block_array_candidates(k)}
+            assert existence._block_array_orders(k) == {
+                n: _first_block_array(n, k) for n in reached
+            }, k
+
+    def test_keys_are_typed(self):
+        assert bound_N(1, "skew-2n").N == 3
+        with pytest.raises(ExistenceError):
+            bound_N(1.0, "skew-2n")
+        assert existence._default_bound(True, "skew-2n").k is True
+
+    def test_every_cache_is_bounded_and_typed(self):
+        for cache in existence._WEIGHT_CACHES:
+            params = cache.cache_parameters()
+            assert params["maxsize"] is not None and 0 < params["maxsize"] <= 512
+            assert params["typed"]
+
+    def test_overrides_are_derived_afresh(self):
+        default = bound_N(50, "two-square-2n")
+        assert bound_N(50, "two-square-2n", (1, 7)) == default
+        with pytest.raises(ExistenceError):
+            bound_N(50, "two-square-2n", (1.0, 7))
+
+    def test_repeat_queries_reuse_the_derivations(self):
+        bound_N(92, "four-square-4n")
+        exists_query(Query(40, 5, "skew"))
+        exists_query(Query(40, 5, "plain"))
+        before = [c.cache_info() for c in existence._WEIGHT_CACHES]
+        bound_N(92, "four-square-4n")
+        exists_query(Query(44, 5, "skew"))
+        exists_query(Query(44, 5, "plain"))
+        after = [c.cache_info() for c in existence._WEIGHT_CACHES]
+        assert [a.misses for a in after] == [b.misses for b in before]
+        assert all(a.hits > b.hits for a, b in zip(after, before))
+
+
+class TestUnprintableThresholds:
+    @pytest.mark.parametrize("k", [14400, 999972000094001428002601])
+    def test_refused_with_a_message(self, k):
+        with pytest.raises(ExistenceError, match="has more than 4300 digits"):
+            bound_N(k, "sym-square")
+
+    def test_largest_printable_square_is_kept(self):
+        assert len(str(bound_N(14161, "sym-square").N)) <= 4300
+
+    def test_odd_seed_order_still_answers(self, monkeypatch):
+        # 29419 = 73 * 13 * 31 is the odd seed's order at k = 120**2; the
+        # seed is not built here, only named.
+        monkeypatch.setattr(existence, "symmetric_w_square_odd", lambda k: ("seed", k))
+        verdict = existence._symmetric_route(Query(29419, 14400, "symmetric"))
+        assert verdict.kind == "exists" and verdict.witness == ("seed", 14400)
+        with pytest.raises(ExistenceError):
+            existence._symmetric_route(Query(20000, 14400, "symmetric"))
 
 
 class TestVerifyOnce:
