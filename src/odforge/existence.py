@@ -391,25 +391,25 @@ BOUND_FAMILIES = tuple(FAMILIES)
 
 
 @lru_cache(maxsize=256)
-def _built_exponent(type_tuple: tuple[int, ...]) -> int:
-    """Smallest exponent t whose order-2**t design of this type the provider
-    builds, tried up to 2**4.  Raises UnsupportedParameterError when none is
-    built; the cache keeps no exception, so a failed lookup is tried again."""
+def _built_pow2_design(type_tuple: tuple[int, ...]) -> Witness:
+    """The provider's design of this type at the smallest power-of-two order
+    it builds, tried up to 2**4; the h = 2 power-of-two seed is this design.
+    Raises UnsupportedParameterError when none is built; the cache keeps no
+    exception, so a failed lookup is tried again."""
     for t in range(minimal_pow2_exponent(sum(type_tuple)), 5):
         try:
-            small_od_provider(ODType(1 << t, type_tuple))
+            return small_od_provider(ODType(1 << t, type_tuple))
         except UnsupportedParameterError:
             continue
-        return t
     raise UnsupportedParameterError(f"no power-of-two design of type {type_tuple} built")
 
 
 def _provider_minimal_exponent(type_tuple: tuple[int, ...]) -> tuple[int, bool, str]:
-    """The built exponent of ``_built_exponent``; when none works, fall back
-    to the smallest t >= 3 with total weight <= 2**t - 2.  Returns (t, built,
-    note)."""
+    """The exponent of ``_built_pow2_design``'s order; when none is built,
+    fall back to the smallest t >= 3 with total weight <= 2**t - 2.  Returns
+    (t, built, note)."""
     try:
-        t = _built_exponent(type_tuple)
+        t = _built_pow2_design(type_tuple).order.bit_length() - 1
     except UnsupportedParameterError:
         total = sum(type_tuple)
         t = max(3, minimal_pow2_exponent(total + 2))
@@ -578,7 +578,7 @@ def _seed(bound: BoundDerivation, pow2: bool) -> tuple[SeedRecipe, Witness]:
     if not pow2:
         design = block_array_od(bound.h, spec.odd_roots(bound.ks))
     elif bound.h == 2:
-        design = small_od_provider(ODType(bound.pow2_order, weights))
+        design = _built_pow2_design(weights)  # of order bound.pow2_order
     else:
         padded = tuple(max(w, 1) for w in weights)
         base = skew_od_pow2_four(*padded)

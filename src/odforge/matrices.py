@@ -19,24 +19,32 @@ Two matrix kinds live here:
 Verification.  ``verify_weighing`` and ``verify_od`` (and the re-check inside
 ``specialize_variables``) use the family characterization: X is an OD of type
 (s_1..s_l) exactly when each A_j is a W(n, s_j) and A_i A_j^T + A_j A_i^T = 0
-for i != j.  One pass over the codes gives every variable's row and column
-weights.  Once those hold, row r of A_i A_j^T is a sum of s_i * s_j signed
-partner terms, so each Gram matrix and each pair sum can be checked exactly
-from the row and column supports in O(n * s_i * s_j), in row blocks that keep
-the temporaries bounded.  Both sums checked, A_j A_j^T and A_i A_j^T +
-A_j A_i^T, are symmetric, so their first violation in row-major order lies on
-or above the diagonal, and the support kernel counts only those terms.
-Near-dense members go to the dense BLAS product instead (one product per
-pair); a fixed cost rule on n, s_i and s_j picks the kernel per product.  Both
-kernels report the same first violation.  Before either runs, except on
-small families the support kernel checks faster, a block-circulant pass tries
-to prove the family from far fewer terms: when n = h * q with h the 2-part of
-n and q >= 3, and every q x q block of the codes is developed or
-back-developed over one group Z_q1 x ... x Z_qr of order q (circulant or
-back-circulant when r = 1, Kronecker products of such when r > 1), each
-block of a Gram matrix or pair sum follows from the first rows of the blocks
-alone.  A family the pass does not prove goes to the kernels, so every report
-is theirs.
+for i != j.  ``_family_report`` checks it at one choke point, with one rule
+for picking the method:
+
+* A small family, n * (s_1 + ... + s_l)**2 <= ``_PASS_MIN_TERMS``, goes to
+  the support kernel alone.
+* A larger one first tries the block-circulant pass: when n = h * q with h
+  the 2-part of n and q >= 3, and every q x q block of the codes is
+  developed or back-developed over one group Z_q1 x ... x Z_qr of order q
+  (circulant or back-circulant when r = 1, Kronecker products of such when
+  r > 1), each block of a Gram matrix or pair sum follows from the first
+  rows of the blocks alone, in O(h * s_i * s_j) terms.  A family the pass
+  does not prove sends each Gram matrix and each pair sum to the kernel
+  that the fixed cost rule ``_support_is_cheaper`` picks for n, s_i and s_j.
+
+One pass over the codes gives every variable's row and column weights.  Once
+those hold, row r of A_i A_j^T is a sum of s_i * s_j signed partner terms, so
+the support kernel checks each Gram matrix and each pair sum exactly from the
+row and column supports in O(n * s_i * s_j), in row blocks that keep the
+temporaries bounded.  Both sums, A_j A_j^T and A_i A_j^T + A_j A_i^T, are
+symmetric, so their first violation in row-major order lies on or above the
+diagonal, and the support kernel counts only those terms.  The dense kernel
+checks M M^T = d I by float64 BLAS products of a few rows at a time against
+one float copy of M: M = A_j and d = s_j for a Gram matrix, M = A_i + A_j and
+d = s_i + s_j for a pair, whose product is the pair sum plus both Gram
+matrices, all checked before any pair.  Both kernels report the same first
+violation, so every report is theirs.
 
 Indexing convention: storage is 0-based throughout.  Classical 1-based matrix
 descriptions are converted here, in one place, as follows: a circulant has
@@ -134,23 +142,6 @@ def _as_exact_array(data) -> np.ndarray:
 
 def _max_abs(arr: np.ndarray) -> int:
     return max(int(arr.max()), -int(arr.min())) if arr.size else 0
-
-
-def _exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact integer product of two 2-D integer arrays.
-
-    Chooses the cheaper representation whose intermediates provably cannot
-    lose exactness: float64 (BLAS) while every partial sum stays below 2**53,
-    int64 while below 2**63.  Raises ``MatrixError`` when a partial sum could
-    pass int64.
-    """
-    bound = a.shape[1] * _max_abs(a) * _max_abs(b)
-    if bound < _FLOAT_SAFE:
-        prod = np.asarray(a, dtype=np.float64) @ np.asarray(b, dtype=np.float64)
-        return prod.astype(np.int64)
-    if bound > _INT64_SAFE:
-        raise MatrixError(f"product entries could reach {bound}, past 64-bit integers")
-    return a.astype(np.int64) @ b.astype(np.int64)
 
 
 class IntMatrix:
@@ -357,7 +348,16 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
         raise MatrixError("mat_mul is defined for integer matrices only")
     if a.cols != b.rows:
         raise MatrixError(f"dimension mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
-    return IntMatrix(_exact_matmul(a.entries, b.entries))
+    # The cheaper representation whose partial sums provably stay exact:
+    # float64 (BLAS) below 2**53, int64 below 2**63.
+    bound = a.cols * _max_abs(a.entries) * _max_abs(b.entries)
+    if bound > _INT64_SAFE:
+        raise MatrixError(f"product entries could reach {bound}, past 64-bit integers")
+    if bound < _FLOAT_SAFE:
+        return IntMatrix(
+            (a.entries.astype(np.float64) @ b.entries.astype(np.float64)).astype(np.int64)
+        )
+    return IntMatrix(a.entries.astype(np.int64) @ b.entries.astype(np.int64))
 
 
 def transpose(m: Matrix) -> Matrix:
@@ -411,14 +411,6 @@ def structure_check(m: Matrix) -> StructureReport:
         circulant=circ,
         zero_diagonal=zero_diag,
     )
-
-
-def _first_mismatch(a: np.ndarray, b: np.ndarray) -> tuple[int, int] | None:
-    diff = a != b
-    if not np.any(diff):
-        return None
-    r, c = np.argwhere(diff)[0]
-    return int(r), int(c)
 
 
 # ---------------------------------------------------------------------------
@@ -563,6 +555,37 @@ def _support_mismatch(
         if bad.size:
             local, col = divmod(int(cells[bad[0]]), n)
             return r0 + local, col
+    return None
+
+
+def _dense_mismatch(
+    codes: np.ndarray, magnitudes: Sequence[int], diag: int
+) -> tuple[int, int] | None:
+    """First cell, in row-major order, where M M^T differs from diag * I, M
+    the sum of the members of ``codes`` with the given code magnitudes.
+
+    M is copied once into float64, and its product with M^T is taken
+    ``_SCAN_CELLS // n`` rows at a time.  Every partial sum is an integer of
+    magnitude at most n, far below 2**53, so the float64 BLAS product is
+    exact.
+    """
+    n = codes.shape[0]
+    step = max(1, _SCAN_CELLS // n)
+    m = np.zeros((n, n))
+    for r0 in range(0, n, step):
+        block = codes[r0 : r0 + step]
+        mag = np.abs(block)
+        keep = reduce(np.logical_or, (mag == v for v in magnitudes))
+        np.copyto(m[r0 : r0 + step], np.sign(block), where=keep)
+    local = np.arange(step)
+    for r0 in range(0, n, step):
+        prod = m[r0 : r0 + step] @ m.T
+        rows = local[: prod.shape[0]]
+        prod[rows, rows + r0] -= diag
+        off = prod != 0
+        if off.any():
+            row, col = divmod(int(off.argmax()), n)
+            return r0 + row, col
     return None
 
 
@@ -804,79 +827,50 @@ def _block_circulant_proof(codes: np.ndarray, weights: Sequence[int]) -> bool:
     return True
 
 
-# The block-circulant pass is skipped on families of at most this many
-# support-kernel terms, n * (s_1 + ... + s_l)**2, whose products all go to the
-# support kernel.  With every product in one count, the pass costs a fixed
-# number of numpy calls per level and block row, about 0.1-0.3 ms on small
-# orders, and on the block arrays it wins from a few hundred terms.  Timed
-# against the kernels (2-core x86-64, numpy 2.4.6, OpenBLAS 0.3.31, best of 7
-# x 50 calls in a warm process): OD(84; 1, 1, 1, 4), 4,116 terms, 0.26
-# against 0.58 ms; OD(168; 1, 1, 1, 1, 4), 10,752 terms, 0.55-0.76 against
-# 0.95-1.18 ms; OD(182; 4, 9), 30,758 terms, 0.22 against 0.79 ms.  But its
-# structure check and its count grow with the number h of block rows, and the
-# low-weight families below the bound are the ones with many: W(24, 1) = I_24
-# (h = 8) takes 0.23 against 0.07 ms, and I_768 (h = 256) 12.5-12.9 against
+# Families of at most this many support-kernel terms, n * (s_1 + ... + s_l)**2,
+# go to the support kernel alone, without the block-circulant pass.  With
+# every product in one count, the pass costs a fixed number of numpy calls per
+# level and block row, about 0.1-0.3 ms on small orders, and on the block
+# arrays it wins from a few hundred terms.  Timed against the kernels (2-core
+# x86-64, numpy 2.4.6, OpenBLAS 0.3.31, best of 7 x 50 calls in a warm
+# process): OD(84; 1, 1, 1, 4), 4,116 terms, 0.26 against 0.58 ms;
+# OD(168; 1, 1, 1, 1, 4), 10,752 terms, 0.55-0.76 against 0.95-1.18 ms;
+# OD(182; 4, 9), 30,758 terms, 0.22 against 0.79 ms.  But its structure check
+# and its count grow with the number h of block rows, and the low-weight
+# families below the bound are the ones with many: W(24, 1) = I_24 (h = 8)
+# takes 0.23 against 0.07 ms, and I_768 (h = 256) 12.5-12.9 against
 # 0.37-0.39 ms.  So the bound stays where the support kernel never loses by
 # much.
-# A family with a dense product keeps the pass: for about a second after a
-# process's first multithreaded BLAS product, an 84 x 84 product takes about
-# 8 ms instead of 0.03 ms, and a CLI process is that young.
 _PASS_MIN_TERMS = 1 << 14
 
 
-def _family_report(
-    codes: np.ndarray,
-    weights: Sequence[int],
-    label: str,
-    use_support=_support_is_cheaper,
-) -> CheckReport:
+def _family_report(codes: np.ndarray, weights: Sequence[int], label: str) -> CheckReport:
     """Exact check that the members A_j of ``codes`` (code magnitude j) form
-    an orthogonal-design family of the given weights.
+    an orthogonal-design family of the given weights, by the pass and the
+    kernels of the module docstring.
 
     Conditions, in order of first violation: for each j in turn, row weights,
     column weights and A_j A_j^T = s_j I; then, for each pair i < j in turn,
     A_i A_j^T + A_j A_i^T = 0.  ``label.format(j)`` prefixes member j's
     conditions.
-
-    First, unless the family has at most ``_PASS_MIN_TERMS`` support terms
-    and no dense product, the block-circulant pass,
-    ``_block_circulant_proof``: when n has an odd part q >= 3 and every
-    q x q block of the code grid is developed or back-developed over one
-    group Z_q1 x ... x Z_qr of order q, it checks every condition from the
-    first rows of the blocks, in O(h * s_i * s_j) terms per product, all
-    products in one count, and a family it proves is ok.  Otherwise (the
-    pass proves nothing, or finds a violation) each product is computed by
-    whichever kernel ``use_support(n, terms_per_row)`` picks: the support
-    kernel, O(n * s_i * s_j), or the dense BLAS product through
-    ``_exact_matmul``, O(n**3).  Both are exact and report the same first
-    violation.
     """
     n = codes.shape[0]
     l = len(weights)
+    small = n * sum(weights) ** 2 <= _PASS_MIN_TERMS
+    if not small and _block_circulant_proof(codes, weights):
+        return CheckReport(True)
     plan = {
-        (i, j): use_support(n, (1 if i == j else 2) * weights[i] * weights[j])
+        (i, j): small or _support_is_cheaper(n, (1 if i == j else 2) * weights[i] * weights[j])
         for i in range(l)
         for j in range(i, l)
     }
-    small = n * sum(weights) ** 2 <= _PASS_MIN_TERMS and all(plan.values())
-    if not small and _block_circulant_proof(codes, weights):
-        return CheckReport(True)
     row_w, col_w, pairs = _scan_codes(codes, l, keep=any(plan.values()))
     members: dict[int, _Member] = {}
-    dense: dict[int, np.ndarray] = {}
 
     def member(j: int) -> _Member:
         if j not in members:
             members[j] = _member_supports(pairs, j, weights[j], n)
         return members[j]
-
-    def dense_member(j: int) -> np.ndarray:
-        if l == 1:
-            return codes
-        if j not in dense:
-            hit = np.abs(codes) == j + 1
-            dense[j] = np.where(hit, np.sign(codes), 0).astype(np.int8)
-        return dense[j]
 
     for j, s in enumerate(weights):
         prefix = label.format(j + 1)
@@ -887,8 +881,7 @@ def _family_report(
         if plan[j, j]:
             spot = _support_mismatch([(member(j), member(j))], n, s)
         else:
-            a = dense_member(j)
-            spot = _first_mismatch(_exact_matmul(a, a.T), s * np.eye(n, dtype=np.int64))
+            spot = _dense_mismatch(codes, (j + 1,), s)
         if spot is not None:
             return CheckReport(False, f"{prefix}rows not orthogonal with weight k", spot)
     for i in range(l):
@@ -897,9 +890,7 @@ def _family_report(
                 a, b = member(i), member(j)
                 spot = _support_mismatch([(a, b), (b, a)], n, 0)
             else:
-                # A_j A_i^T = (A_i A_j^T)^T: one product per pair
-                left = _exact_matmul(dense_member(i), dense_member(j).T)
-                spot = _first_mismatch(left, -left.T)
+                spot = _dense_mismatch(codes, (i + 1, j + 1), weights[i] + weights[j])
             if spot is not None:
                 return CheckReport(
                     False, f"variables {i + 1},{j + 1} not anti-amicable", spot
@@ -912,19 +903,8 @@ def verify_weighing(w: IntMatrix, k: int) -> CheckReport:
 
     Conditions, reported in order of first violation: square shape, entries in
     {0,+1,-1}, exactly k nonzeros in every row and every column, and
-    W * W^T = k * I computed exactly.
-
-    When n = h * q (h the 2-part of n, q >= 3) and every q x q block of
-    ``w`` is developed or back-developed over one group Z_q1 x ... x Z_qr of
-    order q (circulant or back-circulant when r = 1), the block-circulant
-    pass proves a valid matrix from the first rows of its blocks in
-    O(h * k**2) terms; it is skipped where the support kernel is cheaper
-    (``_PASS_MIN_TERMS``).
-    Otherwise, and for every matrix with a violation, the product is checked
-    by the support kernel, from the k nonzeros of each row and column in
-    O(n * k**2), when that costs less than the dense BLAS product's n**3 by
-    the fixed rule ``_support_is_cheaper``; otherwise by the dense product
-    through ``_exact_matmul``.
+    W * W^T = k * I computed exactly, by the family check of the module
+    docstring with one member.
     """
     if not isinstance(w, IntMatrix):
         raise MatrixError("verify_weighing needs an integer matrix")
@@ -963,20 +943,8 @@ def verify_od(x: SignedVarMatrix, t: ODType) -> CheckReport:
 
     Conditions, in order of first violation: order, variable count, then for
     each variable j in turn its row weights, column weights and
-    A_j A_j^T = s_j I, then each pair i < j in turn.  A design of order
-    h * q (h the 2-part of the order, q >= 3) whose q x q blocks are all
-    developed or back-developed over one group Z_q1 x ... x Z_qr of order q,
-    such as the 2-, 4- and 8-block arrays on circulant blocks and on their
-    Kronecker products, is proven by the block-circulant pass from the first
-    rows of its blocks, in O(h * s_i * s_j) terms per product, except where
-    the support kernel is cheaper (``_PASS_MIN_TERMS``).  Otherwise, and for
-    every design with a violation, each Gram matrix and each pair sum
-    A_i A_j^T + A_j A_i^T is computed by one of two exact kernels: the
-    support kernel, from the s_i nonzeros of each row of A_i and
-    the s_j of each column of A_j in O(n * s_i * s_j), or the dense BLAS
-    product through ``_exact_matmul`` in O(n**3), one product per pair.  The
-    fixed rule ``_support_is_cheaper`` picks, per product, whichever costs
-    less for n, s_i and s_j.
+    A_j A_j^T = s_j I, then each pair i < j in turn, checked as the module
+    docstring describes.
     """
     if not isinstance(x, SignedVarMatrix):
         raise MatrixError("verify_od needs a symbolic matrix")

@@ -325,18 +325,17 @@ def test_late_violation_falls_back_to_the_kernels():
 @pytest.mark.parametrize(
     "w, runs",
     [
-        # OD(24; 1, 1, 1, 1, 1) and OD(84; 1, 1, 1, 4): few terms, all in
-        # the support kernel
+        # OD(24; 1, 1, 1, 1, 1), OD(84; 1, 1, 1, 4), W(7, 4) and OD(42; 1, 4):
+        # few terms, all in the support kernel, whatever the cost rule says
         (eight_block_od(1, 1, 1, 1), False),
         (goethals_seidel_od(1, 1, 1, 2), False),
-        # W(7, 4) and OD(42; 1, 4): few terms, but a dense product
-        (circulant_cw(2), True),
-        (two_square_od(1, 2), True),
+        (circulant_cw(2), False),
+        (two_square_od(1, 2), False),
         # OD(182; 4, 9): 30,758 terms
         (two_square_od(2, 3), True),
     ],
 )
-def test_pass_runs_unless_the_support_kernel_is_cheaper(w, runs, monkeypatch):
+def test_pass_runs_only_past_the_small_family_bound(w, runs, monkeypatch):
     calls = []
     proof = matrices._block_circulant_proof
     monkeypatch.setattr(

@@ -255,6 +255,25 @@ print(json.dumps(orders))
 """
 
 
+# Run in a fresh interpreter: derive the skew-2n threshold at weight 9, answer
+# a query past it, and print the (order, weights) of every family check, as
+# JSON.
+_SEED_CHECKS = """
+import json
+from odforge import matrices
+from odforge.existence import Query, bound_N, exists_query
+checks = []
+original = matrices._family_report
+def counted(codes, weights, *args, **kwargs):
+    checks.append((codes.shape[0], list(weights)))
+    return original(codes, weights, *args, **kwargs)
+matrices._family_report = counted
+bound_N(9, "skew-2n")
+assert exists_query(Query(626, 9, "skew")).kind == "exists"
+print(json.dumps(checks))
+"""
+
+
 def _block_array_candidates(k):
     """(h, roots) in the order the plain route tried them before its
     per-weight table."""
@@ -388,6 +407,22 @@ class TestVerifyOnce:
         monkeypatch.setattr(matrices, "_family_report", counted)
         witness = getattr(constructions, build)(*args)
         assert orders == [witness.order]
+
+    def test_bound_and_answer_check_the_pow2_seed_once(self):
+        """``bound`` builds and checks the skew-2n power-of-two seed
+        OD(16; 1, 9) to find its order; an answer past the threshold takes
+        that design and does not build or check it again."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", _SEED_CHECKS],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=300,
+            check=True,
+        )
+        checks = json.loads(done.stdout)
+        assert checks.count([16, [1, 9]]) == 1, checks
 
     def test_replay_checks_order_n_once(self, monkeypatch):
         """Replaying a past-threshold recipe builds the combined design at

@@ -1,5 +1,7 @@
 """Exact matrix layer: construction shapes, products, verification."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -150,6 +152,23 @@ class TestVerifyWeighing:
         c = circulant(row)
         paf_flat = all(paf_oracle(row, s) == 0 for s in range(1, n))
         assert verify_weighing(c, k).ok == paf_flat
+
+    def test_dense_check_peaks_under_16_bytes_per_cell(self):
+        # Sylvester W(2048, 2048) in int8: too dense for the support kernel,
+        # and of order 2**11, so no block-circulant pass.  The dense check
+        # holds one float64 copy (8 bytes per cell) and a few row blocks.
+        h = np.ones((1, 1), dtype=np.int8)
+        for _ in range(11):
+            h = np.block([[h, h], [h, -h]])
+        w = IntMatrix(h)
+        tracemalloc.start()
+        try:
+            report = verify_weighing(w, 2048)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.ok, report.message()
+        assert peak <= 16 * h.size, peak
 
 
 class TestVerifyOD:

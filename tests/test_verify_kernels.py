@@ -2,11 +2,13 @@
 
 ``odforge.matrices`` checks each Gram matrix and each anti-amicable pair sum
 with either the support kernel, O(n * s_i * s_j), or the dense BLAS product,
-picked per product by a cost rule.  Here each kernel is forced for every
-product and run on designs from every constructor and on corruptions of
-them: sign flips, changed codes, row swaps and column swaps.  Each must
-report the (ok, condition, where) triple of the reference, so the same
-first violation, and so must the public verifiers.  The block-circulant pass,
+picked per product by a cost rule; small families skip the rule and go to
+the support kernel.  Here each kernel is forced for every product, by
+patching the rule and setting the small-family bound to 0, and run on
+designs from every constructor and on corruptions of them: sign flips,
+changed codes, row swaps and column swaps.  Each must report the
+(ok, condition, where) triple of the reference, so the same first
+violation, and so must the public verifiers.  The block-circulant pass,
 which proves many of these designs before a kernel runs, is turned off here
 (``test_block_circulant.py`` checks it).
 """
@@ -67,6 +69,16 @@ def _triple(report):
     return report.ok, report.condition, report.where
 
 
+def forced_reports(codes, weights, label):
+    """The (ok, condition, where) triple of ``_family_report`` with each
+    kernel forced for every product, by kernel name."""
+    reports = {}
+    for name, rule in KERNELS.items():
+        with mock.patch.multiple(matrices, _support_is_cheaper=rule, _PASS_MIN_TERMS=0):
+            reports[name] = _triple(matrices._family_report(codes, weights, label))
+    return reports
+
+
 @st.composite
 def _corrupted(draw, pool):
     codes, weights = pool[draw(st.integers(0, len(pool) - 1))]
@@ -97,9 +109,8 @@ def test_design_kernels_match_dense_reference(case):
     codes, weights = case
     expected = dense_od_report(codes, weights)
     with _kernels_only():
-        for name, use_support in KERNELS.items():
-            got = matrices._family_report(codes, weights, matrices._VARIABLE_LABEL, use_support)
-            assert _triple(got) == expected, name
+        for name, got in forced_reports(codes, weights, matrices._VARIABLE_LABEL).items():
+            assert got == expected, name
     n = codes.shape[0]
     if sum(weights) <= n:
         x = SignedVarMatrix(codes, len(weights))
@@ -114,9 +125,8 @@ def test_weighing_kernels_match_dense_reference(case):
     k = sum(weights)
     expected = dense_weighing_report(flat, k)
     with _kernels_only():
-        for name, use_support in KERNELS.items():
-            got = matrices._family_report(flat, (k,), "", use_support)
-            assert _triple(got) == expected, name
+        for name, got in forced_reports(flat, (k,), "").items():
+            assert got == expected, name
     assert _triple(matrices.verify_weighing(IntMatrix(flat), k)) == expected
 
 
@@ -124,7 +134,21 @@ def test_weighing_kernels_match_dense_reference(case):
 def test_every_constructor_output_passes_both_kernels(name):
     for codes, weights in DESIGNS:
         with _kernels_only():
-            report = matrices._family_report(
-                codes, weights, matrices._VARIABLE_LABEL, KERNELS[name]
-            )
-        assert report.ok, (codes.shape, weights, report.message())
+            report = forced_reports(codes, weights, matrices._VARIABLE_LABEL)[name]
+        assert report == (True, None, None), (codes.shape, weights, report)
+
+
+def test_pair_only_violation_is_found_by_both_kernels():
+    # member 2 negated in row 3 of OD(42; 1, 4): every weight and Gram matrix
+    # still holds, and only the pair sum of members 1 and 2 breaks
+    w = two_square_od(1, 2)
+    codes = np.array(w.matrix.codes)
+    codes[3][np.abs(codes[3]) == 2] *= -1
+    weights = w.claim.type_tuple
+    expected = dense_od_report(codes, weights)
+    assert expected == (False, "variables 1,2 not anti-amicable", (3, 23))
+    with _kernels_only():
+        for name, got in forced_reports(codes, weights, matrices._VARIABLE_LABEL).items():
+            assert got == expected, name
+    x = SignedVarMatrix(codes, len(weights))
+    assert _triple(matrices.verify_od(x, w.claim)) == expected
