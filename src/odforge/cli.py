@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import sys
 from functools import cache
-from pathlib import Path
 from typing import Optional, Sequence
 
 from .arith import (
@@ -46,7 +45,7 @@ from .existence import (
     bound_N,
     exists_query,
 )
-from .matfile import MatrixFileError, emit_matrix_chunks, parse_matrix_file
+from .matfile import MatrixFileError, emit_matrix_chunks, read_matrix_file
 from .matrices import (
     MatrixError,
     ODType,
@@ -235,11 +234,10 @@ def _cmd_construct_sym_w(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     try:
-        text = Path(args.file).read_text()
+        matrix, claim, flags = read_matrix_file(args.file)
     except (OSError, UnicodeDecodeError) as err:
         _err(f"cannot read {args.file}: {err}")
         return EXIT_ERROR
-    matrix, claim, flags = parse_matrix_file(text)
     if isinstance(claim, WeighingType):
         report = verify_weighing(matrix, claim.weight)
         label = f"W({claim.order},{claim.weight})"

@@ -21,21 +21,26 @@ and NUL padding; code c at word c mod (2l + 1), or mod 3 for weighing) with
 the block's codes as stored, turns the space after each row's last token into
 a newline, and drops the padding with ``bytes.translate``;
 ``emit_matrix_chunks`` hands out each block's text as it is made, so a writer
-never holds the whole file.  Parsing cuts the text into row blocks at its
-newlines (one ``str.find`` per row) and decodes each block's ASCII bytes with
-numpy array passes: separators and row ends, token starts and lengths, then
-the sign and the decimal digits of every token at once (for l <= 9 the last
-byte of a token is its only digit).  Codes land in one grid of the narrowest
-signed dtype that holds -l..l, one byte per cell for weighing files and for
-designs of up to 127 variables.  A block the passes do not cover (a bad
-token, a row of the wrong length, or an index with more digits than l has,
-such as ``+02`` for l < 10) is read row by row and token by token, which
-accepts the same spellings and reports the first bad token by line and
-position.
+never holds the whole file.  Parsing takes the text's lines, from a string
+(one ``str.find`` per row) or from an open file (``read_matrix_file``, so a
+reader holds the grid and one block, never the text), cuts them into row
+blocks as they come and decodes each block's ASCII bytes with numpy array
+passes: separators and row ends, token starts and lengths, then the sign and
+the decimal digits of every token at once (for l <= 9 the last byte of a
+token is its only digit).  Codes land in one grid of the narrowest signed
+dtype that holds -l..l, one byte per cell for weighing files and for designs
+of up to 127 variables.  A block the passes do not cover (a bad token, a row
+of the wrong length, or an index with more digits than l has, such as
+``+02`` for l < 10) is read row by row and token by token, which accepts the
+same spellings and reports the first bad token by line and position.
 """
 
 from __future__ import annotations
 
+import os
+import stat
+from itertools import islice
+from pathlib import Path
 from typing import Iterator, Sequence, Union
 
 import numpy as np
@@ -45,6 +50,7 @@ from .matrices import IntMatrix, ODType, SignedVarMatrix, WeighingType, _code_dt
 __all__ = [
     "MatrixFileError",
     "parse_matrix_file",
+    "read_matrix_file",
     "emit_matrix_file",
     "emit_matrix_chunks",
     "FLAG_ORDER",
@@ -159,8 +165,10 @@ def _parse_row(tokens: list[str], n: int, claim: Claim, line: int) -> list[int]:
 
 # Cells per row block of parsing: the bytes and index arrays of one block
 # (some tens of bytes per cell) are alive at a time, not those of the whole
-# body.  Smaller blocks cost more calls; larger ones decode no faster.
-_PARSE_BLOCK_CELLS = 1 << 15
+# body.  Smaller blocks cost more calls; larger ones decode no faster warm,
+# and cold they are slower: a block's int64 index arrays of 8 bytes per cell
+# then reach glibc's 128 KiB mmap threshold and are mapped afresh each block.
+_PARSE_BLOCK_CELLS = 1 << 14
 
 
 def _decode_rows(block: str, claim: Claim, out: np.ndarray) -> bool:
@@ -222,44 +230,97 @@ def parse_matrix_file(text: str) -> tuple[Matrix, Claim, tuple[str, ...]]:
 
     Codes are held in the narrowest signed dtype that holds -l..l: int8 for
     every weighing file and every design of up to 127 variables."""
-    end = len(text)
-    while end and text[end - 1] == "\n":
-        end -= 1
-    if not end:
-        raise MatrixFileError("empty file")
-    head = text.find("\n", 0, end)
-    if head < 0:
-        head = end
-    claim, flags = _parse_header(text[:head])
-    n = claim.order
-    rows = text.count("\n", head, end)
-    if rows != n:
-        raise MatrixFileError(f"body has {rows} rows, header promises {n}")
-    if len(text) < n * (2 * n - 1):
-        # A row of n tokens needs 2n - 1 characters, so some row is bad: find
-        # it without allocating an n x n grid the text cannot fill.  Past this
-        # check the grid holds at most one byte per character of the text
-        # for l <= 127.
-        for row, line in enumerate(text[head + 1 : end].split("\n")):
-            _parse_row(line.split(" "), n, claim, row + 2)
-    weighing = isinstance(claim, WeighingType)
-    grid = np.empty((n, n), dtype=np.int8 if weighing else _code_dtype(claim.num_vars))
-    step = max(1, _PARSE_BLOCK_CELLS // n)
-    start = head + 1
-    for r0 in range(0, n, step):
-        stop = start
-        for _ in range(min(step, n - r0)):  # past the block's last newline
-            stop = text.find("\n", stop, end) + 1 or end + 1
-        block = text[start:stop]
-        if stop > len(text):  # the last row, without its newline
-            block += "\n"
-        out = grid[r0 : r0 + step]
-        if not _decode_rows(block, claim, out):
-            out[:] = [
-                _parse_row(line.split(" "), n, claim, r0 + i + 2)
-                for i, line in enumerate(block[:-1].split("\n"))
-            ]
+    return _parse_lines(_text_lines(text), len(text))
+
+
+def read_matrix_file(path: Union[str, os.PathLike]) -> tuple[Matrix, Claim, tuple[str, ...]]:
+    """Parse the matrix file at ``path`` as ``parse_matrix_file`` parses its
+    text, read as ``Path.read_text`` reads it (locale encoding, universal
+    newlines) but one row block at a time, so the text is never held whole.
+
+    A source with no size (a pipe, a FIFO, a file of a kernel filesystem)
+    is read whole and parsed as a string.  Every error comes after the whole
+    input has been read, so an undecodable byte anywhere raises the
+    ``UnicodeDecodeError`` of ``Path.read_text`` before any
+    ``MatrixFileError``."""
+    try:
+        with Path(path).open() as fh:
+            status = os.fstat(fh.fileno())
+            if not stat.S_ISREG(status.st_mode) or not status.st_size:
+                return parse_matrix_file(fh.read())
+            try:
+                # A character takes at least a byte, and CRLF reads as one.
+                return _parse_lines(fh, status.st_size)
+            except MatrixFileError:
+                while fh.read(1 << 16):  # the rest may hold a decode error
+                    pass
+                raise
+    except UnicodeDecodeError:
+        # A chunked read places the bad byte within its chunk; the whole
+        # read names its offset in the file.
+        Path(path).read_text()
+        raise
+
+
+def _text_lines(text: str) -> Iterator[str]:
+    """The lines of ``text``, each with its newline (the last may lack it)."""
+    start, end = 0, len(text)
+    while start < end:
+        stop = text.find("\n", start) + 1 or end
+        yield text[start:stop]
         start = stop
+
+
+def _parse_lines(lines: Iterator[str], bound: int) -> tuple[Matrix, Claim, tuple[str, ...]]:
+    """Parse a matrix file from its lines, each with its newline (the last
+    may lack it), given an upper bound on the length of their text.
+
+    Rows are cut ``_PARSE_BLOCK_CELLS // n`` at a time and decoded into the
+    grid as they come.  Past a bad row the rest is only read and counted, so
+    a body of the wrong length is reported before the row, and the header
+    before both.  Blank lines at the end are not rows."""
+    first = next(lines, "\n")
+    if first == "\n" and all(line == "\n" for line in lines):
+        raise MatrixFileError("empty file")
+    claim, flags = _parse_header(first.rstrip("\n"))
+    n = claim.order
+    weighing = isinstance(claim, WeighingType)
+    grid = None
+    if bound >= n * (2 * n - 1):
+        # A row of n tokens needs 2n - 1 characters, so shorter text has a
+        # bad row, found row by row without an n x n grid the text cannot
+        # fill.  Past this check the grid holds at most one byte per
+        # character of the text for l <= 127.
+        grid = np.empty((n, n), dtype=np.int8 if weighing else _code_dtype(claim.num_vars))
+    step = max(1, _PARSE_BLOCK_CELLS // n)
+    rows = blank = 0  # lines past the header; the blank ones among the last
+    error = None
+    while rows < n and error is None:
+        block = list(islice(lines, min(step, n - rows)))
+        if not block:
+            break
+        text = "".join(block)
+        out = None if grid is None else grid[rows : rows + len(block)]
+        if out is None or not _decode_rows(text if text[-1] == "\n" else text + "\n", claim, out):
+            try:
+                for i, line in enumerate(block):
+                    codes = _parse_row(line.rstrip("\n").split(" "), n, claim, rows + i + 2)
+                    if out is not None:
+                        out[i] = codes
+            except MatrixFileError as err:
+                error = err
+        rows += len(block)
+        for line in block:
+            blank = blank + 1 if line == "\n" else 0
+    for line in lines:
+        rows += 1
+        blank = blank + 1 if line == "\n" else 0
+    if rows - blank != n:
+        raise MatrixFileError(f"body has {rows - blank} rows, header promises {n}")
+    if error is not None:
+        raise error
+    if grid is None:  # n good rows in text shorter than its bound allows
+        raise MatrixFileError("input grew while it was read")
     if weighing:
         return IntMatrix._adopt(grid), claim, flags
     return SignedVarMatrix._adopt(grid, claim.num_vars), claim, flags

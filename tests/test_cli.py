@@ -5,8 +5,11 @@ enough to parse (matrices only), diagnostics go to stderr.
 """
 
 import hashlib
+import os
 import random
+import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -254,6 +257,69 @@ class TestVerify:
         assert out == ""
         assert err.startswith(f"cannot read {f}: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("first", ["valid", "bad-token", "bad-header"])
+    def test_undecodable_byte_past_the_first_block_is_named_as_a_whole_read_names_it(
+        self, capsys, tmp_path, first
+    ):
+        # The file is read in blocks of 43 rows of W(381, 361), but the error
+        # gives the bad byte's offset in the file, as Path.read_text says it;
+        # a bad token in row 2 or a bad header does not hide the bad byte.
+        path = tmp_path / "cw19.txt"
+        assert run(capsys, "construct", "cw", "--q", "19", "--out", str(path))[0] == EXIT_OK
+        data = bytearray(path.read_bytes())
+        data[200_006] = 0xFF
+        if first == "bad-token":
+            data[data.index(b"\n", data.index(b"\n") + 1) + 1] = ord("x")
+        elif first == "bad-header":
+            data[0] = ord("X")
+        path.write_bytes(data)
+        with pytest.raises(UnicodeDecodeError) as whole:
+            path.read_text()
+        assert "position 200006" in str(whole.value)
+        code, out, err = run(capsys, "verify", "--file", str(path))
+        assert (code, out, err) == (EXIT_ERROR, "", f"cannot read {path}: {whole.value}\n")
+
+    @pytest.mark.parametrize("short_row", [False, True], ids=["canonical", "short-row"])
+    def test_fifo_reads_as_the_regular_file(self, capsys, tmp_path, short_row):
+        # A FIFO has no size: it is read whole and parsed as a string.
+        path = tmp_path / "design.txt"
+        code, _, _ = run(
+            capsys, "construct", "od", "--method", "two", "--ks", "1,2", "--out", str(path)
+        )
+        assert code == EXIT_OK
+        if short_row:
+            lines = path.read_text().split("\n")
+            lines[2] = lines[2].rsplit(" ", 1)[0]
+            path.write_text("\n".join(lines))
+        expected = run(capsys, "verify", "--file", str(path))
+        assert expected[0] == (EXIT_ERROR if short_row else EXIT_OK)
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),), daemon=True)
+        writer.start()
+        got = run(capsys, "verify", "--file", str(fifo))
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert got == expected
+
+    def test_verify_of_a_large_design_holds_under_two_bytes_per_cell(self, capsys, tmp_path):
+        # OD(1898; 9, 64), the largest block-io design: its 7.3 MB file is
+        # read one row block at a time into a one-byte grid, so the peak is
+        # the grid, a block and the verifier's work, never the text.
+        path = tmp_path / "od1898.txt"
+        code, _, _ = run(
+            capsys, "construct", "od", "--method", "two", "--ks", "3,8", "--out", str(path)
+        )
+        assert code == EXIT_OK
+        tracemalloc.start()
+        try:
+            code = main(["verify", "--file", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, capsys.readouterr().out) == (EXIT_OK, "PASS OD(1898;9,64)\n")
+        assert peak < 2 * 1898**2
 
 
 class TestGoldenCorpus:

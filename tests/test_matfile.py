@@ -1,14 +1,24 @@
 """Text interchange format: parsing, emission, round trips, diagnostics."""
 
+import locale
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from odforge import matfile
 from odforge.constructions import two_square_od
-from odforge.matfile import FLAG_ORDER, MatrixFileError, emit_matrix_file, parse_matrix_file
+from odforge.matfile import (
+    FLAG_ORDER,
+    MatrixFileError,
+    emit_matrix_file,
+    parse_matrix_file,
+    read_matrix_file,
+)
 from odforge.matrices import IntMatrix, ODType, SignedVarMatrix, WeighingType
 from conftest import reference_emit_matrix_file, reference_parse_matrix_file
 
@@ -99,6 +109,29 @@ class TestParseErrors:
         with pytest.raises(MatrixFileError) as err:
             parse_matrix_file(text)
         assert str(err.value) == "line 2: row has 1 tokens, expected 1000000"
+
+    def test_huge_order_with_short_rows_in_a_file_is_a_format_error(self, tmp_path):
+        # The file's size bounds its text, so its rows are read one by one
+        # and no grid is allocated.
+        path = tmp_path / "huge.txt"
+        path.write_text("W 1000000 1\n" + "+\n" * 10**6)
+        tracemalloc.start()
+        try:
+            with pytest.raises(MatrixFileError) as err:
+                read_matrix_file(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == "line 2: row has 1 tokens, expected 1000000"
+        assert peak < 1 << 20
+
+    def test_text_longer_than_its_bound_is_an_error(self):
+        # the rows of a file that grew after its size was taken all pass,
+        # but no grid was allocated for them
+        lines = iter(["W 2 1\n", "+ 0\n", "0 +\n"])
+        with pytest.raises(MatrixFileError) as err:
+            matfile._parse_lines(lines, 5)
+        assert str(err.value) == "input grew while it was read"
 
     def test_bad_token_reports_line_and_column(self):
         with pytest.raises(MatrixFileError) as err:
@@ -375,6 +408,30 @@ def assert_parsers_agree(text):
     return ours
 
 
+# Each text is also written to a file as is, with CRLF line ends, without its
+# final newline and with blank lines after its last.
+_LINE_ENDS = {
+    "as-is": lambda text: text,
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "no-final-newline": lambda text: text.removesuffix("\n"),
+    "trailing-blank-lines": lambda text: text + "\n\n",
+}
+
+
+def assert_file_reader_agrees(text):
+    """read_matrix_file on each file form of ``text`` gives what
+    parse_matrix_file gives on that form with its line ends translated, as
+    text mode reads them."""
+    for form, write in _LINE_ENDS.items():
+        data = write(text)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "matrix.txt"
+            path.write_bytes(data.encode(locale.getpreferredencoding(False)))
+            got = _parse_outcome(read_matrix_file, path)
+        translated = data.replace("\r\n", "\n").replace("\r", "\n")
+        assert got == _parse_outcome(parse_matrix_file, translated), form
+
+
 _flag_sets = st.lists(st.sampled_from(FLAG_ORDER), unique=True, max_size=3)
 
 
@@ -454,18 +511,32 @@ _FIXED_CASES = (
 )
 
 
+_each_bad_token = pytest.mark.parametrize(
+    "case, token",
+    [(case, token) for case in _FIXED_CASES for token in _bad_tokens(case[1])],
+)
+_each_place = pytest.mark.parametrize("row, col", [(1, 0), (2, 1), (3, 2)])
+
+
+def _with_token(case, token, row, col):
+    """The canonical text of a fixed case with one token replaced."""
+    lines = emit_matrix_file(*case).split("\n")
+    tokens = lines[row].split(" ")
+    tokens[col] = token
+    lines[row] = " ".join(tokens)
+    return "\n".join(lines)
+
+
 class TestAgainstReference:
-    @pytest.mark.parametrize(
-        "case, token",
-        [(case, token) for case in _FIXED_CASES for token in _bad_tokens(case[1])],
-    )
-    @pytest.mark.parametrize("row, col", [(1, 0), (2, 1), (3, 2)])
+    @_each_bad_token
+    @_each_place
     def test_each_bad_token_matches_reference(self, case, token, row, col):
-        lines = emit_matrix_file(*case).split("\n")
-        tokens = lines[row].split(" ")
-        tokens[col] = token
-        lines[row] = " ".join(tokens)
-        assert_parsers_agree("\n".join(lines))
+        assert_parsers_agree(_with_token(case, token, row, col))
+
+    @_each_bad_token
+    @_each_place
+    def test_each_bad_token_in_a_file_matches_the_string_parser(self, case, token, row, col):
+        assert_file_reader_agrees(_with_token(case, token, row, col))
 
     @given(_cases)
     def test_round_trip_matches_reference(self, case):
@@ -496,6 +567,10 @@ class TestAgainstReference:
     @given(corrupted_texts())
     def test_corrupted_texts_match_reference(self, text):
         assert_parsers_agree(text)
+
+    @given(corrupted_texts())
+    def test_corrupted_texts_in_a_file_match_the_string_parser(self, text):
+        assert_file_reader_agrees(text)
 
     @given(
         weighing_cases(

@@ -1,5 +1,5 @@
 """Row-block boundaries of the support kernel, of the block-circulant
-structure check and of the matrix-file parser.
+structure check and of the matrix-file parser and file reader.
 
 All three work one block of rows at a time, and at their default block sizes
 every small test matrix fits in one block.  Here the differential tests of
@@ -32,6 +32,8 @@ COMPARE_ROWS = (1, 2, 3)
 # Cells per parse block: 1 gives one row per block; 24 gives blocks of two to
 # a few rows for the orders 1..12 of the generated texts.
 PARSE_BLOCK_CELLS = (1, 24)
+# Rows per parse block of the file reader, whatever the order.
+PARSE_BLOCK_ROWS = (1, 2, 3)
 
 
 @pytest.mark.parametrize("terms", KERNEL_BLOCK_TERMS)
@@ -121,3 +123,13 @@ def test_round_trips_in_small_blocks(cells, case):
     with mock.patch.object(matfile, "_PARSE_BLOCK_CELLS", cells):
         assert test_matfile.assert_parsers_agree(text)[0] == "ok"
         assert emit_matrix_file(*parse_matrix_file(text)) == text
+
+
+@pytest.mark.parametrize("rows", PARSE_BLOCK_ROWS)
+@given(text=test_matfile.corrupted_texts())
+def test_file_reader_in_blocks_of_a_few_rows(rows, text):
+    # a bad row, a missing or an extra row in a later block, and blank lines
+    # past the last row, give the string parser's outcome
+    n = int(text.split(" ", 2)[1])
+    with mock.patch.object(matfile, "_PARSE_BLOCK_CELLS", rows * n):
+        test_matfile.assert_file_reader_agrees(text)
