@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 from functools import cache
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from .arith import (
     ArithmeticError_,
@@ -84,16 +84,12 @@ def _write_matrix(witness: Witness, path: Optional[str]) -> bool:
     return True
 
 
+# Header flag -> the StructureReport field it declares, in file order.
+_FLAG_FIELDS = {"sym": "symmetric", "skew": "skew_symmetric", "circ": "circulant"}
+
+
 def _structure_flags(witness: Witness) -> tuple[str, ...]:
-    report = witness.structure
-    flags = []
-    if report.symmetric:
-        flags.append("sym")
-    if report.skew_symmetric:
-        flags.append("skew")
-    if report.circulant:
-        flags.append("circ")
-    return tuple(flags)
+    return tuple(flag for flag, field in _FLAG_FIELDS.items() if getattr(witness.structure, field))
 
 
 def _deliver(witness: Witness, args: argparse.Namespace) -> int:
@@ -107,13 +103,16 @@ def _deliver(witness: Witness, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _describe(witness: Witness) -> str:
-    claim = witness.claim
+def _label(claim: Union[WeighingType, ODType]) -> str:
+    """``W(n,k)`` or ``OD(n;s1,...,sl)``."""
     if isinstance(claim, WeighingType):
-        return f"weighing matrix W({claim.order},{claim.weight})"
-    assert isinstance(claim, ODType)
-    body = ",".join(str(s) for s in claim.type_tuple)
-    return f"orthogonal design OD({claim.order};{body})"
+        return f"W({claim.order},{claim.weight})"
+    return f"OD({claim.order};{','.join(str(s) for s in claim.type_tuple)})"
+
+
+def _describe(witness: Witness) -> str:
+    kind = "orthogonal design" if witness.is_od else "weighing matrix"
+    return f"{kind} {_label(witness.claim)}"
 
 
 # Cells of the largest grid numpy can address with 8-byte (int64 or
@@ -240,19 +239,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return EXIT_ERROR
     if isinstance(claim, WeighingType):
         report = verify_weighing(matrix, claim.weight)
-        label = f"W({claim.order},{claim.weight})"
     else:
-        assert isinstance(claim, ODType)
         report = verify_od(matrix, claim)
-        body = ",".join(str(s) for s in claim.type_tuple)
-        label = f"OD({claim.order};{body})"
+    label = _label(claim)
     if not report.ok:
         print(f"FAIL {label}: {report.message()}")
         return EXIT_NEGATIVE
     if flags:  # a full pass over the matrix, needed only for declared flags
         shape = structure_check(matrix)
-        holds = {"sym": shape.symmetric, "skew": shape.skew_symmetric, "circ": shape.circulant}
-        failed_flags = [flag for flag in flags if not holds[flag]]
+        failed_flags = [flag for flag in flags if not getattr(shape, _FLAG_FIELDS[flag])]
         if failed_flags:
             print(f"FAIL {label}: declared flags not satisfied: {','.join(failed_flags)}")
             return EXIT_NEGATIVE

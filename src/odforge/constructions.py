@@ -6,11 +6,13 @@ leaves through one exit, ``_witness``, which runs the exact verifier of
 :mod:`odforge.matrices` and the shape check once.  Its ingredients are not
 witnesses: the circulant levels of the block arrays and of
 ``symmetric_w_square_odd`` are int8 arrays built from cached first rows, and
-only the matrix assembled from them is verified.  The finishing steps
+only the matrix assembled from them is verified.  The derived steps
 (variables merged or set to 1, E^T S from a (1, k) design, a fresh identity
-variable) keep the design identity exactly, so they derive their claim from
-their verified input's and run no verifier; they check what they assume.  A
-composed witness (a direct sum past a combination threshold) holds verified
+variable, a weighing matrix read as a design, a circulant spread) act
+entrywise on a verified witness and keep its identity exactly, so they
+derive their claim from their input's and run no verifier; they check what
+they assume.  A composed witness (a direct sum: a coprime combination,
+copies of a weight-1 block, finished seeds past a threshold) holds verified
 blocks instead, and its matrix passes ``_witness`` when it is first read.
 ``small_od_provider`` tries several methods, each built and verified or
 merged from a verified design, and records rejected attempts in the trace
@@ -59,6 +61,7 @@ from .matrices import (
     VerificationInternalError,
     WeighingType,
     _code_dtype,
+    _payload,
     _substitute_variables,
     decompose_family,
     circulant,
@@ -169,7 +172,7 @@ class Witness:
     """A verified or exactly derived matrix, its claim, shape report and recipe.
 
     A composed witness (see ``_composed``) is a direct sum of verified
-    weighing blocks.  It holds ``blocks``, its (multiplicity, block witness)
+    blocks.  It holds ``blocks``, its (multiplicity, block witness)
     pairs, in place of a matrix, and builds and verifies its matrix when
     ``matrix`` is first read.  Witnesses compare by identity, since that
     read fills in a field.
@@ -316,12 +319,24 @@ def circulant_cw(q: int) -> Witness:
     return _witness(circulant(row), WeighingType(q * q + q + 1, q * q), trace, "circulant")
 
 
+def _spread(first_row: np.ndarray, recipe: Trace, c: int) -> tuple[np.ndarray, Trace]:
+    """The first row with entry i moved to position c*i of a row c times as
+    long, in its dtype and zero elsewhere, and the ``spread`` recipe of the
+    circulant it lays out."""
+    row = np.zeros(c * first_row.size, dtype=first_row.dtype)
+    row[::c] = first_row
+    return row, _trace("spread", subs=(recipe,), c=c)
+
+
 def spread_circulant(w: Witness, c: int) -> Witness:
     """Stretch a circulant weighing matrix to c times its order.
 
-    Entry i of the first row moves to position c*i of a row of the input's
-    dtype, zero elsewhere, which ``circulant`` lays out in 2cn entries.
-    Order and weight become (c*n, k).
+    The spread first row (``_spread``) is laid out by ``circulant`` in 2cn
+    entries.  Order and weight become (c*n, k).  The result is the input
+    tensored with I_c up to a permutation, so it derives its claim from the
+    verified input and runs no verifier.  Its shape report is the input's:
+    the spread circulant is symmetric, skew or zero-diagonal exactly when
+    the input is.
     """
     if not isinstance(w.claim, WeighingType):
         raise ConstructionError("spread_circulant needs a weighing-matrix witness")
@@ -329,12 +344,8 @@ def spread_circulant(w: Witness, c: int) -> Witness:
         raise ConstructionError("spread_circulant needs a circulant input")
     if not isinstance(c, int) or c < 1:
         raise ConstructionError(f"spread factor must be a positive integer, got {c}")
-    n, k = w.claim.order, w.claim.weight
-    first = w.matrix.entries[0]
-    row = np.zeros(c * n, dtype=first.dtype)
-    row[::c] = first
-    trace = _trace("spread", subs=(w.trace,), c=c)
-    return _witness(circulant(row), WeighingType(c * n, k), trace, "circulant")
+    row, trace = _spread(w.matrix.entries[0], w.trace, c)
+    return Witness(circulant(row), WeighingType(c * w.order, w.claim.weight), w.structure, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -627,39 +638,28 @@ def add_identity_variable(w: Witness) -> Witness:
 # ---------------------------------------------------------------------------
 
 
-def _block_diagonal(blocks: Sequence[tuple[int, np.ndarray]]) -> np.ndarray:
-    """I_a x A (+) I_b x B (+) ... for (a, A), (b, B), ..., written block by
-    block into one preallocated grid of the blocks' common dtype."""
-    order = sum(count * block.shape[0] for count, block in blocks)
-    grid = np.zeros((order, order), dtype=np.result_type(*(block for _, block in blocks)))
-    offset = 0
-    for count, block in blocks:
-        size = block.shape[0]
-        for _ in range(count):
-            grid[offset : offset + size, offset : offset + size] = block
-            offset += size
-    return grid
-
-
 def _composed(blocks: Sequence[tuple[int, Witness]], trace: Trace) -> Witness:
-    """The direct sum of ``count`` copies of each verified weighing block, in
-    order, as a witness that keeps the blocks instead of their sum.
+    """The direct sum of ``count`` copies of each verified block, in order,
+    as a witness that keeps the blocks instead of their sum.  The blocks are
+    all weighing matrices or all designs of one type.
 
-    The claim and shape report follow from the blocks.  The sum is symmetric,
-    skew or zero-diagonal iff every block is, and a single copy is its block.
-    With two or more copies, a circulant sum is c*I, symmetric of weight 1,
-    so it is not circulant at weight k >= 2 or when the sum is not symmetric.
-    The sum of c copies of one 1x1 block [x] is x*I_c, which keeps its
-    block's report.
+    The claim is the first block's at the summed order, and the shape report
+    follows from the blocks.  The sum is symmetric, skew or zero-diagonal iff
+    every block is, and a single copy is its block.  With two or more
+    copies, a circulant sum is c*I, symmetric of total weight 1, so it is
+    not circulant at total weight 2 or more or when the sum is not
+    symmetric.  The sum of c copies of one 1x1 block [x] is x*I_c, which
+    keeps its block's report.
     """
     blocks = tuple((count, block) for count, block in blocks if count)
-    k = blocks[0][1].claim.weight
+    claim = blocks[0][1].claim
     reports = [block.structure for _, block in blocks]
     if len(blocks) == 1 and (blocks[0][0] == 1 or blocks[0][1].order == 1):
         structure = reports[0]
     else:
         symmetric = all(r.symmetric for r in reports)
-        if k == 1 and symmetric:
+        weight = claim.total_weight if isinstance(claim, ODType) else claim.weight
+        if weight == 1 and symmetric:
             raise ConstructionError("no derived shape for a symmetric direct sum of weight 1")
         structure = StructureReport(
             symmetric=symmetric,
@@ -668,14 +668,23 @@ def _composed(blocks: Sequence[tuple[int, Witness]], trace: Trace) -> Witness:
             zero_diagonal=all(r.zero_diagonal for r in reports),
         )
     order = sum(count * block.order for count, block in blocks)
-    return Witness(None, WeighingType(order, k), structure, trace, blocks)
+    return Witness(None, replace(claim, order=order), structure, trace, blocks)
 
 
-def _materialize(w: Witness) -> IntMatrix:
-    """A composed witness's matrix, written in its blocks' dtype and verified
-    once at its order; its shape must be the one derived from the blocks."""
-    grid = _block_diagonal([(count, block.matrix.entries) for count, block in w.blocks])
-    built = _witness(IntMatrix._adopt(grid), w.claim, w.trace)
+def _materialize(w: Witness) -> Union[IntMatrix, SignedVarMatrix]:
+    """A composed witness's matrix, I_a x A (+) I_b x B (+) ... written block
+    by block into one grid of its blocks' dtype and verified once at its
+    order; its shape must be the one derived from the blocks."""
+    arrays = [(count, _payload(block.matrix)) for count, block in w.blocks]
+    grid = np.zeros((w.order, w.order), dtype=np.result_type(*(a for _, a in arrays)))
+    offset = 0
+    for count, block in arrays:
+        size = block.shape[0]
+        for _ in range(count):
+            grid[offset : offset + size, offset : offset + size] = block
+            offset += size
+    matrix = SignedVarMatrix._adopt(grid, w.claim.num_vars) if w.is_od else IntMatrix._adopt(grid)
+    built = _witness(matrix, w.claim, w.trace)
     if built.structure != w.structure:
         raise VerificationInternalError(
             f"composed matrix has shape {built.structure}, derived {w.structure}"
@@ -690,10 +699,6 @@ class SeedRecipe:
 
     claim: ODType
     trace: Trace
-
-    @staticmethod
-    def of(w: Witness) -> "SeedRecipe":
-        return SeedRecipe(w.claim, w.trace)
 
 
 def _coprime_plan(
@@ -737,14 +742,12 @@ def combine_coprime(w1: Witness, w2: Witness, t: int) -> Witness:
 
     With h = gcd(n1, n2), x = n1/h, y = n2/h, any t >= x*y splits as
     t = a*x + b*y; each output member is (I_a x A_i) direct-sum (I_b x B_i).
-    Symmetry of both inputs carries over to the output.
+    The result is composed of the two verified designs: its shape follows
+    from theirs, and its matrix is built and verified at order h*t when it is
+    first read.
     """
     a, b, trace = _coprime_plan(w1, w2, t)
-    m1, m2 = w1.matrix, w2.matrix
-    xm = SignedVarMatrix._adopt(_block_diagonal(((a, m1.codes), (b, m2.codes))), m1.num_vars)
-    symmetric = w1.structure.symmetric and w2.structure.symmetric
-    claim = ODType(xm.order, w1.claim.type_tuple)
-    return _witness(xm, claim, trace, "symmetric" if symmetric else None)
+    return _composed(((a, w1), (b, w2)), trace)
 
 
 def _rebase(trace: Trace, seed: Trace, node: Trace) -> Trace:
@@ -796,21 +799,19 @@ def _odd_block(
     q**2 for q in qs, each spread to its order in orders, with the recipe
     ``spread_circulant`` would record for each level.
 
-    A level is ``circulant`` of its cached first row with entry i moved to
-    position c*i, a view of 2 * order entries.  With ``reflect`` every level
-    is multiplied on the right by the back-diagonal permutation, which
-    reverses its columns and makes it back-circulant (symmetric).
+    A level is ``circulant`` of its cached first row spread by ``_spread``,
+    a view of 2 * order entries.  With ``reflect`` every level is multiplied
+    on the right by the back-diagonal permutation, which reverses its
+    columns and makes it back-circulant (symmetric).
     """
     levels = []
     recipes = []
     for q, order in zip(qs, orders):
         row, recipe = _cw_row(q)
-        c = order // row.size
-        first = np.zeros(order, dtype=np.int8)
-        first[::c] = row
+        first, spread = _spread(row, recipe, order // row.size)
         level = circulant(first).entries
         levels.append(level[:, ::-1] if reflect else level)
-        recipes.append(_trace("spread", subs=(recipe,), c=c))
+        recipes.append(spread)
     return reduce(np.kron, levels, np.ones((1, 1), dtype=np.int8)), recipes
 
 
@@ -1046,12 +1047,13 @@ def rational_family_seed(a: int, b: int, c: int) -> IntMatrix:
 
 
 def od_from_weighing(w: Witness) -> Witness:
-    """A W(n, k) read as the design OD(n; k), sharing its read-only array."""
+    """A W(n, k) read as the design OD(n; k), sharing its read-only array
+    and so its shape report."""
     if not isinstance(w.claim, WeighingType):
         raise ConstructionError("od_from_weighing expects a weighing-matrix witness")
     x = SignedVarMatrix._adopt(w.matrix.entries, 1)
     t = ODType(w.claim.order, (w.claim.weight,))
-    return Witness(x, t, structure_check(x), _trace("od-from-weighing", subs=(w.trace,)))
+    return Witness(x, t, w.structure, _trace("od-from-weighing", subs=(w.trace,)))
 
 
 def collapse_od_to_weighing(w: Witness) -> Witness:
@@ -1117,11 +1119,13 @@ def skew_weighing_from_unit_slot(w: Witness) -> Witness:
     return Witness(skew, claim, structure, trace)
 
 
-@lru_cache(maxsize=None)
-def _unit_block() -> Witness:
-    """The W(1, 1) [1], verified once, held as int8."""
-    trace = _trace("weighing-identity", n=1)
-    return _witness(IntMatrix(np.ones((1, 1), dtype=np.int8)), WeighingType(1, 1), trace)
+@cache
+def _weight_one_block(order: int) -> Witness:
+    """The W(1, 1) [1] at order 1, the skew W(2, 1) K at order 2: verified
+    once, held as int8."""
+    block = np.ones((1, 1), dtype=np.int8) if order == 1 else _K
+    op = "weighing-identity" if order == 1 else "skew-weighing-pairs"
+    return _witness(IntMatrix(block), WeighingType(order, 1), _trace(op, n=order))
 
 
 def identity_weighing(n: int) -> Witness:
@@ -1129,14 +1133,7 @@ def identity_weighing(n: int) -> Witness:
     circulant at once), composed of n copies of the one verified [1]."""
     if not isinstance(n, int) or n < 1:
         raise ConstructionError(f"order must be a positive integer, got {n}")
-    return _composed(((n, _unit_block()),), _trace("weighing-identity", n=n))
-
-
-@lru_cache(maxsize=None)
-def _rotation_block() -> Witness:
-    """The skew W(2, 1) K, verified once, held as int8."""
-    trace = _trace("skew-weighing-pairs", n=2)
-    return _witness(IntMatrix(_K), WeighingType(2, 1), trace)
+    return _composed(((n, _weight_one_block(1)),), _trace("weighing-identity", n=n))
 
 
 def skew_pairs_weighing(n: int) -> Witness:
@@ -1144,7 +1141,7 @@ def skew_pairs_weighing(n: int) -> Witness:
     direct sum of 2x2 rotation blocks, composed of the one verified block."""
     if not isinstance(n, int) or n < 2 or n % 2:
         raise ConstructionError(f"order must be a positive even integer, got {n}")
-    return _composed(((n // 2, _rotation_block()),), _trace("skew-weighing-pairs", n=n))
+    return _composed(((n // 2, _weight_one_block(2)),), _trace("skew-weighing-pairs", n=n))
 
 
 # ---------------------------------------------------------------------------

@@ -118,14 +118,10 @@ class NotExistsCertificate:
         raise KeyError(key)
 
     def recheck(self) -> bool:
-        n = self.param("n")
-        if self.rule == "symmetric-zero-diagonal-odd-order":
-            return n % 2 == 1
-        if self.rule == "skew-odd-order":
-            return n % 2 == 1
+        if self.rule in ("symmetric-zero-diagonal-odd-order", "skew-odd-order"):
+            return self.param("n") % 2 == 1
         if self.rule == "skew-weight-not-three-squares":
-            k = self.param("k")
-            return n % 8 == 4 and not is_sum_of_three_squares(k)
+            return self.param("n") % 8 == 4 and not is_sum_of_three_squares(self.param("k"))
         raise ExistenceError(f"unknown certificate rule {self.rule!r}")
 
 
@@ -530,17 +526,6 @@ def _derive_bound(k: int, family: str, ks: tuple[int, ...]) -> BoundDerivation:
 # finishing steps build the weighing matrices in int8, exact for 0 and +-1.
 
 
-@lru_cache(maxsize=_WEIGHT_CACHE_SIZE, typed=True)
-def _seed_order(bound: BoundDerivation) -> int:
-    """Order of the odd seed the family's builder makes for this derivation:
-    the planned odd order, unless the builder takes other roots (skew-8n)."""
-    spec = FAMILIES[bound.family]
-    roots = spec.odd_roots(bound.ks)
-    if roots == spec.odd_plan(bound.ks):
-        return bound.odd_order
-    return bound.h * odd_block_orders(roots)[1]
-
-
 def _drop_padded_zeros(witness: Witness, weights: tuple[int, ...]) -> Witness:
     """Keep each slot whose weight before padding is nonzero as its own
     variable and zero the slots that were padded up from 0."""
@@ -567,15 +552,16 @@ def _seed(bound: BoundDerivation, pow2: bool) -> tuple[SeedRecipe, Witness]:
     ``pow2`` of its power-of-two seed, with the weighing matrix the seed
     finishes to: a sym-square seed of type (k,) collapses, a skew family's
     seed of type (1, ...) summing to 1 + k gives up its skew part."""
+    spec = FAMILIES[bound.family]
+    weights = spec.pow2_weights(bound.ks)
+    finish = _skew_finish
     if bound.h == 1:
         if pow2:
             design = od_from_weighing(collapse_od_to_weighing(symmetric_od_pow2(bound.k)))
         else:
             design = od_from_weighing(symmetric_w_square_odd(bound.k))
-        return SeedRecipe.of(design), collapse_od_to_weighing(design)
-    spec = FAMILIES[bound.family]
-    weights = spec.pow2_weights(bound.ks)
-    if not pow2:
+        finish = collapse_od_to_weighing
+    elif not pow2:
         design = block_array_od(bound.h, spec.odd_roots(bound.ks))
     elif bound.h == 2:
         design = _built_pow2_design(weights)  # of order bound.pow2_order
@@ -586,14 +572,14 @@ def _seed(bound: BoundDerivation, pow2: bool) -> tuple[SeedRecipe, Witness]:
             base = add_identity_variable(base)
             weights = _with_unit(weights)
         design = _drop_padded_zeros(base, weights)
-    return SeedRecipe.of(design), _skew_finish(design)
+    return SeedRecipe(design.claim, design.trace), finish(design)
 
 
-def _seed_answer(bound: BoundDerivation, n: int) -> Optional[Verdict]:
+def _seed_answer(bound: BoundDerivation, seed_order: int, n: int) -> Optional[Verdict]:
     """The answer the family's seeds give at order n: a finished seed at its
-    own order, the two combined at every multiple h*t with t >= N; None at
-    any other order."""
-    if n == _seed_order(bound):
+    own order (``seed_order`` for the odd seed), the two combined at every
+    multiple h*t with t >= N; None at any other order."""
+    if n == seed_order:
         return Verdict.exists(_seed(bound, False)[1])
     if n == bound.pow2_order and bound.materializable:
         return Verdict.exists(_seed(bound, True)[1])
@@ -652,7 +638,7 @@ def _symmetric_route(query: Query) -> Verdict:
         return Verdict.exists(symmetric_w_square_odd(k))
     if n == bound.odd_order:
         return Verdict.exists(symmetric_w_square_odd(k))
-    answer = _seed_answer(bound, n)
+    answer = _seed_answer(bound, bound.odd_order, n)
     if answer is not None:
         return answer
     return Verdict.unknown(
@@ -661,9 +647,10 @@ def _symmetric_route(query: Query) -> Verdict:
 
 
 @lru_cache(maxsize=_WEIGHT_CACHE_SIZE, typed=True)
-def _skew_bounds(k: int) -> tuple[BoundDerivation, ...]:
+def _skew_bounds(k: int) -> tuple[tuple[BoundDerivation, int], ...]:
     """The derivation of each skew family that takes weight k, in table
-    order."""
+    order, with the order of the odd seed its builder makes (not the planned
+    odd order where the builder takes other roots, as skew-8n's does)."""
     bounds = []
     for family, spec in FAMILIES.items():
         if not family.startswith("skew-"):
@@ -672,7 +659,8 @@ def _skew_bounds(k: int) -> tuple[BoundDerivation, ...]:
             spec.split(k)
         except ExistenceError:
             continue  # the family does not take this weight
-        bounds.append(bound_N(k, family))
+        bound = bound_N(k, family)
+        bounds.append((bound, bound.h * odd_block_orders(spec.odd_roots(bound.ks))[1]))
     return tuple(bounds)
 
 
@@ -682,8 +670,8 @@ def _skew_route(query: Query) -> Verdict:
         return Verdict.exists(skew_pairs_weighing(n))
     attempts: list[str] = []
     bound: Optional[BoundDerivation] = None
-    for bound in _skew_bounds(k):
-        answer = _seed_answer(bound, n)
+    for bound, seed_order in _skew_bounds(k):
+        answer = _seed_answer(bound, seed_order, n)
         if answer is not None:
             return answer
         h = bound.h
@@ -694,7 +682,7 @@ def _skew_route(query: Query) -> Verdict:
             )
         else:
             attempts.append(
-                f"{bound.family}: order must be {_seed_order(bound)}, {bound.pow2_order}, "
+                f"{bound.family}: order must be {seed_order}, {bound.pow2_order}, "
                 f"or a multiple of {h} at least {h * bound.N}"
             )
     return Verdict.unknown("; ".join(attempts), bound)
@@ -750,7 +738,7 @@ _ROUTES = {
 }
 
 # The per-weight caches; tests empty them between cases.
-_WEIGHT_CACHES = (_default_bound, _skew_bounds, _block_array_orders, _seed_order)
+_WEIGHT_CACHES = (_default_bound, _skew_bounds, _block_array_orders)
 
 
 def exists_query(query: Query, *, cell_budget: int = DEFAULT_CELL_BUDGET) -> Verdict:

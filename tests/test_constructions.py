@@ -216,6 +216,27 @@ class TestSpread:
         with pytest.raises(ConstructionError):
             spread_circulant(w, 2)
 
+    @pytest.mark.parametrize("c", [1, 2, 3, 5])
+    @pytest.mark.parametrize(
+        "make",
+        [*(lambda q=q: circulant_cw(q) for q in (2, 3, 4, 5, 7)), lambda: identity_weighing(3)],
+        ids=[*(f"cw-{q}" for q in (2, 3, 4, 5, 7)), "identity-3"],
+    )
+    def test_spread_is_derived_from_its_input(self, monkeypatch, make, c):
+        """Spreading runs no verifier; the spread passes the dense oracle,
+        its inherited shape report is the matrix's, and it replays."""
+        base = make()
+        base.matrix  # a composed input is built and verified here, not below
+        reports = []
+        monkeypatch.setattr(matrices, "_family_report", lambda *a, **k: reports.append(a))
+        wide = spread_circulant(base, c)
+        assert reports == []
+        monkeypatch.undo()
+        m = wide.matrix
+        assert dense_weighing_report(m.entries, base.claim.weight) == (True, None, None)
+        assert wide.structure == structure_check(m)
+        assert replay(wide.trace).matrix == m
+
 
 class TestSymmetricPow2:
     @pytest.mark.parametrize("k", list(range(1, 9)))
@@ -574,6 +595,32 @@ class TestCombineCoprime:
         out = combine_coprime(a, b, 6)
         assert out.claim.order == 12
 
+    @pytest.mark.parametrize("case", ["odd-and-pow2-115", "shared-factor-12"])
+    def test_result_is_composed_and_checked_once_when_read(self, monkeypatch, case):
+        """The combination keeps its two verified designs; its order-h*t
+        matrix is built and verified once, when it is first read, and its
+        shape report derived from the designs is the matrix's."""
+        if case == "shared-factor-12":
+            (a, b), t = (two_square_od(1, 1), small_od_provider(ODType(4, (1, 1)))), 6
+        else:
+            (a, b), t = self._seed_pair(), 115
+        orders = []
+        original = matrices._family_report
+
+        def counted(codes, *args, **kwargs):
+            orders.append(codes.shape[0])
+            return original(codes, *args, **kwargs)
+
+        monkeypatch.setattr(matrices, "_family_report", counted)
+        out = combine_coprime(a, b, t)
+        assert out.blocks
+        assert orders == []
+        m = out.matrix
+        assert orders == [out.order]
+        monkeypatch.undo()
+        assert out.structure == structure_check(m)
+        assert dense_od_report(m.codes, out.claim.type_tuple) == (True, None, None)
+
 
 class TestSkewBuilders:
     def test_four_variable_skew(self):
@@ -728,9 +775,10 @@ class TestAdapters:
             merge_od_variables(base, [(1, 2), (2, 3)], zeros=())  # 2 twice
 
 
-# The finishing steps: each derives a witness from a verified one by a step
+# The derived steps: each derives a witness from a verified one by a step
 # that keeps the design identity, and runs no verifier.
 _DERIVED_STEPS = (
+    "spread_circulant",
     "od_from_weighing",
     "collapse_od_to_weighing",
     "merge_od_variables",

@@ -99,6 +99,15 @@ class TestNonexistenceRules:
         with pytest.raises(ExistenceError):
             bogus.recheck()
 
+    def test_unknown_rule_without_params_names_the_rule(self):
+        """The rule is read before any parameter, so an unknown rule is
+        reported as such even when it names no order."""
+        from odforge.existence import NotExistsCertificate
+
+        bogus = NotExistsCertificate("made-up", (), "no")
+        with pytest.raises(ExistenceError, match="unknown certificate rule 'made-up'"):
+            bogus.recheck()
+
 
 class TestBoundDerivations:
     def test_symmetric_square_benchmark(self):
@@ -384,6 +393,25 @@ class TestVerifyOnce:
         orders = json.loads(done.stdout)
         assert len(orders) == checks, orders
         assert orders.count(query.n) == at_order_n, orders
+
+    @pytest.mark.parametrize(
+        "query, base_order",
+        [(Query(84, 16, "circulant"), 21), (Query(372, 25, "circulant"), 31)],
+        ids=lambda v: f"k{v.k}-n{v.n}" if isinstance(v, Query) else None,
+    )
+    def test_cold_spread_checks_only_its_circulant(self, query, base_order):
+        """A spread is derived from its verified circulant: answering checks
+        the circulant alone, not the spread matrix of order n."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", _COLD_CHECKS, json.dumps([query.n, query.k, query.structure])],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=300,
+            check=True,
+        )
+        assert json.loads(done.stdout) == [base_order]
 
     @pytest.mark.parametrize(
         "build, args",
