@@ -61,9 +61,9 @@ from .matrices import (
     VerificationInternalError,
     WeighingType,
     _code_dtype,
+    _equal_by_rows,
     _payload,
     _substitute_variables,
-    decompose_family,
     circulant,
     mat_mul,
     structure_check,
@@ -305,13 +305,15 @@ def _cw_row(q: int) -> tuple[np.ndarray, Trace]:
     return arr, trace
 
 
+@lru_cache(maxsize=None)
 def circulant_cw(q: int) -> Witness:
     """Circulant weighing matrix of order q**2 + q + 1 and weight q**2.
 
     The first row has its q + 1 zeros exactly on the trace-zero position set
     of GF(q**3) over GF(q).  Its signs are a pinned row for q in
     {2, 3, 5, 7, 8, 9} and the closed form for every other prime power; the
-    matrix is verified once before it is returned.
+    matrix is verified once, on the first call for q.  Cached per q: the
+    witness is a view of 2n entries, as ``_cw_row``'s row is.
     """
     if is_prime_power(q) is None:
         raise ConstructionError(f"q must be a prime power, got {q}")
@@ -543,35 +545,24 @@ def skew_four_exponents(ks: Sequence[int]) -> tuple[int, int]:
     return minimal_pow2_exponent(1 + ks[0] + ks[1]), minimal_pow2_exponent(1 + ks[2] + ks[3])
 
 
-def _unit_transpose_rows(unit: IntMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """For a signed permutation E, the rows and int8 signs with
-    (E.T @ Y)[c] = signs[c] * Y[rows[c]]: E.T @ Y is a signed row gather."""
-    n = unit.rows
-    rows, cols = np.divmod(np.flatnonzero(unit.entries != 0), n)
-    if rows.size != n or not np.array_equal(np.sort(cols), np.arange(n)):
+def _normalized_codes(w: Witness) -> np.ndarray:
+    """E.T @ X for a verified design X of type (1, s2, ..., sl) with unit
+    member E (code magnitude 1), as a fresh code grid with E.T @ E = I, the
+    diagonal, dropped.  E must be a signed permutation, so E.T @ X is one
+    signed row gather: row c is s * X[r] for the entry s of E at (r, c).
+    Its non-unit members are skew, which is checked on the grid."""
+    codes, n = w.matrix.codes, w.order
+    rows, cols = np.divmod(np.flatnonzero(np.abs(codes) == 1), n)
+    if not (np.array_equal(rows, np.arange(n)) and np.array_equal(np.sort(cols), np.arange(n))):
         raise VerificationInternalError("unit member is not a signed permutation")
     src = np.empty(n, dtype=np.intp)
     src[cols] = rows
-    signs = np.empty(n, dtype=np.int8)
-    signs[cols] = unit.entries[rows, cols]
-    return src, signs
-
-
-def _normalized_unit_family(w: Witness) -> list[IntMatrix]:
-    """Turn a verified design family of type (1, s2, ..., sl) into a family
-    whose unit member is the identity, by multiplying every member on the
-    left by the transpose of the unit member.  The non-unit members of the
-    result are skew-symmetric."""
-    family = decompose_family(w.matrix)
-    src, signs = _unit_transpose_rows(family[0])
-    normalized = [IntMatrix._adopt(signs[:, None] * member.entries[src]) for member in family]
-    for i, member in enumerate(normalized[1:], start=2):
-        arr = member.entries
-        if not np.array_equal(arr.T, -arr):
-            raise VerificationInternalError(
-                f"normalized member {i} is not skew-symmetric"
-            )
-    return normalized
+    rest = codes[src]
+    rest *= codes[src, np.arange(n)][:, None]
+    np.fill_diagonal(rest, 0)
+    if not _equal_by_rows(rest, rest.T, negate=True):
+        raise VerificationInternalError("normalized non-unit members are not skew-symmetric")
+    return rest
 
 
 def skew_od_pow2_four(k1: int, k2: int, k3: int, k4: int) -> Witness:
@@ -579,26 +570,21 @@ def skew_od_pow2_four(k1: int, k2: int, k3: int, k4: int) -> Witness:
 
     t1 and t2 are the exponents of ``skew_four_exponents``.  Two provider
     designs of types (1, k1, k2) and (1, k3, k4) are normalized so their unit
-    member is the identity; the four output matrices are then I x A_i x P and
-    B_i x I x Q, all of them skew-symmetric.
+    member is the identity and dropped (``_normalized_codes``); codes 2, 3
+    become variables 1, 2 in the first grid A and 3, 4 in the second B.  The
+    design is I x A x P + B x I x Q: both terms are skew, and their supports
+    are disjoint, since P is off the diagonal and Q on it.
     """
     ks = (k1, k2, k3, k4)
     t1, t2 = skew_four_exponents(ks)
     first = small_od_provider(ODType(1 << t1, (1, k1, k2)))
     second = small_od_provider(ODType(1 << t2, (1, k3, k4)))
-    a_family = _normalized_unit_family(first)
-    b_family = _normalized_unit_family(second)
-    eye1 = np.eye(1 << t1, dtype=np.int8)
-    eye2 = np.eye(1 << t2, dtype=np.int8)
-    summands = (
-        np.kron(eye2, np.kron(a_family[1].entries, _P)),
-        np.kron(eye2, np.kron(a_family[2].entries, _P)),
-        np.kron(b_family[1].entries, np.kron(eye1, _Q)),
-        np.kron(b_family[2].entries, np.kron(eye1, _Q)),
-    )
-    codes = np.zeros_like(summands[0])
-    for var, summand in enumerate(summands, start=1):
-        codes += var * summand
+    a = _normalized_codes(first)
+    a -= np.sign(a)
+    b = _normalized_codes(second)
+    b += np.sign(b)
+    codes = np.kron(np.eye(1 << t2, dtype=a.dtype), np.kron(a, _P))
+    codes += np.kron(b, np.kron(np.eye(1 << t1, dtype=b.dtype), _Q))
     order = 1 << (t1 + t2 + 1)
     x = SignedVarMatrix._adopt(codes, 4)
     trace = _trace(
@@ -618,16 +604,13 @@ def add_identity_variable(w: Witness) -> Witness:
     """Prepend a fresh weight-1 variable riding the identity to a design
     whose members are all skew: zero-diagonal and anti-amicable with I."""
     matrix, claim = _design(w, "add_identity_variable")
-    for i, member in enumerate(decompose_family(matrix), start=1):
-        arr = member.entries
-        if not np.array_equal(arr.T, -arr):
-            raise ConstructionError(
-                f"variable {i} is not skew-symmetric; identity slot unavailable"
-            )
+    # a design is skew exactly when every member is
+    if not _equal_by_rows(matrix.codes, matrix.codes.T, negate=True):
+        raise ConstructionError("the design is not skew-symmetric; identity slot unavailable")
     # shift every index up by one, in a dtype that holds the new top index
     codes = matrix.codes.astype(_code_dtype(matrix.num_vars + 1))
     codes += np.sign(codes)
-    codes += np.eye(w.order, dtype=codes.dtype)
+    np.fill_diagonal(codes, 1)  # a skew diagonal is zero
     x = SignedVarMatrix._adopt(codes, matrix.num_vars + 1)
     t = ODType(claim.order, (1,) + claim.type_tuple)
     return Witness(x, t, structure_check(x), _trace("add-identity-variable", subs=(w.trace,)))
@@ -1103,14 +1086,13 @@ def merge_od_variables(
 def skew_weighing_from_unit_slot(w: Witness) -> Witness:
     """From a design of type (1, k) with family (E, S), return the skew
     weighing matrix E.T @ S of weight k (E anti-amicable with S)."""
-    matrix, claim = _design(w, "skew_weighing_from_unit_slot")
+    _, claim = _design(w, "skew_weighing_from_unit_slot")
     if claim.num_vars != 2 or claim.type_tuple[0] != 1:
         raise ConstructionError(
             f"need a design of type (1, k), got {claim.type_tuple}"
         )
-    unit, heavy = decompose_family(matrix)
-    src, signs = _unit_transpose_rows(unit)
-    skew = IntMatrix._adopt(signs[:, None] * heavy.entries[src])
+    rest = _normalized_codes(w)  # code 2, S turned by E.T, is all it holds
+    skew = IntMatrix._adopt(np.sign(rest, out=rest))
     claim = WeighingType(claim.order, claim.type_tuple[1])
     trace = _trace("skew-from-unit-slot", subs=(w.trace,))
     structure = structure_check(skew)

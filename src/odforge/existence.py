@@ -77,6 +77,11 @@ class ExistenceError(ValueError):
     """A query or bound request was malformed or inadmissible."""
 
 
+def _is_int(value) -> bool:
+    """An int that is not a bool, as ``arith`` takes its arguments."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Query:
     """One existence question: order, weight, structure, extras."""
@@ -87,9 +92,9 @@ class Query:
     zero_diagonal: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+        if not _is_int(self.n) or self.n < 1:
             raise ExistenceError(f"order must be a positive integer, got {self.n}")
-        if not isinstance(self.k, int) or self.k < 1:
+        if not _is_int(self.k) or self.k < 1:
             raise ExistenceError(f"weight must be a positive integer, got {self.k}")
         if self.k > self.n:
             raise ExistenceError(f"weight {self.k} exceeds order {self.n}")
@@ -311,7 +316,7 @@ def _four_square_candidates(k: int) -> list[tuple[int, int, int, int]]:
 def _validate_ks(k: int, ks: tuple[int, ...], count: int, family: str) -> tuple[int, ...]:
     if len(ks) != count:
         raise ExistenceError(f"family {family} needs {count} components, got {ks}")
-    if any(not isinstance(v, int) or v < 0 for v in ks):
+    if any(not _is_int(v) or v < 0 for v in ks):
         raise ExistenceError(f"components must be nonnegative integers, got {ks}")
     if sum(v * v for v in ks) != k:
         raise ExistenceError(
@@ -400,22 +405,6 @@ def _built_pow2_design(type_tuple: tuple[int, ...]) -> Witness:
     raise UnsupportedParameterError(f"no power-of-two design of type {type_tuple} built")
 
 
-def _provider_minimal_exponent(type_tuple: tuple[int, ...]) -> tuple[int, bool, str]:
-    """The exponent of ``_built_pow2_design``'s order; when none is built,
-    fall back to the smallest t >= 3 with total weight <= 2**t - 2.  Returns
-    (t, built, note)."""
-    try:
-        t = _built_pow2_design(type_tuple).order.bit_length() - 1
-    except UnsupportedParameterError:
-        total = sum(type_tuple)
-        t = max(3, minimal_pow2_exponent(total + 2))
-        return t, False, (
-            f"power-of-two seed not materialized; exponent {t} from the "
-            f"weight-capacity rule (total {total} <= 2**t - 2)"
-        )
-    return t, True, f"power-of-two seed materialized at order {1 << t}"
-
-
 def bound_N(k: int, family: str, ks: Optional[tuple[int, ...]] = None) -> BoundDerivation:
     """Explicit threshold N for one combination family at weight k.
 
@@ -429,7 +418,7 @@ def bound_N(k: int, family: str, ks: Optional[tuple[int, ...]] = None) -> BoundD
     digits is refused.  Derivations of the default decomposition are cached
     per (k, family).
     """
-    if not isinstance(k, int) or k < 1:
+    if not _is_int(k) or k < 1:
         raise ExistenceError(f"weight must be a positive integer, got {k}")
     if family not in FAMILIES:
         raise ExistenceError(f"family must be one of {BOUND_FAMILIES}, got {family!r}")
@@ -464,8 +453,17 @@ def _derive_bound(k: int, family: str, ks: tuple[int, ...]) -> BoundDerivation:
     weights = spec.pow2_weights(ks)
     notes: list[str] = []
     if spec.h == 2:
-        t, materializable, note = _provider_minimal_exponent(weights)
-        notes.append(note)
+        try:
+            t, materializable = _built_pow2_design(weights).order.bit_length() - 1, True
+            notes.append(f"power-of-two seed materialized at order {1 << t}")
+        except UnsupportedParameterError:
+            # the smallest t >= 3 with total weight <= 2**t - 2
+            total = sum(weights)
+            t, materializable = max(3, minimal_pow2_exponent(total + 2)), False
+            notes.append(
+                f"power-of-two seed not materialized; exponent {t} from the "
+                f"weight-capacity rule (total {total} <= 2**t - 2)"
+            )
         exponents: tuple[tuple[str, int], ...] = (("t", t),)
     else:
         if spec.h == 1:
@@ -730,11 +728,13 @@ def _plain_route(query: Query) -> Verdict:
     )
 
 
+# Structure -> its route and the ``StructureReport`` field that every
+# witness it answers with must have.
 _ROUTES = {
-    "plain": _plain_route,
-    "symmetric": _symmetric_route,
-    "skew": _skew_route,
-    "circulant": _circulant_route,
+    "plain": (_plain_route, None),
+    "symmetric": (_symmetric_route, "symmetric"),
+    "skew": (_skew_route, "skew_symmetric"),
+    "circulant": (_circulant_route, "circulant"),
 }
 
 # The per-weight caches; tests empty them between cases.
@@ -759,7 +759,7 @@ def exists_query(query: Query, *, cell_budget: int = DEFAULT_CELL_BUDGET) -> Ver
             f"any witness would hold {query.n}**2 cells, past the budget "
             f"of {cell_budget}; raise the budget to force construction"
         )
-    route = _ROUTES[query.structure]
+    route, field = _ROUTES[query.structure]
     try:
         verdict = route(query)
     except UnsupportedParameterError as err:
@@ -768,12 +768,8 @@ def exists_query(query: Query, *, cell_budget: int = DEFAULT_CELL_BUDGET) -> Ver
         witness = verdict.witness
         assert witness is not None
         shape = witness.structure
-        if query.structure == "circulant" and not shape.circulant:
-            raise ExistenceError("route produced a non-circulant witness")
-        if query.structure == "symmetric" and not shape.symmetric:
-            raise ExistenceError("route produced a non-symmetric witness")
-        if query.structure == "skew" and not shape.skew_symmetric:
-            raise ExistenceError("route produced a non-skew witness")
+        if field is not None and not getattr(shape, field):
+            raise ExistenceError(f"route produced a non-{query.structure} witness")
         if query.zero_diagonal and not shape.zero_diagonal:
             return Verdict.unknown(
                 "a witness exists but its diagonal is not zero; no "

@@ -337,6 +337,12 @@ class TestGoldenCorpus:
             ("two", "3,5", "a7f5a56561bb6096429be72ff3c71fde740240be3fcfd447489e9898ee7f9c1a"),
             ("two", "2,8", "30fbf5ab5cf9c6f1e99d17008e1582e43ffd1f545ca62cc8de72c0834a52975c"),
             ("gs", "1,1,2,3", "6d7e99a1b39481b258d87cc5be2f9a8bf9b52c3f95c0ed4ed4f6fe6b9ec5c03a"),
+            # the skew four-variable design, recorded before it was built
+            # from two Kronecker terms of relabelled code grids
+            ("skew4", "1,1,1,1", "1de65fb607202ff07e1e9e0f0442c4ce0e20450526766a056e0d40556c848255"),
+            ("skew4", "1,2,2,4", "92350a059ae841f7b915ad721339303f320a3495cde6192d239d0c55870f35c2"),
+            ("skew4", "4,4,4,4", "eaacdbf5f697f1bb5063fee86cc4820ccd481501ac80681db3faa5d7ea915d81"),
+            ("skew4", "2,1,1,5", "a78a933b87acc79d461098fa997a5f4c57e4b2f0c1a0ada4957b1e71b2c6644e"),
         ],
     )
     def test_written_file_digest(self, capsys, tmp_path, method, ks, digest):
@@ -457,14 +463,14 @@ class TestNoSearchBudget:
 # (argv, sha256 of (exit code, stdout, stderr, sha256 of the --out file)) for
 # exists past h*N: symmetric and plain queries combine the sym-square seeds,
 # skew queries the seeds of the first skew family that takes k.  The --out
-# path in stderr reads <out>.  W(6700, 9) is written to no file: its text is
-# 90 MB, and emitting it peaks past 1 GB.
+# path in stderr reads <out>.  Every witness is written, W(6700, 9) too: its
+# 90 MB of text are emitted in row blocks.
 _THRESHOLD_CORPUS = [
     ("exists --n 112 --k 4 --structure symmetric", "b4a7a05b7a7d29a3621bf7948571c39651f66200f03ca1a74eb5430c394d321b"),
     ("exists --n 113 --k 4 --structure symmetric", "e0c3446de27c8ea01d4d59247d6cf8225cbec3b8a91312954e54080c7d2ae344"),
     ("exists --n 1000 --k 4 --structure symmetric", "e54ceea62cd4d886f76daa78dfa7d0b0cdaeae47d4f89eb9812d90ad4fdef180"),
     ("exists --n 1600 --k 4 --structure symmetric", "a6ab95449d8ec4207d115deed5e971fca8aceb146f304d79178cdb4453b1a365"),
-    ("exists --n 6700 --k 9 --structure symmetric", "94187fc903c999e981f041fca68a861b946a911c29128fae4b6ab160a2559d3c"),
+    ("exists --n 6700 --k 9 --structure symmetric", "3bbb6b8a493733397321b8abe3524e9d2181e33aca14ff3c5b8600829c48ed70"),
     ("exists --n 130 --k 4", "61368781d524969d2f684598ed1d13d0e37dba542ecf55a4231d6608525b4537"),
     ("exists --n 900 --k 4", "1f4b36e16121f6297a98d19282568be78a51ebd99f61fb560b3c8637ea6b171e"),
     ("exists --n 96 --k 1 --structure skew", "9ef0b9bce395af02b522db98897d2f3f65f9e5485d84602286345cc8a89b5919"),
@@ -503,15 +509,9 @@ class TestThresholdCorpus:
     def test_answer_digest(self, capsys, tmp_path, argv, digest):
         args = argv.split() + ["--trace"]
         target = tmp_path / "witness.txt"
-        written = int(args[2]) <= 3000
-        if written:
-            args += ["--out", str(target)]
-        code, out, err = run(capsys, *args)
-        body = None
-        if written:
-            body = hashlib.sha256(target.read_bytes()).hexdigest()
-            err = err.replace(str(target), "<out>")
-        answer = (code, out, err, body)
+        code, out, err = run(capsys, *args, "--out", str(target))
+        body = hashlib.sha256(target.read_bytes()).hexdigest()
+        answer = (code, out, err.replace(str(target), "<out>"), body)
         assert out.startswith("Exists: weighing matrix"), answer
         assert hashlib.sha256(repr(answer).encode()).hexdigest() == digest, answer
 

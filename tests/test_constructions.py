@@ -24,7 +24,7 @@ from odforge.constructions import (
     _PINNED_ROWS,
     _cw_row,
     _merge_all_ones,
-    _normalized_unit_family,
+    _normalized_codes,
     _skew_weighing_pow2,
     _witness,
     add_identity_variable,
@@ -174,7 +174,7 @@ class TestLargeCirculants:
         assert np.array_equal(replay(w.trace).matrix.entries, w.matrix.entries)
 
     def test_q64_builds_from_cold_caches_in_seconds(self):
-        for cached in (_cw_row, singer_zero_set, primitive_element, field_make):
+        for cached in (circulant_cw, _cw_row, singer_zero_set, primitive_element, field_make):
             cached.cache_clear()
         start = time.perf_counter()
         circulant_cw(64)
@@ -670,8 +670,9 @@ class TestSkewBuilders:
         assert skew.structure.skew_symmetric
 
     def test_unit_slot_gathers_match_dense_products(self):
-        # E.T @ A for the unit member E is computed as a signed row gather;
-        # the dense product is the reference.  Signed row permutations of a
+        # E.T @ X for the unit member E is computed as one signed row gather
+        # of the code grid, the unit E.T @ E = I dropped; the dense product
+        # of every member is the reference.  Signed row permutations of a
         # design keep its type and make E a nontrivial signed permutation.
         rng = np.random.default_rng(7)
         base = small_od_provider(ODType(8, (1, 2, 5)))
@@ -681,7 +682,11 @@ class TestSkewBuilders:
             w = Witness(x, base.claim, structure_check(x), base.trace)
             family = decompose_family(x)
             expected = [mat_mul(transpose(family[0]), member) for member in family]
-            assert _normalized_unit_family(w) == expected
+            assert expected[0] == IntMatrix(np.eye(8, dtype=np.int64))
+            codes = _normalized_codes(w)
+            for j, member in enumerate(expected[1:], start=2):
+                assert np.array_equal(np.where(np.abs(codes) == j, np.sign(codes), 0), member.entries)
+            assert np.count_nonzero(codes) == sum(np.count_nonzero(m.entries) for m in expected[1:])
             pair = merge_od_variables(w, [[1], [2, 3]])
             unit, heavy = decompose_family(pair.matrix)
             skew = skew_weighing_from_unit_slot(pair)
@@ -867,6 +872,13 @@ class TestDerivedSteps:
         for verifier in ("_family_report", "specialize_variables"):
             assert verifier not in callers
         assert not callers["_witness"] & set(_DERIVED_STEPS)
+
+    def test_finishing_steps_act_on_the_code_grid(self):
+        """No build path splits a design into dense member matrices: the
+        finishing steps gather, relabel and compare the code grid itself."""
+        callers = _callers(ast.parse(inspect.getsource(constructions)))
+        assert "decompose_family" not in callers
+        assert callers["_normalized_codes"] == {"skew_od_pow2_four", "skew_weighing_from_unit_slot"}
 
     @pytest.mark.parametrize("build", _ORACLE_DESIGNS.values(), ids=_ORACLE_DESIGNS.keys())
     def test_results_pass_the_dense_oracle_and_replay(self, monkeypatch, build):

@@ -37,6 +37,8 @@ class TestQueryValidation:
             dict(n=4, k=0),
             dict(n=4, k=5),
             dict(n=4, k=2, structure="weird"),
+            dict(n=True, k=1),
+            dict(n=4, k=True),
         ],
     )
     def test_rejects(self, kwargs):
@@ -163,6 +165,8 @@ class TestBoundDerivations:
             (7, "skew-4n", None),  # k itself must be a sum of three squares
             (12, "four-square-4n", (1, 1, 1, 1)),  # squares sum to 4, not 12
             (4, "bogus-family", None),
+            (True, "sym-square", None),  # a bool is not a weight
+            (2, "two-square-2n", (True, True)),  # nor a component
         ],
     )
     def test_rejections(self, k, family, ks):
@@ -247,8 +251,8 @@ class TestBudgetIndependentBounds:
 
 
 
-# Run in a fresh interpreter, so every seed cache is cold: answer one query
-# and print the order of every family check it ran, as JSON.
+# Run in a fresh interpreter, so every seed cache is cold: answer the queries
+# in order and print the order of every family check they ran, as JSON.
 _COLD_CHECKS = """
 import json, sys
 from odforge import matrices
@@ -259,9 +263,24 @@ def counted(codes, *args, **kwargs):
     orders.append(codes.shape[0])
     return original(codes, *args, **kwargs)
 matrices._family_report = counted
-exists_query(Query(*json.loads(sys.argv[1])))
+for query in json.loads(sys.argv[1]):
+    exists_query(Query(*query))
 print(json.dumps(orders))
 """
+
+
+def _cold_checks(*queries):
+    """The orders ``_COLD_CHECKS`` counts for the queries, in one process."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", _COLD_CHECKS, json.dumps([[q.n, q.k, q.structure] for q in queries])],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=300,
+        check=True,
+    )
+    return json.loads(done.stdout)
 
 
 # Run in a fresh interpreter: derive the skew-2n threshold at weight 9, answer
@@ -381,16 +400,7 @@ class TestVerifyOnce:
         ids=lambda v: f"{v.structure}-k{v.k}-n{v.n}" if isinstance(v, Query) else None,
     )
     def test_cold_answer_checks_each_built_matrix_once(self, query, checks, at_order_n):
-        src = Path(__file__).resolve().parents[1] / "src"
-        done = subprocess.run(
-            [sys.executable, "-c", _COLD_CHECKS, json.dumps([query.n, query.k, query.structure])],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(src)},
-            timeout=300,
-            check=True,
-        )
-        orders = json.loads(done.stdout)
+        orders = _cold_checks(query)
         assert len(orders) == checks, orders
         assert orders.count(query.n) == at_order_n, orders
 
@@ -402,16 +412,14 @@ class TestVerifyOnce:
     def test_cold_spread_checks_only_its_circulant(self, query, base_order):
         """A spread is derived from its verified circulant: answering checks
         the circulant alone, not the spread matrix of order n."""
-        src = Path(__file__).resolve().parents[1] / "src"
-        done = subprocess.run(
-            [sys.executable, "-c", _COLD_CHECKS, json.dumps([query.n, query.k, query.structure])],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(src)},
-            timeout=300,
-            check=True,
-        )
-        assert json.loads(done.stdout) == [base_order]
+        assert _cold_checks(query) == [base_order]
+
+    def test_each_circulant_is_checked_once_per_process(self):
+        """``circulant_cw`` is cached per q: circulant answers that share a
+        base circulant check it once, whatever its spread."""
+        queries = (Query(84, 16, "circulant"), Query(126, 16, "circulant"))
+        queries += (Query(124, 25, "circulant"), Query(372, 25, "circulant"))
+        assert _cold_checks(*queries) == [21, 31]
 
     @pytest.mark.parametrize(
         "build, args",
