@@ -322,7 +322,27 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """Argument parser whose usage errors exit 1 (2 is reserved for
-    NotExists/fail outcomes)."""
+    NotExists/fail outcomes), and which hands an argv that starts with a
+    subcommand name straight to that subcommand's parser."""
+
+    _commands: Optional[argparse._SubParsersAction] = None
+
+    def add_subparsers(self, **kwargs):
+        self._commands = super().add_subparsers(**kwargs)
+        return self._commands
+
+    def parse_known_args(self, args=None, namespace=None):
+        # argparse's own pass would match every argument against this parser's
+        # options, then hand the rest of argv to the same subparser, so calling
+        # it directly gives the same namespace and leftovers.  Other argvs
+        # (empty, an option, an unknown command) take that pass.
+        args = sys.argv[1:] if args is None else list(args)
+        commands = self._commands
+        if commands is None or namespace is not None or not args or args[0] not in commands.choices:
+            return super().parse_known_args(args, namespace)
+        parsed, extras = commands.choices[args[0]].parse_known_args(args[1:])
+        setattr(parsed, commands.dest, args[0])
+        return parsed, extras
 
     def error(self, message: str):
         self.print_usage(sys.stderr)

@@ -942,3 +942,76 @@ class TestParserReuse:
         assert capsys.readouterr().out == (
             "7 = 1^2 + 1^2 + 1^2 + 2^2\n7 is not a sum of three squares\n"
         )
+
+    _TOP_USAGE = "usage: odforge [-h] {construct,verify,exists,bound,decompose} ...\n"
+    _EXISTS_USAGE = (
+        "usage: odforge exists [-h] --n N --k K\n"
+        "                      [--structure {plain,symmetric,skew,circulant}]\n"
+        "                      [--zero-diag] [--out OUT] [--trace] [--force]\n"
+    )
+    _CHOICES = "(choose from 'construct', 'verify', 'exists', 'bound', 'decompose')"
+
+    # argv -> the stderr of its usage error.  Leftovers after a known command
+    # are the top-level parser's error; a missing or bad argument is the
+    # subcommand's.
+    _USAGE_ERRORS = {
+        ("exists", "--n", "5", "--k", "3", "--bogus"): (
+            _TOP_USAGE + "odforge: error: unrecognized arguments: --bogus\n"
+        ),
+        ("--", "7"): (
+            _TOP_USAGE + f"odforge: error: argument command: invalid choice: '--' {_CHOICES}\n"
+        ),
+        ("exi",): (
+            _TOP_USAGE + f"odforge: error: argument command: invalid choice: 'exi' {_CHOICES}\n"
+        ),
+        (): _TOP_USAGE + "odforge: error: the following arguments are required: command\n",
+        ("construct",): (
+            "usage: odforge construct [-h] {cw,sym-od,od,sym-w} ...\n"
+            "odforge construct: error: the following arguments are required: what\n"
+        ),
+        ("construct", "od", "--method", "two", "--ks", "1,2", "--what"): (
+            _TOP_USAGE + "odforge: error: unrecognized arguments: --what\n"
+        ),
+        ("exists", "--n", "x", "--k", "3"): (
+            _EXISTS_USAGE + "odforge exists: error: argument --n: invalid int value: 'x'\n"
+        ),
+        ("exists", "--n", "5"): (
+            _EXISTS_USAGE + "odforge exists: error: the following arguments are required: --k\n"
+        ),
+        ("exists", "--n", "5", "--k", "3", "extra"): (
+            _TOP_USAGE + "odforge: error: unrecognized arguments: extra\n"
+        ),
+        ("decompose", "--k", "7", "7", "--squares", "3"): (
+            _TOP_USAGE + "odforge: error: unrecognized arguments: 7\n"
+        ),
+    }
+
+    @pytest.mark.parametrize("argv", sorted(_USAGE_ERRORS))
+    def test_usage_errors_keep_their_bytes(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as stop:
+            main(list(argv))
+        captured = capsys.readouterr()
+        assert (stop.value.code, captured.out, captured.err) == (
+            EXIT_ERROR,
+            "",
+            self._USAGE_ERRORS[argv],
+        )
+
+    @pytest.mark.parametrize(
+        "argv, usage",
+        [(("-h",), _TOP_USAGE), (("exists", "-h"), _EXISTS_USAGE)],
+    )
+    def test_help_exits_zero_with_its_usage(self, capsys, monkeypatch, argv, usage):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as stop:
+            main(list(argv))
+        captured = capsys.readouterr()
+        assert stop.value.code == EXIT_OK
+        assert captured.out.startswith(usage + "\n")
+        assert captured.err == ""
+
+    def test_option_prefixes_resolve_in_the_subcommand(self, capsys):
+        code, out, err = run(capsys, "exists", "--n", "5", "--k", "3", "--str", "skew")
+        assert (code, err) == (EXIT_NEGATIVE, "")
+        assert out.startswith("NotExists [skew-odd-order]: ")

@@ -6,17 +6,24 @@ argparse-style with ``SystemExit`` 0 (help) or 1 (usage error); no other
 exception may escape.  ``--force`` is never passed, so the cell guard keeps
 every build small, and ``--out`` / ``--file`` name only paths inside a
 temporary directory, which is also the working directory during the call.
+
+The same argvs check the parser's subcommand dispatch against argparse's own
+pass over the whole parser tree.
 """
 
+import argparse
 import contextlib
 import io
 import os
+import sys
 import tempfile
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from odforge.cli import main
+from odforge.cli import EXIT_ERROR, EXIT_OK, _Parser, build_parser, main
 from odforge.existence import BOUND_FAMILIES, STRUCTURES
 
 # Subcommand -> (the flags it requires, the flags it also takes).  Required
@@ -101,3 +108,49 @@ def test_every_argv_ends_in_an_exit_code(argv):
             assert code in (0, 1, 2), argv
         finally:
             os.chdir(here)
+
+
+def _parse_outcome(argv):
+    """What parsing argv through a fresh parser gives: ``vars`` of the
+    namespace and the leftovers, or the exit code and both streams."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            namespace, extras = build_parser().parse_known_args(argv)
+        except SystemExit as stop:
+            return stop.code, out.getvalue(), err.getvalue()
+    return vars(namespace), extras
+
+
+@settings(max_examples=300)
+@given(_argvs())
+def test_dispatch_parses_like_argparse(argv):
+    dispatched = _parse_outcome(argv)
+    plain = argparse.ArgumentParser.parse_known_args
+    with mock.patch.object(_Parser, "parse_known_args", plain):
+        assert _parse_outcome(argv) == dispatched, argv
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["decompose", "--k", "7", "--squares", "4"], EXIT_OK),
+        (["construct", "od", "--method", "two", "--ks", "1,2", "--what"], EXIT_ERROR),
+        (["exists", "--n", "5"], EXIT_ERROR),
+    ],
+)
+def test_main_reads_sys_argv_without_an_argv(capsys, monkeypatch, argv, code):
+    """The ``odforge`` console script calls main() with no argv."""
+
+    def outcome(*args):
+        try:
+            got = main(*args)
+        except SystemExit as stop:
+            got = stop.code
+        captured = capsys.readouterr()
+        return got, captured.out, captured.err
+
+    passed = outcome(argv)
+    monkeypatch.setattr(sys, "argv", ["odforge", *argv])
+    assert outcome() == passed
+    assert passed[0] == code
